@@ -54,10 +54,11 @@ def _prepare(args):
     if args.seed is not None:
         cfg.seed = args.seed
     if args.resolution_override:
-        parts = args.resolution_override.split(",")
-        if len(parts) != 2:
-            raise errors.ConfigError("--resolution-override expects N1,N2")
-        cfg.n1, cfg.n2 = int(parts[0]), int(parts[1])
+        try:
+            cfg.n1, cfg.n2 = (int(p) for p in args.resolution_override.split(","))
+        except ValueError:
+            raise errors.ConfigError(
+                f"--resolution-override expects N1,N2, got {args.resolution_override!r}")
     return cfg
 
 
@@ -186,9 +187,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     dt = cfg.effective_dt(grid)
     if not cfg.mu_list:
         raise errors.ConfigError("sweep needs physics.mu_list")
-    sc = SweepConfig(mu_list=[float(m) for m in cfg.mu_list], u0=u0, a=a,
-                     T=cfg.T, dt=dt, grid=grid, tol_fix=cfg.tol_fix,
-                     max_iter=cfg.max_iter)
+    try:
+        sc = SweepConfig(mu_list=[float(m) for m in cfg.mu_list], u0=u0, a=a,
+                         T=cfg.T, dt=dt, grid=grid, tol_fix=cfg.tol_fix,
+                         max_iter=cfg.max_iter)
+    except ValueError as exc:
+        raise errors.ConfigError(f"physics.mu_list: {exc}")
     rep = sweep_mu(sc)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_COLUMNS, rep.csv_rows())

@@ -185,5 +185,9 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}")
+    return parse_config(text)

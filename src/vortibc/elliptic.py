@@ -51,11 +51,6 @@ class NeumannProblem:
     tol_compat: float | None = None
 
 
-def _flatten_index(grid):
-    n1, n2 = grid.shape
-    return lambda i, j: i * n2 + j
-
-
 def _assemble_neumann(grid: Grid):
     """Weighted FV Laplacian A (symmetric, null space = constants) plus the
     LU factorization of the matrix with node 0 pinned."""
@@ -64,11 +59,10 @@ def _assemble_neumann(grid: Grid):
         return cached
     n1, n2 = grid.shape
     N = n1 * n2
-    idx = _flatten_index(grid)
     rows, cols, vals = [], [], []
 
     def add(i0, j0, i1, j1, t):
-        a, b = idx(i0, j0), idx(i1, j1)
+        a, b = i0 * n2 + j0, i1 * n2 + j1
         rows.extend((a, a, b, b))
         cols.extend((a, b, b, a))
         vals.extend((-t, t, -t, t))
@@ -137,18 +131,13 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
     if frame is not None:
         if len(flux) != len(frame.components):
             raise ValueError("flux must supply one array per boundary component")
-        n2 = grid.n2
         for comp, g in zip(frame, flux):
-            flat = np.arange(comp.n_nodes)
-            if comp.axis == 0:
-                dofs = comp.index * n2 + flat
-            else:
-                dofs = flat * n2 + comp.index
-            b[dofs] -= comp.ds * g
+            b[comp.nodes] -= comp.ds * g
 
     defect = float(np.sum(b))
-    scale = _data_scale(grid, frame, prob.source.values, flux)
-    tol = prob.tol_compat if prob.tol_compat is not None else 1e-8 * max(scale, 1e-14)
+    tol = prob.tol_compat
+    if tol is None:
+        tol = 1e-8 * max(_data_scale(grid, frame, prob.source.values, flux), 1e-14)
     if abs(defect) > tol:
         raise IncompatibleData(
             f"compatibility defect {defect:.3e} exceeds tolerance {tol:.3e}"
@@ -158,13 +147,8 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
             # Uniform shift of the boundary flux, by defect per unit arc length.
             log.debug("repairing Neumann data: defect %.3e spread over boundary", defect)
             per = frame.perimeter()
-            for comp, g in zip(frame, flux):
-                flat = np.arange(comp.n_nodes)
-                if comp.axis == 0:
-                    dofs = comp.index * grid.n2 + flat
-                else:
-                    dofs = flat * grid.n2 + comp.index
-                b[dofs] -= comp.ds * (defect / per)
+            for comp in frame:
+                b[comp.nodes] -= comp.ds * (defect / per)
         else:
             log.debug("repairing Neumann data: defect %.3e spread over volume", defect)
             b -= grid.weights.ravel() * (defect / float(np.sum(grid.weights)))
@@ -190,6 +174,32 @@ def _pressure_tol(grid, scale):
     return max(1e-8, 100.0 * h * h) * max(scale, 1e-14)
 
 
+def solve_neumann_fd(grid: Grid, source: np.ndarray, flux: list,
+                     frame: BoundaryFrame | None) -> ScalarField:
+    """Solve lap(phi) = source, d_nu phi = flux for data assembled from finite
+    differences, allowing its O(h^2) compatibility defect.
+
+    The one Neumann entry for the pressures, the divergence coupling, the
+    Solonnikov ratio and the torus streamfunction (frame None, flux []).
+    """
+    tol = _pressure_tol(grid, _data_scale(grid, frame, source, flux))
+    return solve_neumann(NeumannProblem(grid, ScalarField(grid, source), flux, tol_compat=tol))
+
+
+def _solve_transport(s: VectorField, e: VectorField, frame: BoundaryFrame | None,
+                     mu: float = 0.0, a=None) -> ScalarField:
+    """The Neumann problem behind every pressure-like scalar:
+    lap(q) = -div(s . grad e) with d_nu q = pi(s, e) - mu * da/ds."""
+    src = -div(advect(s, e)).values
+    g = []
+    if frame is not None:
+        g = second_fundamental_form(frame, boundary_vector_values(s, frame),
+                                    boundary_vector_values(e, frame))
+        if mu != 0.0 and a is not None:
+            g = [gk - mu * sk for gk, sk in zip(g, surface_curl(a, frame))]
+    return solve_neumann_fd(s.grid, src, g, frame)
+
+
 def _check_normal_trace(u, frame, tol, what):
     if frame is None:
         return
@@ -207,19 +217,7 @@ def solve_pressure_ns(u: VectorField, a, mu: float, frame: BoundaryFrame | None,
     normalized to zero mean.  Requires u_perp ~ 0 on the boundary.
     """
     _check_normal_trace(u, frame, bc_tol, "solve_pressure_ns")
-    grid = u.grid
-    src = ScalarField(grid, -div(advect(u, u)).values)
-    if frame is not None:
-        ub = boundary_vector_values(u, frame)
-        g = [p.copy() for p in second_fundamental_form(frame, ub, ub)]
-        if mu != 0.0 and a is not None:
-            for gk, sk in zip(g, surface_curl(a, frame)):
-                gk -= mu * sk
-    else:
-        g = []
-    scale = _data_scale(grid, frame, src.values, g)
-    prob = NeumannProblem(grid, src, g, tol_compat=_pressure_tol(grid, scale))
-    return solve_neumann(prob)
+    return _solve_transport(u, u, frame, mu, a)
 
 
 def solve_pressure_euler(u: VectorField, frame: BoundaryFrame,
@@ -238,34 +236,14 @@ def solve_pressure_linearized(beta: VectorField, w: VectorField,
     """
     s = beta + w
     _check_normal_trace(s, frame, bc_tol, "solve_pressure_linearized")
-    grid = s.grid
-    src = ScalarField(grid, -div(advect(s, s)).values)
-    if frame is not None:
-        sb = boundary_vector_values(s, frame)
-        g = second_fundamental_form(frame, sb, sb)
-    else:
-        g = []
-    scale = _data_scale(grid, frame, src.values, g)
-    prob = NeumannProblem(grid, src, g, tol_compat=_pressure_tol(grid, scale))
-    return solve_neumann(prob)
+    return _solve_transport(s, s, frame)
 
 
 def solve_divergence_coupling(beta: VectorField, w: VectorField, v: VectorField,
                               frame: BoundaryFrame | None) -> ScalarField:
     """Auxiliary Neumann solve for the divergence diagnostics:
     lap(q) = -div(s . grad e), d_nu q = pi(s, e) with s = beta + w, e = beta - v."""
-    grid = beta.grid
-    s = beta + w
-    e = beta - v
-    src = ScalarField(grid, -div(advect(s, e)).values)
-    if frame is not None:
-        g = second_fundamental_form(frame, boundary_vector_values(s, frame),
-                                    boundary_vector_values(e, frame))
-    else:
-        g = []
-    scale = _data_scale(grid, frame, src.values, g)
-    prob = NeumannProblem(grid, src, g, tol_compat=_pressure_tol(grid, scale))
-    return solve_neumann(prob)
+    return _solve_transport(beta + w, beta - v, frame)
 
 
 def solve_harmonic_q(a, mu: float, frame: BoundaryFrame) -> ScalarField:
@@ -291,26 +269,13 @@ def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> floa
     grid = f.grid
     if frame is None and grid.has_boundary():
         frame = boundary_frame(grid)
-    src = div(f)
     flux = normal_component(f, frame) if frame is not None else []
-    scale = _data_scale(grid, frame, src.values, flux)
-    prob = NeumannProblem(grid, src, flux, tol_compat=_pressure_tol(grid, scale))
-    phi = solve_neumann(prob)
+    phi = solve_neumann_fd(grid, div(f).values, flux, frame)
     return l2(grad(phi)) / fnorm
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet helper shared with the streamfunction solver
-
-def _wall_mask(grid: Grid):
-    """Boolean (n1, n2) mask of boundary nodes (non-periodic axis ends)."""
-    mask = np.zeros(grid.shape, dtype=bool)
-    if not grid.periodic1:
-        mask[0, :] = mask[-1, :] = True
-    if not grid.periodic2:
-        mask[:, 0] = mask[:, -1] = True
-    return mask
-
 
 def _assemble_dirichlet(grid: Grid):
     """FD Laplacian with identity rows at the non-periodic boundary nodes."""
@@ -319,42 +284,40 @@ def _assemble_dirichlet(grid: Grid):
         return cached
     n1, n2 = grid.shape
     N = n1 * n2
-    idx = _flatten_index(grid)
-    mask = _wall_mask(grid)
+    mask = grid.wall_mask
     rows, cols, vals = [], [], []
 
-    def put(a, b, v):
+    def put(a, i, j, v):
         rows.append(a)
-        cols.append(b)
+        cols.append(i * n2 + j)
         vals.append(v)
 
     h1, h2 = grid.h1, grid.h2
     for i in range(n1):
         for j in range(n2):
-            k = idx(i, j)
+            k = i * n2 + j
             if mask[i, j]:
-                put(k, k, 1.0)
+                put(k, i, j, 1.0)
                 continue
             if grid.polar:
                 r = grid.c1[i]
                 ct = 1.0 / (r * h2) ** 2
-                put(k, idx(i + 1, j), 1.0 / h1**2 + 1.0 / (2.0 * h1 * r))
-                put(k, idx(i - 1, j), 1.0 / h1**2 - 1.0 / (2.0 * h1 * r))
-                put(k, idx(i, (j + 1) % n2), ct)
-                put(k, idx(i, (j - 1) % n2), ct)
-                put(k, k, -2.0 / h1**2 - 2.0 * ct)
+                put(k, i + 1, j, 1.0 / h1**2 + 1.0 / (2.0 * h1 * r))
+                put(k, i - 1, j, 1.0 / h1**2 - 1.0 / (2.0 * h1 * r))
+                put(k, i, (j + 1) % n2, ct)
+                put(k, i, (j - 1) % n2, ct)
+                put(k, i, j, -2.0 / h1**2 - 2.0 * ct)
             else:
                 ip = (i + 1) % n1 if grid.periodic1 else i + 1
                 im = (i - 1) % n1 if grid.periodic1 else i - 1
-                put(k, idx(ip, j), 1.0 / h1**2)
-                put(k, idx(im, j), 1.0 / h1**2)
-                put(k, idx(i, (j + 1) % n2), 1.0 / h2**2)
-                put(k, idx(i, (j - 1) % n2), 1.0 / h2**2)
-                put(k, k, -2.0 / h1**2 - 2.0 / h2**2)
+                put(k, ip, j, 1.0 / h1**2)
+                put(k, im, j, 1.0 / h1**2)
+                put(k, i, (j + 1) % n2, 1.0 / h2**2)
+                put(k, i, (j - 1) % n2, 1.0 / h2**2)
+                put(k, i, j, -2.0 / h1**2 - 2.0 / h2**2)
 
     A = sparse.csr_matrix((vals, (rows, cols)), shape=(N, N)).tocsc()
-    lu = splu(A)
-    cached = (A, lu, mask)
+    cached = (splu(A), [c.nodes for c in boundary_frame(grid)])
     grid._cache["dirichlet"] = cached
     return cached
 
@@ -362,15 +325,11 @@ def _assemble_dirichlet(grid: Grid):
 def solve_dirichlet(grid: Grid, source: np.ndarray, bc_low, bc_high) -> np.ndarray:
     """Solve lap(phi) = source with Dirichlet data on the two walls.
 
-    The walls are the ends of the non-periodic axis (radial for polar grids,
-    y for the channel); bc_low / bc_high are per-node arrays or scalars.
+    The walls are the boundary components in frame order (inner/bottom, then
+    outer/top); bc_low / bc_high are per-node arrays or scalars.
     """
-    _, lu, mask = _assemble_dirichlet(grid)
+    lu, walls = _assemble_dirichlet(grid)
     vals = np.array(source, dtype=float)
-    if grid.periodic1 and not grid.periodic2:
-        vals[:, 0] = bc_low
-        vals[:, -1] = bc_high
-    else:
-        vals[0, :] = bc_low
-        vals[-1, :] = bc_high
+    for nodes, bc in zip(walls, (bc_low, bc_high)):
+        vals.flat[nodes] = bc
     return lu.solve(vals.ravel()).reshape(grid.shape)

@@ -61,13 +61,5 @@ class CirculationSystemSingular(VortibcError):
     """Streamfunction circulation constraint system is singular."""
 
 
-class PartialSweep(VortibcError):
-    """Some viscosities in a sweep failed; carries the completed rows."""
-
-    def __init__(self, message, completed_rows=None):
-        super().__init__(message)
-        self.completed_rows = completed_rows or []
-
-
 class ConfigError(VortibcError):
     """Run configuration failed to parse or validate."""

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import NeumannProblem, _data_scale, _pressure_tol, solve_dirichlet, solve_neumann
+from .elliptic import solve_dirichlet, solve_neumann_fd
 from .errors import CFLViolation, CirculationSystemSingular
 from .fields import (
     FieldHistory,
     ScalarField,
     VectorField,
+    _d1,
     _dx_dy,
     curl2d,
     grad_l2,
@@ -61,10 +62,8 @@ class StreamfunctionSolver:
             # conserved through-flux sets s(top) - s(bottom)
             self.flux = grid.integrate(u0.ux) / grid.spec.length_x
         else:
-            frame = boundary_frame(grid)
-            inner = frame.components[0]
-            tang = tangential_part(u0, frame)[0]
-            self.target_circulation = float(np.sum(inner.ds * tang))
+            self.inner = boundary_frame(grid).components[0]
+            self.target_circulation = circulation(u0, self.inner)
             # harmonic basis: 1 on the inner circle, 0 on the outer
             s1 = solve_dirichlet(grid, np.zeros(grid.shape), 1.0, 0.0)
             self.s1 = s1
@@ -75,12 +74,10 @@ class StreamfunctionSolver:
 
     def _circulation(self, s_values):
         # circulation along the inner component: oint <u, tau> dS = oint dr s dS,
-        # with the same end stencil the velocity reconstruction uses so the
-        # enforced and measured circulations agree to solver tolerance
+        # read off the radial derivative the velocity reconstruction uses so
+        # the enforced and measured circulations agree to solver tolerance
         g = self.grid
-        h = g.h1
-        drs = (-4.0 * s_values[0, :] + 7.0 * s_values[1, :]
-               - 4.0 * s_values[2, :] + s_values[3, :]) / (2.0 * h)
+        drs = np.take(_d1(s_values, 0, g.h1, False), self.inner.nodes)
         r0 = float(g.c1[0])
         return float(np.sum(drs) * r0 * g.h2)
 
@@ -89,9 +86,7 @@ class StreamfunctionSolver:
         if self.kind == DomainKind.TORUS:
             # curl fields sum to zero exactly; transported states pick up an
             # O(h^2) mean that the repair path absorbs.
-            src = ScalarField(g, -omega.values)
-            tol = _pressure_tol(g, _data_scale(g, None, src.values, []))
-            s = solve_neumann(NeumannProblem(g, src, [], tol_compat=tol))
+            s = solve_neumann_fd(g, -omega.values, [], None)
             u = _rotgrad(g, s.values)
             return VectorField(g, u.ux + self.mean_u[0], u.uy + self.mean_u[1])
         if self.kind == DomainKind.CHANNEL:
@@ -102,14 +97,12 @@ class StreamfunctionSolver:
         return _rotgrad(g, s0 + c * self.s1)
 
 
-def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid,
-                frame=None) -> FieldHistory:
+def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistory:
     """Vorticity-transport Euler solve; returns the velocity history.
 
     RK2 (Heun) in time, centered advection in space; raises CFLViolation
     when dt * max|u| exceeds 0.9 of the finest spacing.
     """
-    del frame  # geometry is reconstructed from the grid
     solver = StreamfunctionSolver(grid, u0)
     hmin = grid.min_spacing()
     omega = curl2d(u0)
@@ -134,11 +127,8 @@ def kinetic_energy(u: VectorField) -> float:
 
 
 def circulation(u: VectorField, component) -> float:
-    tang = (u.ux[component.index, :] * component.tau[:, 0]
-            + u.uy[component.index, :] * component.tau[:, 1]) \
-        if component.axis == 0 else \
-           (u.ux[:, component.index] * component.tau[:, 0]
-            + u.uy[:, component.index] * component.tau[:, 1])
+    """oint <u, tau> dS along one boundary component."""
+    tang = tangential_part(u, [component])[0]
     return float(np.sum(component.ds * tang))
 
 

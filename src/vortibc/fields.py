@@ -20,7 +20,7 @@ __all__ = [
     "grad", "div", "curl2d", "curl_scalar", "laplacian", "advect",
     "normal_component", "tangential_part", "boundary_vector_values",
     "surface_curl", "normal_derivative",
-    "l2", "h1", "h2", "n_norm", "group_l2", "linf",
+    "l2", "h1", "h2", "n_norm",
 ]
 
 
@@ -208,23 +208,14 @@ def advect(X: VectorField, Y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 # boundary traces
 
-def _component_slice(comp, values):
-    if comp.axis == 0:
-        return values[comp.index, :]
-    return values[:, comp.index]
-
-
 def boundary_vector_values(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:
     """Per-component (m, 2) Cartesian values of u at boundary nodes."""
-    out = []
-    for comp in frame:
-        out.append(np.stack([_component_slice(comp, u.ux),
-                             _component_slice(comp, u.uy)], axis=1))
-    return out
+    return [np.stack([np.take(u.ux, comp.nodes), np.take(u.uy, comp.nodes)], axis=1)
+            for comp in frame]
 
 
 def boundary_scalar_values(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
-    return [_component_slice(comp, f.values).copy() for comp in frame]
+    return [np.take(f.values, comp.nodes) for comp in frame]
 
 
 def normal_component(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:
@@ -257,32 +248,14 @@ def surface_curl(a, frame: BoundaryFrame) -> list[np.ndarray]:
 
 
 def normal_derivative(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
-    """One-sided third-order d f / d nu at boundary nodes."""
-    g = f.grid
-    v = f.values
+    """One-sided third-order d f / d nu at boundary nodes: minus the
+    derivative along the inward grid line."""
     out = []
     for comp in frame:
-        if comp.axis == 0:
-            h = g.h1
-            if comp.index == 0:
-                inward = (-11.0 * v[0, :] + 18.0 * v[1, :]
-                          - 9.0 * v[2, :] + 2.0 * v[3, :]) / (6.0 * h)
-                sign = -1.0  # nu = -e_r at the inner circle
-            else:
-                inward = (11.0 * v[-1, :] - 18.0 * v[-2, :]
-                          + 9.0 * v[-3, :] - 2.0 * v[-4, :]) / (6.0 * h)
-                sign = 1.0
-        else:
-            h = g.h2
-            if comp.index == 0:
-                inward = (-11.0 * v[:, 0] + 18.0 * v[:, 1]
-                          - 9.0 * v[:, 2] + 2.0 * v[:, 3]) / (6.0 * h)
-                sign = -1.0
-            else:
-                inward = (11.0 * v[:, -1] - 18.0 * v[:, -2]
-                          + 9.0 * v[:, -3] - 2.0 * v[:, -4]) / (6.0 * h)
-                sign = 1.0
-        out.append(sign * inward)
+        v0, v1, v2, v3 = (np.take(f.values, comp.nodes + k * comp.inward)
+                          for k in range(4))
+        inward = (-11.0 * v0 + 18.0 * v1 - 9.0 * v2 + 2.0 * v3) / (6.0 * comp.normal_spacing)
+        out.append(-inward)
     return out
 
 
@@ -299,10 +272,6 @@ def l2(field) -> float:
     g = field.grid
     total = sum(g.integrate(a**2) for a in _component_arrays(field))
     return float(np.sqrt(total))
-
-
-def linf(field) -> float:
-    return max(float(np.max(np.abs(a))) for a in _component_arrays(field))
 
 
 def h1(field) -> float:
@@ -353,11 +322,6 @@ def n_norm(v: VectorField, v_t) -> float:
     if v_t is None:
         raise MissingTimeDerivative("n_norm requires the time derivative v_t")
     return float(np.sqrt(h2(v) ** 2 + h1(v_t) ** 2))
-
-
-def group_l2(*fields) -> float:
-    """L2 norm of a tuple of fields, sqrt of the sum of squared norms."""
-    return float(np.sqrt(sum(l2(f) ** 2 for f in fields)))
 
 
 # ---------------------------------------------------------------------------

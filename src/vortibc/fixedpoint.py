@@ -184,13 +184,7 @@ def ns_residual(sol: NSSolution, a, mu: float, frame) -> ResidualReport:
     u_t = sol.u.time_derivative()
     sample_a, _ = normalize_boundary_data(a, frame)
     interior = np.zeros(len(sol.u))
-    mask = np.ones(grid.shape, dtype=bool)
-    if grid.has_boundary():
-        if grid.polar:
-            mask[0, :] = mask[-1, :] = False
-        elif not grid.periodic2:
-            mask[:, 0] = mask[:, -1] = False
-    w_int = grid.weights * mask
+    w_int = grid.weights * ~grid.wall_mask
 
     bc_perp = 0.0
     bc_vort = 0.0

@@ -79,8 +79,15 @@ class Grid:
     shape (n1, n2) and flattens in C order.  Coordinate 1 is radial for polar
     domains and x for channel/torus; coordinate 2 is angular respectively y.
     Periodic directions wrap with no duplicated seam node.  Quadrature
-    weights include the polar Jacobian r.  Instances are immutable after
-    construction and safe to share across threads.
+    weights include the polar Jacobian r.  The boundary nodes are the two
+    ends of each non-periodic axis; `wall_mask` marks them, and the boundary
+    components carry them as flat node indices.  No other module derives
+    the boundary-node layout.
+
+    The coordinate arrays are read-only after construction, but `_cache`
+    (factorizations, the boundary frame) is filled check-then-set without a
+    lock: threads sharing a grid can build the same entry twice (ROADMAP
+    item 5).
     """
 
     def __init__(self, spec: DomainSpec, n1: int, n2: int):
@@ -146,6 +153,12 @@ class Grid:
         if self.polar:
             self.r.setflags(write=False)
             self.theta.setflags(write=False)
+        self.wall_mask = np.zeros(self.shape, dtype=bool)
+        for axis, periodic in ((0, self.periodic1), (1, self.periodic2)):
+            if not periodic:
+                for index in (0, self.shape[axis] - 1):
+                    self.wall_mask.flat[_side_nodes(self, axis, index)] = True
+        self.wall_mask.setflags(write=False)
         # Per-grid caches for factorizations and the boundary frame.
         self._cache: dict = {}
 
@@ -183,6 +196,15 @@ class Grid:
         return self.spec.kind != DomainKind.TORUS
 
 
+def _side_nodes(grid, axis, index):
+    """Flat (C-order) indices of the nodes whose coordinate `axis` sits at
+    `index`, ordered by the other coordinate's grid index."""
+    flat = np.arange(grid.nnodes).reshape(grid.shape)
+    nodes = (flat[index, :] if axis == 0 else flat[:, index]).copy()
+    nodes.setflags(write=False)
+    return nodes
+
+
 def build_grid(spec: DomainSpec, n1: int, n2: int) -> Grid:
     """Build a structured grid; raises InvalidSpec / ResolutionTooLow."""
     return Grid(spec, n1, n2)
@@ -195,12 +217,18 @@ class BoundaryComponent:
     Arrays are ordered by the grid index along the free coordinate.
     `orientation` is +1 when that index order follows the positive tangent
     tau and -1 otherwise; `spacing` is the (uniform) arc length between
-    consecutive nodes.  `artificial` marks the disk's pole hole.
+    consecutive nodes.  `artificial` marks the disk's pole hole.  `nodes`
+    holds the flat grid indices of the component's nodes in array order, and
+    `nodes + k * inward` those k nodes into the domain; `normal_spacing` is
+    the grid step along that inward line.
     """
 
     name: str
     axis: int
     index: int
+    nodes: np.ndarray
+    inward: int
+    normal_spacing: float
     x: np.ndarray
     y: np.ndarray
     nu: np.ndarray      # (m, 2) outward unit normal
@@ -225,6 +253,8 @@ class BoundaryFrame:
     def __init__(self, grid: Grid, components: tuple[BoundaryComponent, ...]):
         self.grid = grid
         self.components = components
+        # flat node indices of all components, in component order
+        self.nodes = np.concatenate([c.nodes for c in components])
 
     def __iter__(self):
         return iter(self.components)
@@ -239,6 +269,14 @@ class BoundaryFrame:
         return sum(c.perimeter() for c in self.components)
 
 
+def _side_layout(grid, axis, index, outward_sign):
+    """Node indices, inward flat stride and normal step of one grid side."""
+    stride = grid.n2 if axis == 0 else 1
+    return dict(axis=axis, index=index, nodes=_side_nodes(grid, axis, index),
+                inward=-outward_sign * stride,
+                normal_spacing=grid.h1 if axis == 0 else grid.h2)
+
+
 def _circle_component(grid, name, index, outward_sign, artificial=False):
     # outward_sign = +1 when the domain-outward normal is +e_r.
     r_b = float(grid.c1[index])
@@ -250,8 +288,7 @@ def _circle_component(grid, name, index, outward_sign, artificial=False):
     orientation = outward_sign  # tau = +e_theta on outer, -e_theta on inner
     return BoundaryComponent(
         name=name,
-        axis=0,
-        index=index,
+        **_side_layout(grid, 0, index, outward_sign),
         x=r_b * er[:, 0],
         y=r_b * er[:, 1],
         nu=nu,
@@ -275,8 +312,7 @@ def _wall_component(grid, name, index, outward_sign):
     orientation = -outward_sign  # bottom: tau = +e_x, top: tau = -e_x
     return BoundaryComponent(
         name=name,
-        axis=1,
-        index=index,
+        **_side_layout(grid, 1, index, outward_sign),
         x=xs.copy(),
         y=np.full(m, y_b),
         nu=nu,

@@ -40,17 +40,8 @@ from .fields import (
 from .geometry import BoundaryFrame, surface_integrate
 
 
-def _interior_mask(grid):
-    mask = np.ones(grid.shape, dtype=bool)
-    if not grid.periodic1:
-        mask[0, :] = mask[-1, :] = False
-    if not grid.periodic2:
-        mask[:, 0] = mask[:, -1] = False
-    return mask
-
-
 def _max_interior(grid, *arrays):
-    mask = _interior_mask(grid)
+    mask = ~grid.wall_mask
     return max(float(np.max(np.abs(a[mask]))) for a in arrays)
 
 

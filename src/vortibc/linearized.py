@@ -32,7 +32,7 @@ from .fields import (
     h2,
     l2,
 )
-from .geometry import boundary_frame
+from .geometry import boundary_frame, boundary_zeros
 
 CFL_LIMIT = 0.9
 
@@ -83,9 +83,7 @@ def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
 
     v = inp.v_init.copy() if inp.v_init is not None else VectorField.zeros(grid)
     v_hist = FieldHistory(inp.dt, [v.copy()])
-    a_zero = None
-    if frame is not None:
-        a_zero = [np.zeros(c.n_nodes) for c in frame]
+    a_zero = boundary_zeros(frame) if frame is not None else None
 
     for n in range(nsteps):
         beta_n = inp.beta[n]

@@ -44,9 +44,10 @@ def _polar_operator(grid: Grid):
     """Vector Laplacian in (u_r, u_theta) components with ghost BC rows.
 
     Returns (L, normal_dofs, aterm_idx, aterm_coef): L covers every node;
-    rows listed in normal_dofs are zero (they become identity rows of the
-    implicit matrix), and the boundary-vorticity data a enters the rhs as
-    mu*dt * aterm_coef * a at the aterm_idx dofs.
+    rows listed in normal_dofs (u_r at the boundary nodes) are zero (they
+    become identity rows of the implicit matrix), and the boundary-vorticity
+    data a enters the rhs as mu*dt * aterm_coef * a at the aterm_idx dofs
+    (u_theta at the boundary nodes, in frame order).
     """
     n1, n2 = grid.shape
     N = n1 * n2
@@ -96,7 +97,7 @@ def _polar_operator(grid: Grid):
             put(b, kr(i, j - 1), -cpl)
 
     # boundary tangential rows via ghost elimination on m = r u_theta
-    aterm_idx, aterm_coef = [], []
+    aterm_coef = []
     for side, i in (("inner", 0), ("outer", n1 - 1)):
         ri = r[i]
         rin = r[1] if side == "inner" else r[n1 - 2]
@@ -121,20 +122,17 @@ def _polar_operator(grid: Grid):
             put(b, kt(i, j - 1), ct2)
             put(b, kr(i, j + 1), +cpl)
             put(b, kr(i, j - 1), -cpl)
-            aterm_idx.append(b)
             aterm_coef.append(a_coef)
 
-    normal_dofs = np.concatenate([
-        np.arange(n2),                      # u_r at inner circle
-        (n1 - 1) * n2 + np.arange(n2),      # u_r at outer circle
-    ])
+    nodes = boundary_frame(grid).nodes
     L = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
-    return L, normal_dofs, np.array(aterm_idx), np.array(aterm_coef)
+    return L, nodes, N + nodes, np.array(aterm_coef)
 
 
 def _cartesian_operator(grid: Grid):
     """Componentwise Laplacian with channel-wall ghost rows (empty BC data
-    structures on the torus)."""
+    structures on the torus).  On the channel the normal dofs are u_y and the
+    vorticity-data dofs u_x at the wall nodes, in frame order."""
     n1, n2 = grid.shape
     N = n1 * n2
     h, k = grid.h1, grid.h2
@@ -151,7 +149,7 @@ def _cartesian_operator(grid: Grid):
     def ky(i, j):
         return N + (i % n1) * n2 + j
 
-    walls = not grid.periodic2
+    walls = grid.has_boundary()
     jlo, jhi = (1, n2 - 1) if walls else (0, n2)
     for i in range(n1):
         for j in range(jlo, jhi):
@@ -165,8 +163,8 @@ def _cartesian_operator(grid: Grid):
                 put(a, (kk(i, jm)), 1.0 / k**2)
                 put(a, a, -2.0 / h**2 - 2.0 / k**2)
 
-    aterm_idx, aterm_coef = [], []
-    normal_dofs = np.array([], dtype=int)
+    aterm_coef = []
+    normal_dofs = aterm_idx = np.array([], dtype=int)
     if walls:
         # u_x rows at the walls: vorticity BC omega = -du_x/dy = a via ghost
         for j, j_in, sgn in ((0, 1, +1.0), (n2 - 1, n2 - 2, -1.0)):
@@ -176,26 +174,12 @@ def _cartesian_operator(grid: Grid):
                 put(a, kx(i - 1, j), 1.0 / h**2)
                 put(a, kx(i, j_in), 2.0 / k**2)
                 put(a, a, -2.0 / h**2 - 2.0 / k**2)
-                aterm_idx.append(a)
                 aterm_coef.append(sgn * 2.0 / k)
-        normal_dofs = np.concatenate([
-            N + np.arange(n1) * n2,            # u_y bottom wall
-            N + np.arange(n1) * n2 + (n2 - 1),  # u_y top wall
-        ])
+        nodes = boundary_frame(grid).nodes
+        normal_dofs, aterm_idx = N + nodes, nodes
 
     L = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
-    return L, normal_dofs, np.array(aterm_idx, dtype=int), np.array(aterm_coef)
-
-
-def _boundary_a_vector(grid, frame, a):
-    """Flatten per-component boundary data onto tangential boundary dofs,
-    ordered to match the aterm_idx layout (inner/bottom first, then outer/top)."""
-    if frame is None or a is None:
-        return None
-    parts = []
-    for comp, vals in zip(frame, a):
-        parts.append(np.asarray(vals, dtype=float))
-    return np.concatenate(parts)
+    return L, normal_dofs, aterm_idx, np.array(aterm_coef)
 
 
 class VelocityStepper:
@@ -247,31 +231,22 @@ class VelocityStepper:
         if forcing is not None:
             f1, f2 = to_native(g, forcing)
             rhs += self.dt * np.concatenate([f1.ravel(), f2.ravel()])
-        avec = _boundary_a_vector(g, self.frame, a)
+        contrib = None
+        if self.frame is not None and a is not None:
+            # per-component data in frame order, matching aterm_idx
+            contrib = np.zeros_like(rhs)
+            contrib[self.aterm_idx] = self.aterm_coef * np.concatenate(a)
         if self.theta != 1.0:
             expl = (1.0 - self.theta) * self.mu * self.dt
             rhs += expl * (self.L @ z)
-            if avec is not None:
-                contrib = np.zeros_like(rhs)
-                contrib[self.aterm_idx] = self.aterm_coef * avec
+            if contrib is not None:
                 rhs += expl * contrib
-        if avec is not None:
-            contrib = np.zeros_like(rhs)
-            contrib[self.aterm_idx] = self.aterm_coef * avec
+        if contrib is not None:
             rhs += (self.theta * self.mu * self.dt) * contrib
         if len(self.normal_dofs):
             rhs[self.normal_dofs] = 0.0
         out = self.lu.solve(rhs)
         if not np.all(np.isfinite(out)):
             raise LinearSolveFailed("implicit velocity solve produced non-finite values")
-        n = g.nnodes
-        return from_native(g, out[:n].reshape(g.shape), out[n:].reshape(g.shape))
-
-    def apply_operator(self, u: VectorField) -> VectorField:
-        """Explicit application of the BC-aware vector Laplacian (a = 0 rows)."""
-        g = self.grid
-        c1, c2 = to_native(g, u)
-        z = np.concatenate([c1.ravel(), c2.ravel()])
-        out = self.L @ z
         n = g.nnodes
         return from_native(g, out[:n].reshape(g.shape), out[n:].reshape(g.shape))

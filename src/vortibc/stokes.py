@@ -133,12 +133,11 @@ def solve_stokes(run: StokesRun):
     q = q0
     for n in range(nsteps):
         t_new = (n + 1) * run.dt
+        q_new = q if static_a else q_of(t_new)
         if run.scheme == "crank-nicolson":
-            q_new = q if static_a else q_of(t_new)
             q_mid = ScalarField(grid, 0.5 * (q.values + q_new.values))
             forcing = grad(q_mid) * (-1.0)
         else:
-            q_new = q if static_a else q_of(t_new)
             forcing = grad(q) * (-1.0)
         a_new = sample_a(t_new)
         w = stepper.step(w, forcing, a_new)

@@ -293,6 +293,21 @@ def test_resolution_override(tmp_path):
     assert main(["ns", "--config", cfg, "--resolution-override", "4,4"]) == 2
 
 
+@pytest.mark.parametrize("command, extra_cfg, extra_args", [
+    ("ns", "", ["--resolution-override", "a,b"]),
+    ("ns", None, []),
+    ("sweep", "physics.mu_list = 0.01, 0.1\n", []),
+], ids=["bad_resolution", "missing_config", "increasing_mu_list"])
+def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
+    path = str(tmp_path / "absent.cfg")
+    if extra_cfg is not None:
+        path = _write(tmp_path, BASE_CFG + extra_cfg
+                      + f"output.directory = {tmp_path}/out\n")
+    assert main([command, "--config", path, *extra_args]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ns_diagnostics_deterministic(tmp_path):
     text = BASE_CFG.replace("physics.initial_condition = zero",
                             "physics.initial_condition = random_smooth")

@@ -9,11 +9,13 @@ from conftest import circulation_field, ls_order, zero_mean
 from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField,
                      boundary_frame, build_grid, grad)
 from vortibc.elliptic import (NeumannProblem, solonnikov_ratio,
+                              solve_divergence_coupling,
                               solve_harmonic_q, solve_neumann,
                               solve_pressure_euler, solve_pressure_linearized,
                               solve_pressure_ns)
 from vortibc.errors import BCViolation, DegenerateInput, IncompatibleData
-from vortibc.fields import l2
+from vortibc.fields import advect, boundary_vector_values, div, l2
+from vortibc.geometry import second_fundamental_form
 from vortibc.generators import random_vector
 
 
@@ -213,3 +215,24 @@ def test_solonnikov_ensemble(spec_kwargs):
         f = VectorField.from_function(grid, random_vector(spec, rng))
         worst = max(worst, solonnikov_ratio(f, frame))
     assert worst <= 1.05
+
+
+@pytest.mark.parametrize("grid_name", ["annulus_grid", "channel_grid"])
+def test_divergence_coupling_matches_hand_assembled(grid_name, request):
+    """q of the divergence diagnostics solves lap(q) = -div(s . grad e),
+    d_nu q = pi(s, e) with s = beta + w, e = beta - v."""
+    grid = request.getfixturevalue(grid_name)
+    frame = boundary_frame(grid)
+    rng = np.random.default_rng(11)
+    beta, w, v = (VectorField.from_function(grid, random_vector(grid.spec, rng))
+                  for _ in range(3))
+    q = solve_divergence_coupling(beta, w, v, frame)
+
+    s, e = beta + w, beta - v
+    src = ScalarField(grid, -div(advect(s, e)).values)
+    flux = second_fundamental_form(frame, boundary_vector_values(s, frame),
+                                   boundary_vector_values(e, frame))
+    ref = solve_neumann(NeumannProblem(grid, src, flux, tol_compat=np.inf))
+    assert l2(ref) > 0.0
+    np.testing.assert_allclose(q.values, ref.values, rtol=0.0,
+                               atol=1e-12 * np.max(np.abs(ref.values)))

@@ -158,3 +158,34 @@ def test_annulus_area_property(r_in, gap, n1, n2):
     assert grid.area_quadrature() == pytest.approx(spec.area(), rel=1e-10)
     assert boundary_frame(grid).perimeter() == pytest.approx(
         2 * math.pi * (2 * r_in + gap), rel=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(DomainKind.ANNULUS, r_inner=1.0, r_outer=2.0),
+    DomainSpec(DomainKind.DISK, r_outer=1.0),
+    DomainSpec(DomainKind.CHANNEL, length_x=2 * math.pi, length_y=2.0),
+    DomainSpec(DomainKind.TORUS, length_x=2 * math.pi, length_y=2 * math.pi),
+], ids=lambda s: s.kind.value)
+def test_boundary_node_layout(spec):
+    """Component node indices select exactly the nodes at (axis, index), the
+    inward stride steps one node into the domain, and the grid's wall mask
+    is the union of the components' nodes."""
+    grid = build_grid(spec, 12, 16)
+    flat = np.arange(grid.nnodes).reshape(grid.shape)
+    union = np.zeros(grid.shape, dtype=bool)
+    frame = boundary_frame(grid) if grid.has_boundary() else []
+    for comp in frame:
+        inner = comp.index + 1 if comp.index == 0 else comp.index - 1
+        if comp.axis == 0:
+            at, next_in = flat[comp.index, :], flat[inner, :]
+        else:
+            at, next_in = flat[:, comp.index], flat[:, inner]
+        np.testing.assert_array_equal(comp.nodes, at)
+        np.testing.assert_array_equal(comp.nodes + comp.inward, next_in)
+        np.testing.assert_allclose(grid.x.flat[comp.nodes], comp.x, atol=1e-14)
+        np.testing.assert_allclose(grid.y.flat[comp.nodes], comp.y, atol=1e-14)
+        union.flat[comp.nodes] = True
+    if frame:
+        np.testing.assert_array_equal(
+            frame.nodes, np.concatenate([c.nodes for c in frame]))
+    np.testing.assert_array_equal(grid.wall_mask, union)
