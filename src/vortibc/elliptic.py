@@ -51,62 +51,79 @@ class NeumannProblem:
     tol_compat: float | None = None
 
 
-def _assemble_neumann(grid: Grid):
-    """Weighted FV Laplacian A (symmetric, null space = constants) plus the
-    LU factorization of the matrix with node 0 pinned."""
-    cached = grid._cache.get("neumann")
-    if cached is not None:
-        return cached
-    n1, n2 = grid.shape
-    N = n1 * n2
+# ---------------------------------------------------------------------------
+# Operators as Kronecker sums of 1-D stencils on the C-ordered (n1, n2) layout
+
+def stencil(n: int, coefs: dict, periodic: bool):
+    """n x n matrix whose row i holds coefs[o][i] in column i + o, wrapped
+    when periodic and dropped past the ends otherwise.  A coefficient is a
+    scalar or a length-n array."""
+    i = np.arange(n)
     rows, cols, vals = [], [], []
+    for o, c in coefs.items():
+        keep = slice(None) if periodic else (i + o >= 0) & (i + o < n)
+        rows.append(i[keep])
+        cols.append((i + o)[keep] % n)
+        vals.append(np.broadcast_to(c, (n,))[keep])
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n))
 
-    def add(i0, j0, i1, j1, t):
-        a, b = i0 * n2 + j0, i1 * n2 + j1
-        rows.extend((a, a, b, b))
-        cols.extend((a, b, b, a))
-        vals.extend((-t, t, -t, t))
 
+def second_difference(n: int, h: float, periodic: bool):
+    """The (1, -2, 1) / h^2 stencil along one axis."""
+    return stencil(n, {-1: 1.0 / h**2, 0: -2.0 / h**2, 1: 1.0 / h**2}, periodic)
+
+
+def kron_sum(A1, A2, scale2=None):
+    """A1 along axis 0 plus A2 along axis 1, the latter weighted per axis-0
+    index by scale2 (the polar 1/r^2 metric; None means 1)."""
+    n1, n2 = A1.shape[0], A2.shape[0]
+    S = sparse.identity(n1) if scale2 is None else sparse.diags(scale2)
+    return (sparse.kron(A1, sparse.identity(n2)) + sparse.kron(S, A2)).tocsr()
+
+
+def pin_rows(A, rows, value: float = 1.0):
+    """Copy of A as CSR with `rows` replaced by value times the identity
+    rows; value 0 empties them.  Stores no explicit zeros."""
+    A = A.tocoo()
+    keep = ~np.isin(A.row, rows)
+    diag = np.asarray(rows if value else [], dtype=int)
+    return sparse.csr_matrix(
+        (np.concatenate([A.data[keep], np.full(diag.size, value)]),
+         (np.concatenate([A.row[keep], diag]), np.concatenate([A.col[keep], diag]))),
+        shape=A.shape)
+
+
+def _fv_laplacian(grid: Grid):
+    """Weighted FV Laplacian -(G1^T T1 G1 + G2^T T2 G2): G holds the face
+    differences along one axis, T the face transmissibilities."""
+    n1, n2 = grid.shape
+    h1, h2 = grid.h1, grid.h2
+    D1 = stencil(n1, {0: -1.0, 1: 1.0}, grid.periodic1)[:n1 if grid.periodic1 else n1 - 1]
+    D2 = stencil(n2, {0: -1.0, 1: 1.0}, grid.periodic2)[:n2 if grid.periodic2 else n2 - 1]
+    # dual-cell face length over node spacing; polar faces carry the radius
     if grid.polar:
-        r = grid.c1
-        h1, h2 = grid.h1, grid.h2
-        # radial faces
-        for i in range(n1 - 1):
-            t = (r[i] + 0.5 * h1) * h2 / h1
-            for j in range(n2):
-                add(i, j, i + 1, j, t)
-        # angular faces (periodic)
-        dr = np.full(n1, h1)
-        dr[0] = dr[-1] = 0.5 * h1
-        for i in range(n1):
-            t = dr[i] / (r[i] * h2)
-            for j in range(n2):
-                add(i, j, i, (j + 1) % n2, t)
+        r_face, r_node = grid.c1[:-1] + 0.5 * h1, grid.c1
     else:
-        h1, h2 = grid.h1, grid.h2
-        w2 = np.full(n2, h2)
-        if not grid.periodic2:
-            w2[0] = w2[-1] = 0.5 * h2
-        # x faces (axis 0, periodic for channel/torus)
-        ilast = n1 if grid.periodic1 else n1 - 1
-        for i in range(ilast):
-            for j in range(n2):
-                add(i, j, (i + 1) % n1, j, w2[j] / h1)
-        # y faces
-        jlast = n2 if grid.periodic2 else n2 - 1
-        for j in range(jlast):
-            t = h1 / h2
-            for i in range(n1):
-                add(i, j, i, (j + 1) % n2, t)
+        r_face, r_node = np.ones(D1.shape[0]), np.ones(n1)
+    T1 = sparse.diags((r_face[:, None] * grid.w2 / h1).ravel())
+    T2 = sparse.diags(np.repeat(grid.w1 / (r_node * h2), D2.shape[0]))
+    G1 = sparse.kron(D1, sparse.identity(n2), format="csr")
+    G2 = sparse.kron(sparse.identity(n1), D2, format="csr")
+    A = -(G1.T @ T1 @ G1 + G2.T @ T2 @ G2).tocsc()
+    A.sort_indices()
+    return A
 
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(N, N))
-    A_pinned = A.tolil()
-    A_pinned[0, :] = 0.0
-    A_pinned[0, 0] = 1.0
-    lu = splu(A_pinned.tocsc())
-    cached = (A.tocsc(), lu)
-    grid._cache["neumann"] = cached
-    return cached
+
+def _assemble_neumann(grid: Grid):
+    """Weighted FV Laplacian A (symmetric, null space = constants), the LU
+    factorization of A with node 0 pinned, and the boundary frame (None on
+    the torus)."""
+    def build():
+        A = _fv_laplacian(grid)
+        frame = boundary_frame(grid) if grid.has_boundary() else None
+        return A, splu(pin_rows(A, [0]).tocsc()), frame
+    return grid.cached("neumann", build)
 
 
 def _data_scale(grid, frame, source_vals, flux):
@@ -123,8 +140,7 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
     tolerance, SolverDiverged when the linear residual misses 1e-10 relative.
     """
     grid = prob.grid
-    frame = boundary_frame(grid) if grid.has_boundary() else None
-    A, lu = _assemble_neumann(grid)
+    A, lu, frame = _assemble_neumann(grid)
 
     b = (grid.weights * prob.source.values).ravel().copy()
     flux = prob.flux if prob.flux is not None else []
@@ -278,48 +294,23 @@ def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> floa
 # Dirichlet helper shared with the streamfunction solver
 
 def _assemble_dirichlet(grid: Grid):
-    """FD Laplacian with identity rows at the non-periodic boundary nodes."""
-    cached = grid._cache.get("dirichlet")
-    if cached is not None:
-        return cached
-    n1, n2 = grid.shape
-    N = n1 * n2
-    mask = grid.wall_mask
-    rows, cols, vals = [], [], []
-
-    def put(a, i, j, v):
-        rows.append(a)
-        cols.append(i * n2 + j)
-        vals.append(v)
-
-    h1, h2 = grid.h1, grid.h2
-    for i in range(n1):
-        for j in range(n2):
-            k = i * n2 + j
-            if mask[i, j]:
-                put(k, i, j, 1.0)
-                continue
-            if grid.polar:
-                r = grid.c1[i]
-                ct = 1.0 / (r * h2) ** 2
-                put(k, i + 1, j, 1.0 / h1**2 + 1.0 / (2.0 * h1 * r))
-                put(k, i - 1, j, 1.0 / h1**2 - 1.0 / (2.0 * h1 * r))
-                put(k, i, (j + 1) % n2, ct)
-                put(k, i, (j - 1) % n2, ct)
-                put(k, i, j, -2.0 / h1**2 - 2.0 * ct)
-            else:
-                ip = (i + 1) % n1 if grid.periodic1 else i + 1
-                im = (i - 1) % n1 if grid.periodic1 else i - 1
-                put(k, ip, j, 1.0 / h1**2)
-                put(k, im, j, 1.0 / h1**2)
-                put(k, i, (j + 1) % n2, 1.0 / h2**2)
-                put(k, i, (j - 1) % n2, 1.0 / h2**2)
-                put(k, i, j, -2.0 / h1**2 - 2.0 / h2**2)
-
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(N, N)).tocsc()
-    cached = (splu(A), [c.nodes for c in boundary_frame(grid)])
-    grid._cache["dirichlet"] = cached
-    return cached
+    """FD Laplacian A with identity rows at the non-periodic boundary nodes,
+    its LU factorization, and the wall nodes in frame order."""
+    def build():
+        walls = [c.nodes for c in boundary_frame(grid)]
+        n1, n2 = grid.shape
+        h1, h2 = grid.h1, grid.h2
+        if grid.polar:
+            r = grid.c1
+            R = stencil(n1, {-1: 1.0 / h1**2 - 1.0 / (2.0 * h1 * r), 0: -2.0 / h1**2,
+                             1: 1.0 / h1**2 + 1.0 / (2.0 * h1 * r)}, False)
+            A = kron_sum(R, second_difference(n2, 1.0, True), 1.0 / (r * h2) ** 2)
+        else:
+            A = kron_sum(second_difference(n1, h1, grid.periodic1),
+                         second_difference(n2, h2, grid.periodic2))
+        A = pin_rows(A, np.flatnonzero(grid.wall_mask)).tocsc()
+        return A, splu(A), walls
+    return grid.cached("dirichlet", build)
 
 
 def solve_dirichlet(grid: Grid, source: np.ndarray, bc_low, bc_high) -> np.ndarray:
@@ -328,7 +319,7 @@ def solve_dirichlet(grid: Grid, source: np.ndarray, bc_low, bc_high) -> np.ndarr
     The walls are the boundary components in frame order (inner/bottom, then
     outer/top); bc_low / bc_high are per-node arrays or scalars.
     """
-    lu, walls = _assemble_dirichlet(grid)
+    _, lu, walls = _assemble_dirichlet(grid)
     vals = np.array(source, dtype=float)
     for nodes, bc in zip(walls, (bc_low, bc_high)):
         vals.flat[nodes] = bc

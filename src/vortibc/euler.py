@@ -272,10 +272,6 @@ class ViscousGronwallReport:
     def ok(self) -> bool:
         return bool(np.all(self.lhs <= self.rhs))
 
-    @property
-    def max_excess(self) -> float:
-        return float(np.max(self.lhs - self.rhs))
-
 
 def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
                            mu: float, mu0: float, frame, C: float,

@@ -145,7 +145,7 @@ def _dx_dy(grid, values):
     d1 = _d1(values, 0, grid.h1, grid.periodic1)
     d2 = _d1(values, 1, grid.h2, grid.periodic2)
     if grid.polar:
-        ct, st = np.cos(grid.theta), np.sin(grid.theta)
+        ct, st = grid.cos_theta, grid.sin_theta
         dthet = d2 / grid.r
         return ct * d1 - st * dthet, st * d1 + ct * dthet
     return d1, d2

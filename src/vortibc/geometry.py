@@ -9,6 +9,7 @@ family; nothing is estimated numerically from the grid.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,16 +79,16 @@ class Grid:
     Node layout is deterministic with coordinate 2 fastest: a field array has
     shape (n1, n2) and flattens in C order.  Coordinate 1 is radial for polar
     domains and x for channel/torus; coordinate 2 is angular respectively y.
-    Periodic directions wrap with no duplicated seam node.  Quadrature
-    weights include the polar Jacobian r.  The boundary nodes are the two
-    ends of each non-periodic axis; `wall_mask` marks them, and the boundary
-    components carry them as flat node indices.  No other module derives
-    the boundary-node layout.
+    Periodic directions wrap with no duplicated seam node.  `w1`/`w2` are
+    the 1-D trapezoid weights; `weights` is their product times the polar
+    Jacobian r, and polar grids carry `cos_theta`/`sin_theta` at every node.
+    The boundary nodes are the two ends of each non-periodic axis;
+    `wall_mask` marks them, and the boundary components carry them as flat
+    node indices.  No other module derives the boundary-node layout.
 
-    The coordinate arrays are read-only after construction, but `_cache`
-    (factorizations, the boundary frame) is filled check-then-set without a
-    lock: threads sharing a grid can build the same entry twice (ROADMAP
-    item 5).
+    The coordinate arrays are read-only after construction.  Derived objects
+    (factorizations, the boundary frame) are built once per key through
+    `cached`, which holds a per-key lock, so threads may share a grid.
     """
 
     def __init__(self, spec: DomainSpec, n1: int, n2: int):
@@ -134,33 +135,34 @@ class Grid:
         if self.polar:
             self.r = np.broadcast_to(C1, (n1, n2)).copy()
             self.theta = np.broadcast_to(C2, (n1, n2)).copy()
-            self.x = self.r * np.cos(self.theta)
-            self.y = self.r * np.sin(self.theta)
+            self.cos_theta = np.cos(self.theta)
+            self.sin_theta = np.sin(self.theta)
+            self.x = self.r * self.cos_theta
+            self.y = self.r * self.sin_theta
         else:
-            self.r = None
-            self.theta = None
+            self.r = self.theta = self.cos_theta = self.sin_theta = None
             self.x = np.broadcast_to(C1, (n1, n2)).copy()
             self.y = np.broadcast_to(C2, (n1, n2)).copy()
 
-        w1 = self._axis_weights(self.c1, self.h1, self.periodic1)
-        w2 = self._axis_weights(self.c2, self.h2, self.periodic2)
-        self.weights = w1[:, None] * w2[None, :]
+        self.w1 = self._axis_weights(self.c1, self.h1, self.periodic1)
+        self.w2 = self._axis_weights(self.c2, self.h2, self.periodic2)
+        self.weights = self.w1[:, None] * self.w2[None, :]
         if self.polar:
             self.weights = self.weights * self.r
 
-        for a in (self.c1, self.c2, self.x, self.y, self.weights):
+        for a in (self.c1, self.c2, self.w1, self.w2, self.x, self.y, self.weights):
             a.setflags(write=False)
         if self.polar:
-            self.r.setflags(write=False)
-            self.theta.setflags(write=False)
+            for a in (self.r, self.theta, self.cos_theta, self.sin_theta):
+                a.setflags(write=False)
         self.wall_mask = np.zeros(self.shape, dtype=bool)
         for axis, periodic in ((0, self.periodic1), (1, self.periodic2)):
             if not periodic:
                 for index in (0, self.shape[axis] - 1):
                     self.wall_mask.flat[_side_nodes(self, axis, index)] = True
         self.wall_mask.setflags(write=False)
-        # Per-grid caches for factorizations and the boundary frame.
         self._cache: dict = {}
+        self._locks: dict = {}
 
     @staticmethod
     def _axis_weights(c, h, periodic):
@@ -194,6 +196,16 @@ class Grid:
 
     def has_boundary(self) -> bool:
         return self.spec.kind != DomainKind.TORUS
+
+    def cached(self, key, build):
+        """The cache entry for `key`, built by `build()` exactly once even when
+        threads ask together.  Builds of other keys may nest inside `build`."""
+        if key not in self._cache:
+            # setdefault is atomic, so every thread gets the same lock for key
+            with self._locks.setdefault(key, threading.Lock()):
+                if key not in self._cache:
+                    self._cache[key] = build()
+        return self._cache[key]
 
 
 def _side_nodes(grid, axis, index):
@@ -334,24 +346,21 @@ def boundary_frame(grid: Grid) -> BoundaryFrame:
     """
     if not grid.has_boundary():
         raise NoBoundary("torus has an empty boundary set")
-    cached = grid._cache.get("frame")
-    if cached is not None:
-        return cached
-    kind = grid.spec.kind
-    if kind in (DomainKind.ANNULUS, DomainKind.DISK):
-        comps = (
-            _circle_component(grid, "inner", 0, -1,
-                              artificial=(kind == DomainKind.DISK)),
-            _circle_component(grid, "outer", grid.n1 - 1, +1),
-        )
-    else:  # channel
-        comps = (
-            _wall_component(grid, "bottom", 0, -1),
-            _wall_component(grid, "top", grid.n2 - 1, +1),
-        )
-    frame = BoundaryFrame(grid, comps)
-    grid._cache["frame"] = frame
-    return frame
+
+    def build():
+        if grid.polar:
+            comps = (
+                _circle_component(grid, "inner", 0, -1,
+                                  artificial=(grid.spec.kind == DomainKind.DISK)),
+                _circle_component(grid, "outer", grid.n1 - 1, +1),
+            )
+        else:  # channel
+            comps = (
+                _wall_component(grid, "bottom", 0, -1),
+                _wall_component(grid, "top", grid.n2 - 1, +1),
+            )
+        return BoundaryFrame(grid, comps)
+    return grid.cached("frame", build)
 
 
 def boundary_zeros(frame: BoundaryFrame) -> list[np.ndarray]:

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from .elliptic import kron_sum, pin_rows, second_difference, stencil
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField
 from .geometry import Grid, boundary_frame
@@ -29,14 +30,14 @@ def to_native(grid: Grid, u: VectorField):
     """Cartesian components -> grid-native components (u_r, u_theta on polar)."""
     if not grid.polar:
         return u.ux.copy(), u.uy.copy()
-    ct, st = np.cos(grid.theta), np.sin(grid.theta)
+    ct, st = grid.cos_theta, grid.sin_theta
     return ct * u.ux + st * u.uy, -st * u.ux + ct * u.uy
 
 
 def from_native(grid: Grid, c1, c2) -> VectorField:
     if not grid.polar:
         return VectorField(grid, c1, c2)
-    ct, st = np.cos(grid.theta), np.sin(grid.theta)
+    ct, st = grid.cos_theta, grid.sin_theta
     return VectorField(grid, ct * c1 - st * c2, st * c1 + ct * c2)
 
 
@@ -50,83 +51,25 @@ def _polar_operator(grid: Grid):
     (u_theta at the boundary nodes, in frame order).
     """
     n1, n2 = grid.shape
-    N = n1 * n2
     r = grid.c1
     h, k = grid.h1, grid.h2
-    rows, cols, vals = [], [], []
-
-    def put(a, b, v):
-        rows.append(a)
-        cols.append(b)
-        vals.append(v)
-
-    def kr(i, j):
-        return i * n2 + j % n2
-
-    def kt(i, j):
-        return N + i * n2 + j % n2
-
-    # interior rows, both components
-    for i in range(1, n1 - 1):
-        ri = r[i]
-        rp, rm = ri + 0.5 * h, ri - 0.5 * h
-        c_up = r[i + 1] / (h * h * rp)
-        c_dn = r[i - 1] / (h * h * rm)
-        c_ct = -ri * (1.0 / rp + 1.0 / rm) / (h * h)
-        ct2 = 1.0 / (ri * k) ** 2
-        cpl = 2.0 / (ri * ri) / (2.0 * k)
-        for j in range(n2):
-            a = kr(i, j)
-            put(a, kr(i + 1, j), c_up)
-            put(a, kr(i - 1, j), c_dn)
-            put(a, kr(i, j + 1), ct2)
-            put(a, kr(i, j - 1), ct2)
-            put(a, a, c_ct - 2.0 * ct2)
-            # -(2/r^2) d_theta u_theta
-            put(a, kt(i, j + 1), -cpl)
-            put(a, kt(i, j - 1), +cpl)
-
-            b = kt(i, j)
-            put(b, kt(i + 1, j), c_up)
-            put(b, kt(i - 1, j), c_dn)
-            put(b, kt(i, j + 1), ct2)
-            put(b, kt(i, j - 1), ct2)
-            put(b, b, c_ct - 2.0 * ct2)
-            # +(2/r^2) d_theta u_r
-            put(b, kr(i, j + 1), +cpl)
-            put(b, kr(i, j - 1), -cpl)
-
-    # boundary tangential rows via ghost elimination on m = r u_theta
-    aterm_coef = []
-    for side, i in (("inner", 0), ("outer", n1 - 1)):
-        ri = r[i]
-        rin = r[1] if side == "inner" else r[n1 - 2]
-        i_in = 1 if side == "inner" else n1 - 2
-        rp, rm = ri + 0.5 * h, ri - 0.5 * h
-        if side == "outer":
-            # G_out uses the ghost: coef pattern from m_g = m_in + 2 h r a
-            c_in = rin * (1.0 / rp + 1.0 / rm) / (h * h)
-            c_self = -ri * (1.0 / rp + 1.0 / rm) / (h * h)
-            a_coef = 2.0 * ri / (h * rp)
-        else:
-            c_in = rin * (1.0 / rp + 1.0 / rm) / (h * h)
-            c_self = -ri * (1.0 / rp + 1.0 / rm) / (h * h)
-            a_coef = -2.0 * ri / (h * rm)
-        ct2 = 1.0 / (ri * k) ** 2
-        cpl = 2.0 / (ri * ri) / (2.0 * k)
-        for j in range(n2):
-            b = kt(i, j)
-            put(b, kt(i_in, j), c_in)
-            put(b, b, c_self - 2.0 * ct2)
-            put(b, kt(i, j + 1), ct2)
-            put(b, kt(i, j - 1), ct2)
-            put(b, kr(i, j + 1), +cpl)
-            put(b, kr(i, j - 1), -cpl)
-            aterm_coef.append(a_coef)
-
+    rp, rm = r + 0.5 * h, r - 0.5 * h
+    s = 1.0 / rp + 1.0 / rm
+    # radial rows in flux form on m = r u_theta; the end rows eliminate the
+    # ghost m_g = m_in + 2 h r a into the inward coefficient and a-term
+    up = r[1:] / (h * h * rp[:-1])
+    dn = r[:-1] / (h * h * rm[1:])
+    up[0] = r[1] * s[0] / (h * h)
+    dn[-1] = r[-2] * s[-1] / (h * h)
+    R = stencil(n1, {-1: np.r_[0.0, dn], 0: -r * s / (h * h), 1: np.r_[up, 0.0]}, False)
+    K = kron_sum(R, second_difference(n2, 1.0, True), 1.0 / (r * k) ** 2)
+    # u_theta rows carry +(2/r^2) d_theta u_r, u_r rows -(2/r^2) d_theta u_theta
+    C = sparse.kron(sparse.diags(2.0 / (r * r) / (2.0 * k)),
+                    stencil(n2, {-1: -1.0, 1: 1.0}, True), format="csr")
     nodes = boundary_frame(grid).nodes
-    L = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
-    return L, nodes, N + nodes, np.array(aterm_coef)
+    L = sparse.bmat([[pin_rows(K, nodes, 0.0), -pin_rows(C, nodes, 0.0)], [C, K]], format="csr")
+    a_coef = np.repeat([-2.0 * r[0] / (h * rm[0]), 2.0 * r[-1] / (h * rp[-1])], n2)
+    return L, nodes, grid.nnodes + nodes, a_coef
 
 
 def _cartesian_operator(grid: Grid):
@@ -134,52 +77,20 @@ def _cartesian_operator(grid: Grid):
     structures on the torus).  On the channel the normal dofs are u_y and the
     vorticity-data dofs u_x at the wall nodes, in frame order."""
     n1, n2 = grid.shape
-    N = n1 * n2
     h, k = grid.h1, grid.h2
-    rows, cols, vals = [], [], []
-
-    def put(a, b, v):
-        rows.append(a)
-        cols.append(b)
-        vals.append(v)
-
-    def kx(i, j):
-        return (i % n1) * n2 + j
-
-    def ky(i, j):
-        return N + (i % n1) * n2 + j
-
-    walls = grid.has_boundary()
-    jlo, jhi = (1, n2 - 1) if walls else (0, n2)
-    for i in range(n1):
-        for j in range(jlo, jhi):
-            jp = (j + 1) % n2
-            jm = (j - 1) % n2
-            for kk in (kx, ky):
-                a = kk(i, j)
-                put(a, kk(i + 1, j), 1.0 / h**2)
-                put(a, kk(i - 1, j), 1.0 / h**2)
-                put(a, (kk(i, jp)), 1.0 / k**2)
-                put(a, (kk(i, jm)), 1.0 / k**2)
-                put(a, a, -2.0 / h**2 - 2.0 / k**2)
-
-    aterm_coef = []
-    normal_dofs = aterm_idx = np.array([], dtype=int)
-    if walls:
+    if grid.has_boundary():
         # u_x rows at the walls: vorticity BC omega = -du_x/dy = a via ghost
-        for j, j_in, sgn in ((0, 1, +1.0), (n2 - 1, n2 - 2, -1.0)):
-            for i in range(n1):
-                a = kx(i, j)
-                put(a, kx(i + 1, j), 1.0 / h**2)
-                put(a, kx(i - 1, j), 1.0 / h**2)
-                put(a, kx(i, j_in), 2.0 / k**2)
-                put(a, a, -2.0 / h**2 - 2.0 / k**2)
-                aterm_coef.append(sgn * 2.0 / k)
+        up, dn = np.full(n2, 1.0 / k**2), np.full(n2, 1.0 / k**2)
+        up[0] = dn[-1] = 2.0 / k**2
+        D2 = stencil(n2, {-1: dn, 0: -2.0 / k**2, 1: up}, False)
         nodes = boundary_frame(grid).nodes
-        normal_dofs, aterm_idx = N + nodes, nodes
-
-    L = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * N, 2 * N))
-    return L, normal_dofs, aterm_idx, np.array(aterm_coef)
+        a_coef = np.repeat([2.0 / k, -2.0 / k], n1)
+    else:
+        D2 = second_difference(n2, k, True)
+        nodes, a_coef = np.array([], dtype=int), np.array([])
+    K = kron_sum(second_difference(n1, h, True), D2)
+    L = sparse.block_diag([K, pin_rows(K, nodes, 0.0)], format="csr")
+    return L, grid.nnodes + nodes, nodes, a_coef
 
 
 class VelocityStepper:
@@ -198,28 +109,18 @@ class VelocityStepper:
         self.theta = float(theta)
         self.frame = boundary_frame(grid) if grid.has_boundary() else None
 
-        key = ("vel_op", grid.polar)
-        op = grid._cache.get(key)
-        if op is None:
-            op = _polar_operator(grid) if grid.polar else _cartesian_operator(grid)
-            grid._cache[key] = op
-        self.L, self.normal_dofs, self.aterm_idx, self.aterm_coef = op
+        build = _polar_operator if grid.polar else _cartesian_operator
+        self.L, self.normal_dofs, self.aterm_idx, self.aterm_coef = grid.cached(
+            "vel_op", lambda: build(grid))
+        self.lu = grid.cached(("vel_lu", self.mu * self.dt, self.theta), self._factor)
 
-        mkey = ("vel_lu", self.mu * self.dt, self.theta)
-        cached = grid._cache.get(mkey)
-        if cached is None:
-            N2 = self.L.shape[0]
-            M = (sparse.identity(N2, format="csr")
-                 - (self.theta * self.mu * self.dt) * self.L).tolil()
-            for d in self.normal_dofs:
-                M.rows[d] = [int(d)]
-                M.data[d] = [1.0]
-            try:
-                cached = splu(M.tocsc())
-            except RuntimeError as exc:
-                raise BCEnforcementFailed(f"implicit boundary system singular: {exc}")
-            grid._cache[mkey] = cached
-        self.lu = cached
+    def _factor(self):
+        M = sparse.identity(self.L.shape[0], format="csr") \
+            - (self.theta * self.mu * self.dt) * self.L
+        try:
+            return splu(pin_rows(M, self.normal_dofs).tocsc())
+        except RuntimeError as exc:
+            raise BCEnforcementFailed(f"implicit boundary system singular: {exc}")
 
     def step(self, u: VectorField, forcing: VectorField | None, a) -> VectorField:
         """Advance one step: (I - theta mu dt Lap) u_new = u + dt*forcing (+ CN

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import circulation_field, ls_order, zero_mean
 from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField,
                      boundary_frame, build_grid, grad)
-from vortibc.elliptic import (NeumannProblem, solonnikov_ratio,
+from vortibc.elliptic import (NeumannProblem, _assemble_dirichlet,
+                              _assemble_neumann, solonnikov_ratio,
                               solve_divergence_coupling,
                               solve_harmonic_q, solve_neumann,
                               solve_pressure_euler, solve_pressure_linearized,
@@ -236,3 +237,30 @@ def test_divergence_coupling_matches_hand_assembled(grid_name, request):
     assert l2(ref) > 0.0
     np.testing.assert_allclose(q.values, ref.values, rtol=0.0,
                                atol=1e-12 * np.max(np.abs(ref.values)))
+
+
+SPECS = [
+    DomainSpec(DomainKind.ANNULUS, r_inner=1.0, r_outer=2.0),
+    DomainSpec(DomainKind.DISK, r_outer=1.0),
+    DomainSpec(DomainKind.CHANNEL, length_x=2 * math.pi, length_y=2.0),
+    DomainSpec(DomainKind.TORUS, length_x=2 * math.pi, length_y=2 * math.pi),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+def test_neumann_operator_symmetric_with_constant_kernel(spec):
+    """Each FV face writes the same transmissibility to both off-diagonal
+    entries, and the rows sum to zero."""
+    grid = build_grid(spec, 12, 20)
+    A = _assemble_neumann(grid)[0]
+    assert abs(A - A.T).max() == 0.0
+    ones = np.ones(grid.nnodes)
+    assert np.max(np.abs(A @ ones)) <= 1e-14 * np.max(abs(A) @ ones)
+
+
+@pytest.mark.parametrize("spec", SPECS[:3], ids=lambda s: s.kind.value)
+def test_dirichlet_identity_rows_exactly_on_walls(spec):
+    grid = build_grid(spec, 12, 20)
+    A = _assemble_dirichlet(grid)[0].tocsr()
+    identity_row = (np.diff(A.indptr) == 1) & (A.diagonal() == 1.0)
+    np.testing.assert_array_equal(identity_row, grid.wall_mask.ravel())

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -189,3 +192,38 @@ def test_boundary_node_layout(spec):
         np.testing.assert_array_equal(
             frame.nodes, np.concatenate([c.nodes for c in frame]))
     np.testing.assert_array_equal(grid.wall_mask, union)
+
+
+def test_cached_builds_each_key_once_under_threads(annulus_spec):
+    """Threads asking together for one key share a single build, and a build
+    may ask for another key without deadlock."""
+    grid = build_grid(annulus_spec, 12, 16)
+    builds = []
+
+    def build():
+        builds.append(threading.get_ident())
+        time.sleep(0.05)
+        return ("probe", grid.cached("nested", lambda: "inner"))
+
+    n = 8
+    barrier = threading.Barrier(n, timeout=10)
+    results = [None] * n
+
+    def ask(k):
+        barrier.wait()
+        results[k] = grid.cached("probe", build)
+
+    threads = [threading.Thread(target=ask, args=(k,)) for k in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(builds) == 1
+    assert all(r is results[0] for r in results)
+    assert results[0] == ("probe", "inner")

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import circulation_field, streamfunction_shear, taylor_green
 from frozen import GRONWALL_C1, GRONWALL_C2, GRONWALL_SLACK
-from vortibc import (FieldHistory, ScalarField, VectorField, advect,
-                     boundary_frame, build_grid, curl2d, grad,
-                     normal_component)
+from vortibc import (DomainKind, DomainSpec, FieldHistory, ScalarField,
+                     VectorField, advect, boundary_frame, build_grid, curl2d,
+                     grad, normal_component)
 from vortibc.elliptic import solve_pressure_linearized
 from vortibc.errors import CFLViolation
 from vortibc.fields import boundary_scalar_values, l2
@@ -15,7 +15,7 @@ from vortibc.linearized import (EnergyDiagnostics, VelocityMapInput,
                                 apply_velocity_map, check_gronwall_regression,
                                 compute_F, gronwall_envelope,
                                 initial_energy_direct)
-from vortibc.stepping import VelocityStepper
+from vortibc.stepping import VelocityStepper, _polar_operator
 from vortibc.stokes import StokesRun, solve_stokes
 
 
@@ -206,3 +206,16 @@ def test_gronwall_zero_run_trivial(annulus_grid, annulus_frame):
     diag = compute_F(z, z, z, 0.1, annulus_frame)
     ok, ratio = check_gronwall_regression(diag, GRONWALL_C1, GRONWALL_C2)
     assert ok and ratio == 0.0
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec(DomainKind.ANNULUS, r_inner=1.0, r_outer=2.0),
+    DomainSpec(DomainKind.DISK, r_outer=1.0),
+], ids=lambda s: s.kind.value)
+def test_polar_operator_annihilates_circulation(spec):
+    """u_r = 0, u_theta = c/r lies in the exact discrete kernel of the polar
+    vector Laplacian, ghost rows included: every row vanishes to roundoff."""
+    grid = build_grid(spec, 24, 40)
+    L = _polar_operator(grid)[0]
+    z = np.concatenate([np.zeros(grid.nnodes), (2.5 / grid.r).ravel()])
+    assert np.all(np.abs(L @ z) <= 1e-14 * (abs(L) @ np.abs(z)))
