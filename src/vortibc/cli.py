@@ -142,8 +142,8 @@ def cmd_ns(cfg: RunConfig) -> int:
     write_csv(os.path.join(cfg.out_dir, "ns_trace.csv"), NS_TRACE_COLUMNS,
               [(it, d, r) for it, d, r in sol.trace])
     rec = DiagnosticsRecord(("t", "l2_u", "l2_v", "l2_div_v"))
-    for k in range(len(sol.u)):
-        rec.add(k * dt, l2(sol.u[k]), l2(sol.v[k]), l2(div(sol.v[k])))
+    for k, (u, v) in enumerate(zip(sol.u, sol.v)):
+        rec.add(k * dt, l2(u), l2(v), l2(div(v)))
     rec.write_csv(os.path.join(cfg.out_dir, "ns_diagnostics.csv"))
     if len(sol.v) >= 3:
         diag = compute_F(sol.v, sol.v, sol.w, cfg.mu, frame)

@@ -8,6 +8,7 @@ serializing then re-parsing yields an identical structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -137,6 +138,10 @@ def parse_config(text: str) -> RunConfig:
     kv = parse_kv_text(text)
     cfg = RunConfig()
     for key, val in kv.items():
+        # nan passes every range check below (nan < lo is False)
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (val if isinstance(val, list) else [val])):
+            raise ConfigError(f"{key} = {val} is not finite")
         if key.startswith("physics.ic."):
             cfg.ic_params[key[len("physics.ic."):]] = val
             continue

@@ -17,7 +17,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import BCViolation, DegenerateInput, IncompatibleData, SolverDiverged
+from .errors import (BCViolation, DegenerateInput, IncompatibleData, LinearSolveFailed,
+                     SolverDiverged)
 from .fields import (
     ScalarField,
     VectorField,
@@ -27,6 +28,7 @@ from .fields import (
     grad,
     l2,
     normal_component,
+    require_finite,
     surface_curl,
 )
 from .geometry import BoundaryFrame, Grid, boundary_frame, second_fundamental_form
@@ -137,7 +139,8 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
     """Solve the Neumann problem; returns the zero-mean solution.
 
     Raises IncompatibleData when the discrete compatibility defect exceeds
-    tolerance, SolverDiverged when the linear residual misses 1e-10 relative.
+    tolerance, SolverDiverged on non-finite data or when the linear residual
+    misses 1e-10 relative.
     """
     grid = prob.grid
     A, lu, frame = _assemble_neumann(grid)
@@ -149,6 +152,7 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
             raise ValueError("flux must supply one array per boundary component")
         for comp, g in zip(frame, flux):
             b[comp.nodes] -= comp.ds * g
+    require_finite(SolverDiverged, "solve_neumann data", b)
 
     defect = float(np.sum(b))
     tol = prob.tol_compat
@@ -174,7 +178,8 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
     phi = lu.solve(rhs)
     res = A @ phi - b
     bnorm = float(np.linalg.norm(b))
-    if bnorm > 0 and float(np.linalg.norm(res)) > _RESIDUAL_TOL * bnorm:
+    # `not <=` so that a NaN residual fails as well
+    if bnorm > 0 and not float(np.linalg.norm(res)) <= _RESIDUAL_TOL * bnorm:
         raise SolverDiverged(
             f"Neumann residual {np.linalg.norm(res):.3e} vs rhs norm {bnorm:.3e}"
         )
@@ -216,7 +221,8 @@ def _solve_transport(s: VectorField, e: VectorField, frame: BoundaryFrame | None
     return solve_neumann_fd(s.grid, src, g, frame)
 
 
-def _check_normal_trace(u, frame, tol, what):
+def check_normal_trace(u, frame, tol, what):
+    """Raise BCViolation unless max |u_perp| <= tol * max(max|u|, 1)."""
     if frame is None:
         return
     worst = max(float(np.max(np.abs(vals))) for vals in normal_component(u, frame))
@@ -232,7 +238,7 @@ def solve_pressure_ns(u: VectorField, a, mu: float, frame: BoundaryFrame | None,
     Solves lap(p) = -div(u . grad u) with d_nu p = pi(u, u) - mu * da/ds,
     normalized to zero mean.  Requires u_perp ~ 0 on the boundary.
     """
-    _check_normal_trace(u, frame, bc_tol, "solve_pressure_ns")
+    check_normal_trace(u, frame, bc_tol, "solve_pressure_ns")
     return _solve_transport(u, u, frame, mu, a)
 
 
@@ -251,7 +257,7 @@ def solve_pressure_linearized(beta: VectorField, w: VectorField,
     zero mean; requires s_perp ~ 0 on the boundary.
     """
     s = beta + w
-    _check_normal_trace(s, frame, bc_tol, "solve_pressure_linearized")
+    check_normal_trace(s, frame, bc_tol, "solve_pressure_linearized")
     return _solve_transport(s, s, frame)
 
 
@@ -317,10 +323,14 @@ def solve_dirichlet(grid: Grid, source: np.ndarray, bc_low, bc_high) -> np.ndarr
     """Solve lap(phi) = source with Dirichlet data on the two walls.
 
     The walls are the boundary components in frame order (inner/bottom, then
-    outer/top); bc_low / bc_high are per-node arrays or scalars.
+    outer/top); bc_low / bc_high are per-node arrays or scalars.  Raises
+    LinearSolveFailed when the solution is not finite, which non-finite data
+    makes it.
     """
     _, lu, walls = _assemble_dirichlet(grid)
     vals = np.array(source, dtype=float)
     for nodes, bc in zip(walls, (bc_low, bc_high)):
         vals.flat[nodes] = bc
-    return lu.solve(vals.ravel()).reshape(grid.shape)
+    phi = lu.solve(vals.ravel()).reshape(grid.shape)
+    require_finite(LinearSolveFailed, "solve_dirichlet", phi)
+    return phi

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import solve_dirichlet, solve_neumann_fd
-from .errors import CFLViolation, CirculationSystemSingular
+from .errors import CFLViolation, CirculationSystemSingular, SolverDiverged
 from .fields import (
     FieldHistory,
     ScalarField,
@@ -26,8 +26,10 @@ from .fields import (
     _d1,
     _dx_dy,
     curl2d,
+    curl_scalar,
     grad_l2,
     l2,
+    require_finite,
     tangential_part,
 )
 from .geometry import DomainKind, Grid, boundary_frame, surface_integrate
@@ -40,11 +42,6 @@ CFL_LIMIT = 0.9
 def _advect_scalar(u: VectorField, f: ScalarField) -> np.ndarray:
     fx, fy = _dx_dy(f.grid, f.values)
     return u.ux * fx + u.uy * fy
-
-
-def _rotgrad(grid, s_values) -> VectorField:
-    sx, sy = _dx_dy(grid, s_values)
-    return VectorField(grid, sy, -sx)
 
 
 class StreamfunctionSolver:
@@ -87,14 +84,14 @@ class StreamfunctionSolver:
             # curl fields sum to zero exactly; transported states pick up an
             # O(h^2) mean that the repair path absorbs.
             s = solve_neumann_fd(g, -omega.values, [], None)
-            u = _rotgrad(g, s.values)
+            u = curl_scalar(s)
             return VectorField(g, u.ux + self.mean_u[0], u.uy + self.mean_u[1])
         if self.kind == DomainKind.CHANNEL:
             s = solve_dirichlet(g, -omega.values, 0.0, self.flux)
-            return _rotgrad(g, s)
+            return curl_scalar(ScalarField(g, s))
         s0 = solve_dirichlet(g, -omega.values, 0.0, 0.0)
         c = (self.target_circulation - self._circulation(s0)) / self.gamma1
-        return _rotgrad(g, s0 + c * self.s1)
+        return curl_scalar(ScalarField(g, s0 + c * self.s1))
 
 
 def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistory:
@@ -103,12 +100,14 @@ def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistor
     RK2 (Heun) in time, centered advection in space; raises CFLViolation
     when dt * max|u| exceeds 0.9 of the finest spacing.
     """
+    require_finite(SolverDiverged, "solve_euler: u0", u0.ux, u0.uy)
     solver = StreamfunctionSolver(grid, u0)
     hmin = grid.min_spacing()
     omega = curl2d(u0)
     u = solver.velocity(omega)
-    hist = FieldHistory(dt, [u.copy()])
     nsteps = int(round(T / dt))
+    hist = FieldHistory.zeros(grid, dt, nsteps + 1)
+    hist[0] = u
     for n in range(nsteps):
         if dt * u.max_abs() / hmin > CFL_LIMIT:
             raise CFLViolation(f"Euler advective CFL exceeded at step {n}")
@@ -118,7 +117,7 @@ def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistor
         k2 = _advect_scalar(u1, om1)
         omega = ScalarField(grid, omega.values - 0.5 * dt * (k1 + k2))
         u = solver.velocity(omega)
-        hist.append(u.copy())
+        hist[n + 1] = u
     return hist
 
 
@@ -291,7 +290,7 @@ def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
 
     dt = u_hist.dt
     nt = len(u_hist)
-    diffs = [um - ue for um, ue in zip(u_mu_hist, u_hist)]
+    diffs = u_mu_hist - u_hist
     vsq = np.array([l2(d) ** 2 for d in diffs])
     sample_a, _ = normalize_boundary_data(a, frame)
 
@@ -300,10 +299,8 @@ def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
         dvdt = (vsq[k + 1] - vsq[k - 1]) / (2.0 * dt)
         lhs = dvdt + mu * grad_l2(diffs[k]) ** 2
         u = u_hist[k]
-        ux_x, ux_y = _dx_dy(u.grid, u.ux)
-        uy_x, uy_y = _dx_dy(u.grid, u.uy)
-        grad_inf = max(float(np.max(np.abs(g)))
-                       for g in (ux_x, ux_y, uy_x, uy_y))
+        # x and y partials of both components at once, over the row (2, n1, n2)
+        grad_inf = max(float(np.max(np.abs(g))) for g in _dx_dy(u.grid, u_hist.data[k]))
         forcing = 0.0
         if include_mu_term:
             a_sq = 0.0

@@ -3,7 +3,8 @@
 Vector fields store Cartesian components everywhere, including on polar
 grids; differential operators apply the polar chain rule internally.
 Stencils are second-order centered in the interior and second-order
-one-sided at non-periodic ends.  All operations are pure.
+one-sided at non-periodic ends.  Field operations are pure; a
+FieldHistory holds its snapshots in one array that producers fill row by row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ __all__ = [
     "grad", "div", "curl2d", "curl_scalar", "laplacian", "advect",
     "normal_component", "tangential_part", "boundary_vector_values",
     "surface_curl", "normal_derivative",
-    "l2", "h1", "h2", "n_norm",
+    "l2", "h1", "h2", "n_norm", "n_norm_sq",
 ]
 
 
@@ -33,8 +34,6 @@ class ScalarField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != self.grid.shape:
             raise ValueError(f"shape {self.values.shape} != grid {self.grid.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite values in ScalarField")
 
     @classmethod
     def zeros(cls, grid):
@@ -43,9 +42,6 @@ class ScalarField:
     @classmethod
     def from_function(cls, grid, fn):
         return cls(grid, np.asarray(fn(grid.x, grid.y), dtype=float) * np.ones(grid.shape))
-
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy())
 
     def __add__(self, other):
         return ScalarField(self.grid, self.values + other.values)
@@ -71,8 +67,6 @@ class VectorField:
         for comp in (self.ux, self.uy):
             if comp.shape != self.grid.shape:
                 raise ValueError(f"shape {comp.shape} != grid {self.grid.shape}")
-            if not np.all(np.isfinite(comp)):
-                raise ValueError("non-finite values in VectorField")
 
     @classmethod
     def zeros(cls, grid):
@@ -84,9 +78,6 @@ class VectorField:
         one = np.ones(grid.shape)
         return cls(grid, np.asarray(ux, dtype=float) * one,
                    np.asarray(uy, dtype=float) * one)
-
-    def copy(self):
-        return VectorField(self.grid, self.ux.copy(), self.uy.copy())
 
     def max_abs(self) -> float:
         return float(np.max(np.hypot(self.ux, self.uy)))
@@ -103,40 +94,52 @@ class VectorField:
     __rmul__ = __mul__
 
 
+def require_finite(exc, what: str, *arrays):
+    """Raise exc unless every array is finite: the check the solvers make
+    on their input data and results."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise exc(f"{what}: non-finite values")
+
+
 # ---------------------------------------------------------------------------
 # core difference stencils
 
+def _last(a, axis):
+    """View of an (..., n1, n2) array with grid axis `axis` last."""
+    return a if axis == 1 else a.swapaxes(-1, -2)
+
+
 def _d1(values, axis, h, periodic):
     """First derivative: centered interior, one-sided ends whose leading
-    truncation (-h^2/6 f''') matches the centered stencil.
+    truncation (-h^2/6 f''') matches the centered stencil; periodic ends wrap.
 
     A smooth truncation field across the end nodes keeps composed operators
     (Hessians, grad of div) second-order accurate up to the boundary; plain
     higher-order ends leave an O(h^2) kink there that a second pass would
     differentiate into O(h).
     """
-    if periodic:
-        return (np.roll(values, -1, axis) - np.roll(values, 1, axis)) / (2.0 * h)
     out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    o[0] = (-4.0 * v[0] + 7.0 * v[1] - 4.0 * v[2] + v[3]) / (2.0 * h)
-    o[-1] = (4.0 * v[-1] - 7.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (2.0 * h)
+    v, o, d = _last(values, axis), _last(out, axis), 2.0 * h
+    o[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / d
+    if periodic:
+        o[..., [0, -1]] = (v[..., [1, 0]] - v[..., [-1, -2]]) / d
+    else:
+        o[..., 0] = (-4.0 * v[..., 0] + 7.0 * v[..., 1] - 4.0 * v[..., 2] + v[..., 3]) / d
+        o[..., -1] = (4.0 * v[..., -1] - 7.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / d
     return out
 
 
 def _d2(values, axis, h, periodic):
     """Second derivative: centered interior, one-sided ends whose leading
-    truncation (+h^2/12 f'''') matches the centered stencil."""
-    if periodic:
-        return (np.roll(values, -1, axis) - 2.0 * values + np.roll(values, 1, axis)) / h**2
+    truncation (+h^2/12 f'''') matches the centered stencil; periodic ends wrap."""
     out = np.empty_like(values)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    o[0] = (3.0 * v[0] - 9.0 * v[1] + 10.0 * v[2] - 5.0 * v[3] + v[4]) / h**2
-    o[-1] = (3.0 * v[-1] - 9.0 * v[-2] + 10.0 * v[-3] - 5.0 * v[-4] + v[-5]) / h**2
+    v, o = _last(values, axis), _last(out, axis)
+    o[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h**2
+    if periodic:
+        o[..., [0, -1]] = (v[..., [1, 0]] - 2.0 * v[..., [0, -1]] + v[..., [-1, -2]]) / h**2
+    else:
+        o[..., [0, -1]] = (3.0 * v[..., [0, -1]] - 9.0 * v[..., [1, -2]] + 10.0 * v[..., [2, -3]]
+                           - 5.0 * v[..., [3, -4]] + v[..., [4, -5]]) / h**2
     return out
 
 
@@ -240,11 +243,8 @@ def surface_curl(a, frame: BoundaryFrame) -> list[np.ndarray]:
     Periodic central differences oriented by tau; the closed-loop integral
     of the result vanishes to machine precision by exact telescoping.
     """
-    out = []
-    for comp, vals in zip(frame, a):
-        deriv = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * comp.spacing)
-        out.append(comp.orientation * deriv)
-    return out
+    return [comp.orientation * _d1(np.asarray(vals, dtype=float), 1, comp.spacing, True)
+            for comp, vals in zip(frame, a)]
 
 
 def normal_derivative(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
@@ -268,104 +268,122 @@ def _component_arrays(field):
     return (field.ux, field.uy)
 
 
-def l2(field) -> float:
+def _sobolev_sq(field, lo: int, hi: int) -> float:
+    """Sum over components of the integrals of the squared partial
+    derivatives of orders lo..hi (at most 2).  Orders 0 and 1 accumulate as
+    one term per component and order 2 as another; another grouping would
+    move the last bits of every norm the diagnostics CSVs print."""
     g = field.grid
-    total = sum(g.integrate(a**2) for a in _component_arrays(field))
-    return float(np.sqrt(total))
+    total = 0.0
+    for a in _component_arrays(field):
+        derivs = [a]
+        if hi >= 1:
+            derivs += _dx_dy(g, a)
+        if lo <= 1:
+            total += sum(g.integrate(d**2) for d in derivs[lo:])
+        if hi == 2:
+            total += sum(g.integrate(s**2) for d in derivs[1:] for s in _dx_dy(g, d))
+    return total
+
+
+def l2(field) -> float:
+    return float(np.sqrt(_sobolev_sq(field, 0, 0)))
 
 
 def h1(field) -> float:
-    g = field.grid
-    total = 0.0
-    for a in _component_arrays(field):
-        gx, gy = _dx_dy(g, a)
-        total += g.integrate(a**2) + g.integrate(gx**2) + g.integrate(gy**2)
-    return float(np.sqrt(total))
+    return float(np.sqrt(_sobolev_sq(field, 0, 1)))
 
 
 def h2(field) -> float:
-    g = field.grid
-    total = 0.0
-    for a in _component_arrays(field):
-        gx, gy = _dx_dy(g, a)
-        gxx, gxy = _dx_dy(g, gx)
-        gyx, gyy = _dx_dy(g, gy)
-        total += g.integrate(a**2) + g.integrate(gx**2) + g.integrate(gy**2)
-        total += sum(g.integrate(s**2) for s in (gxx, gxy, gyx, gyy))
-    return float(np.sqrt(total))
+    return float(np.sqrt(_sobolev_sq(field, 0, 2)))
 
 
 def hessian_seminorm(field) -> float:
     """sqrt of the integral of |second derivatives|^2 (all components)."""
-    g = field.grid
-    total = 0.0
-    for a in _component_arrays(field):
-        gx, gy = _dx_dy(g, a)
-        gxx, gxy = _dx_dy(g, gx)
-        gyx, gyy = _dx_dy(g, gy)
-        total += sum(g.integrate(s**2) for s in (gxx, gxy, gyx, gyy))
-    return float(np.sqrt(total))
+    return float(np.sqrt(_sobolev_sq(field, 2, 2)))
 
 
 def grad_l2(field) -> float:
     """L2 norm of the full gradient/Jacobian of a field."""
-    g = field.grid
-    total = 0.0
-    for a in _component_arrays(field):
-        gx, gy = _dx_dy(g, a)
-        total += g.integrate(gx**2) + g.integrate(gy**2)
-    return float(np.sqrt(total))
+    return float(np.sqrt(_sobolev_sq(field, 1, 1)))
+
+
+def n_norm_sq(v: VectorField, v_t) -> float:
+    """||v||_H2^2 + ||v_t||_H1^2; v_t = None raises."""
+    if v_t is None:
+        raise MissingTimeDerivative("n_norm requires the time derivative v_t")
+    return h2(v) ** 2 + h1(v_t) ** 2
 
 
 def n_norm(v: VectorField, v_t) -> float:
     """sqrt(||v||_H2^2 + ||v_t||_H1^2); v_t = None raises."""
-    if v_t is None:
-        raise MissingTimeDerivative("n_norm requires the time derivative v_t")
-    return float(np.sqrt(h2(v) ** 2 + h1(v_t) ** 2))
+    return float(np.sqrt(n_norm_sq(v, v_t)))
 
 
 # ---------------------------------------------------------------------------
 # time series
 
 class FieldHistory:
-    """Uniformly spaced snapshots of a scalar or vector field."""
+    """Uniformly spaced snapshots from t = 0, stored as one array: shape
+    (nt, 2, n1, n2) for a vector history, (nt, n1, n2) for a scalar one.
 
-    def __init__(self, dt: float, snapshots, t0: float = 0.0):
+    Indexing and iteration (through __getitem__) give VectorField /
+    ScalarField views of a row; assigning a field to hist[k] writes that row.
+    """
+
+    def __init__(self, grid: Grid, dt: float, data):
         if dt <= 0:
             raise ValueError("dt must be positive")
+        data = np.asarray(data, dtype=float)
+        if data.shape[1:] not in (grid.shape, (2, *grid.shape)):
+            raise ValueError(f"history shape {data.shape} does not fit grid {grid.shape}")
+        self.grid = grid
         self.dt = float(dt)
-        self.t0 = float(t0)
-        self.snapshots = list(snapshots)
+        self.data = data
+
+    @classmethod
+    def zeros(cls, grid: Grid, dt: float, nt: int, scalar: bool = False):
+        return cls(grid, dt, np.zeros((nt, *(() if scalar else (2,)), *grid.shape)))
 
     def __len__(self):
-        return len(self.snapshots)
+        return len(self.data)
 
-    def __getitem__(self, i):
-        return self.snapshots[i]
+    def __getitem__(self, k):
+        row = self.data[k]
+        if self.data.ndim == 3:
+            return ScalarField(self.grid, row)
+        return VectorField(self.grid, row[0], row[1])
 
-    def __iter__(self):
-        return iter(self.snapshots)
+    def __setitem__(self, k, field):
+        row = self.data[k]
+        if self.data.ndim == 3:
+            row[...] = field.values
+        else:
+            row[0], row[1] = field.ux, field.uy
+
+    def __add__(self, other):
+        return FieldHistory(self.grid, self.dt, self.data + other.data)
+
+    def __sub__(self, other):
+        return FieldHistory(self.grid, self.dt, self.data - other.data)
 
     @property
     def times(self):
-        return self.t0 + self.dt * np.arange(len(self.snapshots))
-
-    def append(self, snap):
-        self.snapshots.append(snap)
+        return self.dt * np.arange(len(self))
 
     def time_derivative(self) -> "FieldHistory":
         """Centered differences in the interior, one-sided at the endpoints."""
-        n = len(self.snapshots)
+        s = self.data
+        n = len(s)
         if n < 2:
             raise MissingTimeDerivative("need >= 2 snapshots for a time derivative")
-        s = self.snapshots
-        dt = self.dt
+        out = np.empty_like(s)
         if n == 2:
-            d = (s[1] - s[0]) * (1.0 / dt)
-            return FieldHistory(dt, [d, d.copy()], self.t0)
-        out = []
-        out.append((s[0] * (-3.0) + s[1] * 4.0 - s[2]) * (1.0 / (2.0 * dt)))
-        for k in range(1, n - 1):
-            out.append((s[k + 1] - s[k - 1]) * (1.0 / (2.0 * dt)))
-        out.append((s[-1] * 3.0 - s[-2] * 4.0 + s[-3]) * (1.0 / (2.0 * dt)))
-        return FieldHistory(dt, out, self.t0)
+            out[:] = (s[1] - s[0]) * (1.0 / self.dt)
+        else:
+            c = 1.0 / (2.0 * self.dt)
+            # in place, so the only whole-history array is the result
+            np.multiply(np.subtract(s[2:], s[:-2], out=out[1:-1]), c, out=out[1:-1])
+            out[0] = (s[0] * (-3.0) + s[1] * 4.0 - s[2]) * c
+            out[-1] = (s[-1] * 3.0 - s[-2] * 4.0 + s[-3]) * c
+        return FieldHistory(self.grid, self.dt, out)

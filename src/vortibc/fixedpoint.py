@@ -25,10 +25,9 @@ from .fields import (
     curl2d,
     div,
     grad,
-    h1,
-    h2,
     l2,
     laplacian,
+    n_norm,
     normal_component,
 )
 from .geometry import boundary_frame
@@ -71,18 +70,9 @@ def wt_norm(diff: FieldHistory) -> float:
     """sup over snapshots of the N-norm of a history."""
     dt_hist = diff.time_derivative()
     worst = 0.0
-    for k in range(len(diff)):
-        val = np.sqrt(h2(diff[k]) ** 2 + h1(dt_hist[k]) ** 2)
-        worst = max(worst, float(val))
+    for d, d_t in zip(diff, dt_hist):
+        worst = max(worst, n_norm(d, d_t))
     return worst
-
-
-def _history_diff(a: FieldHistory, b: FieldHistory) -> FieldHistory:
-    return FieldHistory(a.dt, [x - y for x, y in zip(a, b)], a.t0)
-
-
-def _zero_history(grid, dt, count):
-    return FieldHistory(dt, [VectorField.zeros(grid) for _ in range(count)])
 
 
 def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
@@ -112,14 +102,14 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
         StokesRun(grid, mu, T, dt, u0, a, scheme=scheme))
     nt = len(w_hist)
 
-    v_prev = _zero_history(grid, dt, nt)
+    v_prev = FieldHistory.zeros(grid, dt, nt)
     trace = []
     delta_prev = None
     bad_streak = 0
     for it in range(1, cfg.max_iter + 1):
         v_next = apply_velocity_map(
             VelocityMapInput(beta=v_prev, w=w_hist, mu=mu, dt=dt, T=T))
-        delta = wt_norm(_history_diff(v_next, v_prev))
+        delta = wt_norm(v_next - v_prev)
         ratio = float("nan") if delta_prev is None else (
             delta / delta_prev if delta_prev > 0 else 0.0)
         trace.append((it, delta, ratio))
@@ -141,9 +131,10 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
             f"(last delta {trace[-1][1]:.3e})")
 
     v = v_prev
-    u = FieldHistory(dt, [vk + wk for vk, wk in zip(v, w_hist)])
-    p = FieldHistory(dt, [solve_pressure_linearized(vk, wk, frame)
-                          for vk, wk in zip(v, w_hist)])
+    u = v + w_hist
+    p = FieldHistory.zeros(grid, dt, nt, scalar=True)
+    for k in range(nt):
+        p[k] = solve_pressure_linearized(v[k], w_hist[k], frame)
     return NSSolution(v=v, w=w_hist, u=u, q=q_hist, p=p, trace=trace,
                       mu=mu, dt=dt, u0=u0)
 
@@ -180,7 +171,7 @@ def ns_residual(sol: NSSolution, a, mu: float, frame) -> ResidualReport:
     pressure re-derived from u at each snapshot; boundary residuals report
     |u_perp| and |curl u - a|; the initial residual is ||u(0) - u0||_2.
     """
-    grid = sol.u[0].grid
+    grid = sol.u.grid
     u_t = sol.u.time_derivative()
     sample_a, _ = normalize_boundary_data(a, frame)
     interior = np.zeros(len(sol.u))
@@ -215,7 +206,7 @@ def compare_pressures(sol: NSSolution, a, mu: float, frame) -> float:
     p_ns is the single-field pressure of u; p_v + q is the split-path
     pressure from the fixed point plus the harmonic Stokes part.
     """
-    grid = sol.u[0].grid
+    grid = sol.u.grid
     sample_a, _ = normalize_boundary_data(a, frame)
     total_w = float(np.sum(grid.weights))
     worst = 0.0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import solve_divergence_coupling, solve_pressure_linearized
+from .elliptic import solve_divergence_coupling, solve_pressure_euler, solve_pressure_linearized
 from .errors import CFLViolation
 from .fields import (
     FieldHistory,
@@ -28,9 +28,8 @@ from .fields import (
     div,
     grad,
     grad_l2,
-    h1,
-    h2,
     l2,
+    n_norm_sq,
 )
 from .geometry import boundary_frame, boundary_zeros
 
@@ -62,11 +61,6 @@ class VelocityMapInput:
             raise ValueError("beta(0) must vanish")
 
 
-def pair_n_norm_sq(hist: FieldHistory, hist_t: FieldHistory, k: int) -> float:
-    """||f(t_k)||_N^2 = ||f||_H2^2 + ||f_t||_H1^2 for one history."""
-    return h2(hist[k]) ** 2 + h1(hist_t[k]) ** 2
-
-
 def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
     """Advance the linearized problem; returns the v history.
 
@@ -75,14 +69,16 @@ def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
     """
     from .stepping import VelocityStepper
 
-    grid = inp.w[0].grid
+    grid = inp.w.grid
     frame = boundary_frame(grid) if grid.has_boundary() else None
     stepper = VelocityStepper(grid, inp.mu, inp.dt, theta=1.0)
     nsteps = len(inp.w) - 1
     hmin = grid.min_spacing()
 
-    v = inp.v_init.copy() if inp.v_init is not None else VectorField.zeros(grid)
-    v_hist = FieldHistory(inp.dt, [v.copy()])
+    v_hist = FieldHistory.zeros(grid, inp.dt, nsteps + 1)
+    if inp.v_init is not None:
+        v_hist[0] = inp.v_init
+    v = v_hist[0]
     a_zero = boundary_zeros(frame) if frame is not None else None
 
     for n in range(nsteps):
@@ -93,10 +89,12 @@ def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
         if cfl > CFL_LIMIT:
             raise CFLViolation(
                 f"advective CFL {cfl:.3f} > {CFL_LIMIT} at step {n}")
-        p_n = solve_pressure_linearized(beta_n, w_n, frame)
+        # the linearized pressure of (beta, w) is the inviscid pressure of
+        # the carrier s = beta + w, so s is formed once per step
+        p_n = solve_pressure_euler(carrier, frame)
         forcing = (advect(carrier, v + w_n) + grad(p_n)) * (-1.0)
         v = stepper.step(v, forcing, a_zero)
-        v_hist.append(v.copy())
+        v_hist[n + 1] = v
     return v_hist
 
 
@@ -142,8 +140,10 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
     beta_t = beta_hist.time_derivative()
     w_t = w_hist.time_derivative()
 
-    d_hist = FieldHistory(dt, [div(v) for v in v_hist])
-    om_hist = FieldHistory(dt, [curl2d(v) for v in v_hist])
+    d_hist = FieldHistory.zeros(v_hist.grid, dt, nt, scalar=True)
+    om_hist = FieldHistory.zeros(v_hist.grid, dt, nt, scalar=True)
+    for k, v in enumerate(v_hist):
+        d_hist[k], om_hist[k] = div(v), curl2d(v)
     d_t = d_hist.time_derivative()
     om_t = om_hist.time_derivative()
 
@@ -152,15 +152,14 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
     comp_td = np.zeros(nt)
     load = np.zeros(nt)
     for k in range(nt):
-        v = v_hist[k]
+        v, beta, w = v_hist[k], beta_hist[k], w_hist[k]
         psi = curl_scalar(om_hist[k])
-        q = solve_divergence_coupling(beta_hist[k], w_hist[k], v, frame)
+        q = solve_divergence_coupling(beta, w, v, frame)
         gfield = d_hist[k] - q
         comp_v_psi[k] = l2(v) ** 2 + l2(psi) ** 2
         comp_grad_gq[k] = grad_l2(gfield) ** 2 + grad_l2(q) ** 2
         comp_td[k] = l2(v_t[k]) ** 2 + l2(d_t[k]) ** 2 + l2(om_t[k]) ** 2
-        load[k] = (1.0 + pair_n_norm_sq(beta_hist, beta_t, k)
-                   + pair_n_norm_sq(w_hist, w_t, k))
+        load[k] = 1.0 + n_norm_sq(beta, beta_t[k]) + n_norm_sq(w, w_t[k])
 
     F = comp_v_psi + comp_grad_gq + comp_td
     Q = np.zeros(nt)

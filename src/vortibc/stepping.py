@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from .elliptic import kron_sum, pin_rows, second_difference, stencil
 from .errors import BCEnforcementFailed, LinearSolveFailed
-from .fields import VectorField
+from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame
 
 
@@ -147,7 +147,6 @@ class VelocityStepper:
         if len(self.normal_dofs):
             rhs[self.normal_dofs] = 0.0
         out = self.lu.solve(rhs)
-        if not np.all(np.isfinite(out)):
-            raise LinearSolveFailed("implicit velocity solve produced non-finite values")
+        require_finite(LinearSolveFailed, "implicit velocity solve", out)
         n = g.nnodes
         return from_native(g, out[:n].reshape(g.shape), out[n:].reshape(g.shape))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord
-from .elliptic import solve_harmonic_q
-from .errors import BCViolation
+from .elliptic import check_normal_trace, solve_harmonic_q
+from .errors import SolverDiverged
 from .fields import (
     FieldHistory,
     ScalarField,
@@ -32,6 +32,7 @@ from .fields import (
     l2,
     normal_component,
     normal_derivative,
+    require_finite,
 )
 from .geometry import BoundaryFrame, Grid, boundary_frame, boundary_zeros, surface_integrate
 
@@ -39,11 +40,10 @@ STOKES_COLUMNS = ("t", "l2_w", "h1_w", "h2_w", "l2_div_w",
                   "max_w_perp", "max_vort_bc_err", "l2_q")
 
 
-def normalize_boundary_data(a, frame, dt=None):
+def normalize_boundary_data(a, frame):
     """Return (sample(t) -> per-component list | None, static: bool).
 
-    Accepts None, a per-component list (time independent), a callable of t,
-    or a FieldHistory-like sequence of per-component lists with uniform dt.
+    Accepts None, a per-component list (time independent) or a callable of t.
     """
     if frame is None:
         return (lambda t: None), True
@@ -51,15 +51,7 @@ def normalize_boundary_data(a, frame, dt=None):
         zeros = boundary_zeros(frame)
         return (lambda t: zeros), True
     if callable(a):
-        return (lambda t: a(t)), False
-    if isinstance(a, FieldHistory):
-        snaps = a.snapshots
-
-        def sample(t):
-            k = int(round((t - a.t0) / a.dt))
-            return snaps[min(max(k, 0), len(snaps) - 1)]
-
-        return sample, False
+        return a, False
     # static per-component list
     vals = [np.asarray(v, dtype=float) for v in a]
     return (lambda t: vals), True
@@ -90,17 +82,22 @@ class StokesRun:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
+def _a_rate(sample_a, t, dt):
+    """da/dt at t: central difference of the sampled data, one-sided at 0."""
+    a_p = sample_a(t + dt)
+    a_m = sample_a(max(t - dt, 0.0))
+    denom = (t + dt) - max(t - dt, 0.0)
+    return [(p - m) / denom for p, m in zip(a_p, a_m)]
+
+
 def _check_initial_data(run, frame):
     u0 = run.u0
-    scale = max(u0.max_abs(), 1.0)
-    if frame is not None:
-        worst = max(float(np.max(np.abs(v))) for v in normal_component(u0, frame))
-        if worst > run.bc_tol * scale:
-            raise BCViolation(f"u0 normal trace {worst:.3e} exceeds tolerance")
+    require_finite(SolverDiverged, "solve_stokes: u0", u0.ux, u0.uy)
+    check_normal_trace(u0, frame, run.bc_tol, "solve_stokes: u0")
     g = run.grid
     dtol = run.div_tol if run.div_tol is not None else 50.0 * max(g.h1, g.h2) ** 2
     dnorm = l2(div(u0))
-    if dnorm > dtol * scale:
+    if dnorm > dtol * max(u0.max_abs(), 1.0):
         warnings.warn(f"u0 divergence {dnorm:.3e} above tolerance {dtol:.1e}; "
                       "the solution will carry it as an initial layer")
 
@@ -124,8 +121,9 @@ def solve_stokes(run: StokesRun):
         return solve_harmonic_q(sample_a(t), run.mu, frame)
 
     q0 = q_of(0.0)
-    w_hist = FieldHistory(run.dt, [run.u0.copy()])
-    q_hist = FieldHistory(run.dt, [q0])
+    w_hist = FieldHistory.zeros(grid, run.dt, nsteps + 1)
+    q_hist = FieldHistory.zeros(grid, run.dt, nsteps + 1, scalar=True)
+    w_hist[0], q_hist[0] = run.u0, q0
     diag = DiagnosticsRecord(STOKES_COLUMNS)
     _record_stokes_row(diag, 0.0, run.u0, q0, frame, sample_a(0.0))
 
@@ -142,8 +140,7 @@ def solve_stokes(run: StokesRun):
         a_new = sample_a(t_new)
         w = stepper.step(w, forcing, a_new)
         q = q_new
-        w_hist.append(w.copy())
-        q_hist.append(q.copy())
+        w_hist[n + 1], q_hist[n + 1] = w, q
         _record_stokes_row(diag, t_new, w, q, frame, a_new)
     return w_hist, q_hist, diag
 
@@ -177,7 +174,6 @@ def stokes_energy_report(w_hist: FieldHistory, a, mu: float,
     """
     if len(w_hist) < 3:
         raise ValueError("energy report needs at least 3 snapshots")
-    grid = w_hist[0].grid
     dt = w_hist.dt
     sample_a, static_a = normalize_boundary_data(a, frame)
 
@@ -199,11 +195,7 @@ def stokes_energy_report(w_hist: FieldHistory, a, mu: float,
             dng = normal_derivative(g_fields[k], frame)
             bnd_g[k] = surface_integrate(frame, [av * dv for av, dv in zip(a_k, dng)])
             if not static_a:
-                eps = dt
-                a_p = sample_a(t + eps)
-                a_m = sample_a(max(t - eps, 0.0))
-                denom = (t + eps) - max(t - eps, 0.0)
-                da = [(p - m) / denom for p, m in zip(a_p, a_m)]
+                da = _a_rate(sample_a, t, dt)
                 bnd_h[k] = surface_integrate(frame, [dv * dav for dav, dv in zip(da, dng)])
 
     def cumtrap(y):
@@ -250,7 +242,7 @@ def verify_prop43(u0: VectorField, a, mu_list, T: float, dt: float,
     """
     grid = u0.grid
     frame = boundary_frame(grid) if grid.has_boundary() else None
-    sample_a, static_a = normalize_boundary_data(a, frame)
+    sample_a, _ = normalize_boundary_data(a, frame)
     branch = "ii" if time_dependent else "i"
     mu_values, lhs_list, rhs_list = [], [], []
     for mu in mu_list:
@@ -271,12 +263,7 @@ def verify_prop43(u0: VectorField, a, mu_list, T: float, dt: float,
                 a_k = sample_a(k * dt)
                 vals[k] = surface_integrate(frame, [av * av for av in a_k])
                 if time_dependent:
-                    eps = dt
-                    t = k * dt
-                    a_p = sample_a(t + eps)
-                    a_m = sample_a(max(t - eps, 0.0))
-                    denom = (t + eps) - max(t - eps, 0.0)
-                    da = [(p - m) / denom for p, m in zip(a_p, a_m)]
+                    da = _a_rate(sample_a, k * dt, dt)
                     vals[k] += surface_integrate(frame, [d * d for d in da])
             a_l2_cum = float(np.trapezoid(vals, dx=dt))
         if time_dependent:

@@ -1,5 +1,8 @@
+import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -297,7 +300,12 @@ def test_resolution_override(tmp_path):
     ("ns", "", ["--resolution-override", "a,b"]),
     ("ns", None, []),
     ("sweep", "physics.mu_list = 0.01, 0.1\n", []),
-], ids=["bad_resolution", "missing_config", "increasing_mu_list"])
+    ("ns", "physics.initial_condition = taylor_green\nphysics.ic.amplitude = nan\n", []),
+    ("ns", "physics.T = nan\n", []),
+    ("sweep", "physics.mu_list = 0.1, nan\n", []),
+    ("stokes", "physics.boundary_data = constant\nphysics.bd.value = -inf\n", []),
+], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
+        "nan_float_field", "nan_mu_list_entry", "inf_bd_param"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -306,6 +314,32 @@ def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     assert main([command, "--config", path, *extra_args]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_perfbench_tracer_installs(tmp_path):
+    # the benchmark's layer tracer wraps functions of the package by name;
+    # it must still install, and see stencil and Picard-norm calls, on ns
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = _write(tmp_path, "domain.kind = torus\ndomain.n1 = 16\ndomain.n2 = 16\n"
+                           "physics.mu = 0.05\nphysics.T = 0.02\nphysics.dt = 0.005\n"
+                           "physics.initial_condition = taylor_green\n")
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{os.path.join(repo, 'perfbench')!r}, {os.path.join(repo, 'src')!r}]\n"
+        "from tracer import Tracer\n"
+        "from vortibc.cli import main\n"
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+        f"code = main(['ns', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "tracer.enabled = False\n"
+        "print(json.dumps(dict(tracer.layer_metrics(), exit_code=code)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.splitlines()[-1])
+    assert metrics["exit_code"] == 0
+    assert metrics["fields.ops.calls"] > 0
+    assert metrics["fixedpoint.wt_norm.calls"] > 0
 
 
 def test_ns_diagnostics_deterministic(tmp_path):

@@ -264,3 +264,32 @@ def test_dirichlet_identity_rows_exactly_on_walls(spec):
     A = _assemble_dirichlet(grid)[0].tocsr()
     identity_row = (np.diff(A.indptr) == 1) & (A.diagonal() == 1.0)
     np.testing.assert_array_equal(identity_row, grid.wall_mask.ravel())
+
+
+def test_non_finite_data_raises_typed_errors(annulus_grid, annulus_frame):
+    # NaN passes `abs(defect) > tol` and the CFL test silently, so the solves
+    # and the solver entry points check finiteness themselves
+    from vortibc.elliptic import solve_dirichlet
+    from vortibc.errors import LinearSolveFailed, SolverDiverged
+    from vortibc.euler import solve_euler
+    from vortibc.stokes import StokesRun, solve_stokes
+
+    grid = annulus_grid
+    bad = np.zeros(grid.shape)
+    bad[5, 7] = np.nan
+    with pytest.raises(SolverDiverged):
+        solve_neumann(NeumannProblem(grid, ScalarField(grid, bad),
+                                     [np.zeros(c.n_nodes) for c in annulus_frame]))
+    flux = [np.zeros(c.n_nodes) for c in annulus_frame]
+    flux[1][3] = np.inf
+    with pytest.raises(SolverDiverged):
+        solve_neumann(NeumannProblem(grid, ScalarField.zeros(grid), flux))
+    with pytest.raises(LinearSolveFailed):
+        solve_dirichlet(grid, bad, 0.0, 0.0)
+    with pytest.raises(LinearSolveFailed):
+        solve_dirichlet(grid, np.zeros(grid.shape), np.nan, 0.0)
+    u0 = VectorField(grid, bad, np.zeros(grid.shape))
+    with pytest.raises(SolverDiverged):
+        solve_stokes(StokesRun(grid, mu=0.1, T=0.02, dt=0.01, u0=u0))
+    with pytest.raises(SolverDiverged):
+        solve_euler(u0, T=0.02, dt=0.01, grid=grid)

@@ -59,7 +59,7 @@ def test_kinematic_bc_exact(annulus_spec):
     frame = boundary_frame(grid)
     u0 = shear_field(grid, amp=1.0)
     hist = solve_euler(u0, T=0.1, dt=0.002, grid=grid)
-    for u in hist[:: len(hist) // 4]:
+    for u in list(hist)[:: len(hist) // 4]:
         worst = max(float(np.max(np.abs(v))) for v in normal_component(u, frame))
         assert worst <= 1e-10   # exact modulo fp dust
 

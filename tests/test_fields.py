@@ -11,7 +11,7 @@ from vortibc import (DomainKind, DomainSpec, FieldHistory, ScalarField,
                      curl_scalar, div, grad, laplacian, normal_component,
                      surface_curl, tangential_part)
 from vortibc.errors import MissingTimeDerivative
-from vortibc.fields import h1, h2, l2, n_norm
+from vortibc.fields import _d1, _d2, h1, h2, l2, n_norm
 
 
 def seam_free(grid, values, width=2):
@@ -149,11 +149,47 @@ def test_div_curl_scalar_exact_on_torus(torus_grid):
 def test_field_history_derivatives():
     grid = build_grid(DomainSpec(DomainKind.TORUS, length_x=1.0, length_y=1.0), 8, 8)
     dt = 0.1
-    snaps = [ScalarField(grid, np.full(grid.shape, (k * dt) ** 2)) for k in range(6)]
-    hist = FieldHistory(dt, snaps)
+    snaps = np.array([np.full(grid.shape, (k * dt) ** 2) for k in range(6)])
+    hist = FieldHistory(grid, dt, snaps)
     d = hist.time_derivative()
     times = hist.times
     for k in range(6):
         assert np.allclose(d[k].values, 2 * times[k], atol=1e-10)
     with pytest.raises(MissingTimeDerivative):
-        FieldHistory(dt, snaps[:1]).time_derivative()
+        FieldHistory(grid, dt, snaps[:1]).time_derivative()
+
+    # vector histories: rows are views, and the derivative equals the
+    # per-snapshot field formula exactly
+    rng = np.random.default_rng(4)
+    for nt in (2, 3, 7):
+        vh = FieldHistory(grid, dt, rng.normal(size=(nt, 2, *grid.shape)))
+        assert all(np.shares_memory(u.ux, vh.data) and np.shares_memory(u.uy, vh.data)
+                   for u in vh)
+        s, c = list(vh), 1.0 / (2.0 * dt)
+        if nt == 2:
+            want = [(s[1] - s[0]) * (1.0 / dt)] * 2
+        else:
+            want = ([(s[0] * (-3.0) + s[1] * 4.0 - s[2]) * c]
+                    + [(s[k + 1] - s[k - 1]) * c for k in range(1, nt - 1)]
+                    + [(s[-1] * 3.0 - s[-2] * 4.0 + s[-3]) * c])
+        for got, ref in zip(vh.time_derivative(), want, strict=True):
+            assert np.array_equal(got.ux, ref.ux) and np.array_equal(got.uy, ref.uy)
+    vh[1] = VectorField.zeros(grid)
+    assert not np.any(vh.data[1])
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (3, 9, 7)], ids=["plain", "batched"])
+def test_slice_stencils_match_roll(shape):
+    # the periodic stencils equal the np.roll formula bit for bit; a leading
+    # batch axis differentiates each slice as on its own
+    v = np.random.default_rng(9).normal(size=shape)
+    h = 0.37
+    for axis in (0, 1):
+        fwd, back = np.roll(v, -1, axis - 2), np.roll(v, 1, axis - 2)
+        assert np.array_equal(_d1(v, axis, h, True), (fwd - back) / (2.0 * h))
+        assert np.array_equal(_d2(v, axis, h, True), (fwd - 2.0 * v + back) / h**2)
+        for op in (_d1, _d2):
+            for periodic in (True, False):
+                out = op(v, axis, h, periodic)
+                for b in np.ndindex(shape[:-2]):
+                    assert np.array_equal(out[b], op(v[b], axis, h, periodic))

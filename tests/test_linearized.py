@@ -20,11 +20,11 @@ from vortibc.stokes import StokesRun, solve_stokes
 
 
 def _zero_hist(grid, dt, count):
-    return FieldHistory(dt, [VectorField.zeros(grid) for _ in range(count)])
+    return FieldHistory.zeros(grid, dt, count)
 
 
 def _const_hist(field, dt, count):
-    return FieldHistory(dt, [field.copy() for _ in range(count)])
+    return FieldHistory(field.grid, dt, [[field.ux, field.uy]] * count)
 
 
 def test_zero_inputs_give_zero(annulus_grid):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import circulation_field, shear_field, taylor_green
 from frozen import PROP43_BOUND
-from vortibc import (DomainKind, DomainSpec, FieldHistory, VectorField,
+from vortibc import (DomainKind, DomainSpec, VectorField,
                      boundary_frame, build_grid, curl2d, div,
                      normal_component)
 from vortibc.errors import BCViolation
@@ -113,14 +113,17 @@ def test_backward_euler_energy_monotone(torus_spec):
 
 
 def test_time_dependent_boundary_data_as_history(annulus_spec):
-    # a supplied as a FieldHistory of per-component boundary data
+    # a sampled per step: the nearest stored per-component snapshot
     grid = build_grid(annulus_spec, 24, 48)
     frame = boundary_frame(grid)
     dt, T = 0.01, 0.1
     nt = int(round(T / dt)) + 1
     base = [np.full(c.n_nodes, 1.0) for c in frame]
     snaps = [[b * math.cos(3 * k * dt) for b in base] for k in range(nt)]
-    a_hist = FieldHistory(dt, snaps)
+
+    def a_hist(t):
+        return snaps[min(max(int(round(t / dt)), 0), nt - 1)]
+
     w_hist, q_hist, diag = solve_stokes(
         StokesRun(grid, mu=0.1, T=T, dt=dt,
                   u0=VectorField.zeros(grid), a=a_hist))
