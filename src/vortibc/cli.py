@@ -189,8 +189,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise errors.ConfigError("sweep needs physics.mu_list")
     try:
         sc = SweepConfig(mu_list=[float(m) for m in cfg.mu_list], u0=u0, a=a,
-                         T=cfg.T, dt=dt, grid=grid, tol_fix=cfg.tol_fix,
-                         max_iter=cfg.max_iter)
+                         T=cfg.T, dt=dt, grid=grid)
     except ValueError as exc:
         raise errors.ConfigError(f"physics.mu_list: {exc}")
     rep = sweep_mu(sc)

@@ -144,8 +144,6 @@ class SweepConfig:
     T: float
     dt: float
     grid: Grid
-    tol_fix: float = 1e-7
-    max_iter: int = 20
 
     def __post_init__(self):
         mus = list(self.mu_list)
@@ -161,7 +159,7 @@ class SweepRow:
     e_sup: float
     e_grad: float
     noise_floor: float
-    converged: bool
+    converged: bool     # the march for this mu completed
 
 
 @dataclass
@@ -181,14 +179,13 @@ SWEEP_COLUMNS = ("mu", "e_sup", "e_grad", "noise_floor", "converged")
 
 
 def _run_single_mu(cfg, mu, euler_hist):
-    from .fixedpoint import PicardConfig, picard_solve
+    from .fixedpoint import march_solve
 
-    sol = picard_solve(cfg.u0, cfg.a, mu, cfg.T, cfg.dt,
-                       PicardConfig(tol_fix=cfg.tol_fix, max_iter=cfg.max_iter))
+    u_hist = march_solve(cfg.u0, cfg.a, mu, cfg.T, cfg.dt)
     e_sup = 0.0
-    e_grad_series = np.zeros(len(sol.u))
-    for k in range(len(sol.u)):
-        diff = sol.u[k] - euler_hist[k]
+    e_grad_series = np.zeros(len(u_hist))
+    for k in range(len(u_hist)):
+        diff = u_hist[k] - euler_hist[k]
         e_sup = max(e_sup, l2(diff))
         e_grad_series[k] = grad_l2(diff) ** 2
     e_grad = float(np.trapezoid(e_grad_series, dx=cfg.dt))

@@ -31,7 +31,7 @@ from .fields import (
     normal_component,
 )
 from .geometry import boundary_frame
-from .linearized import VelocityMapInput, apply_velocity_map
+from .linearized import VelocityMap, VelocityMapInput, apply_velocity_map
 from .stokes import StokesRun, normalize_boundary_data, solve_stokes
 
 
@@ -75,6 +75,41 @@ def wt_norm(diff: FieldHistory) -> float:
     return worst
 
 
+def _stokes_part(u0: VectorField, a, mu: float, T: float, dt: float, scheme: str):
+    """Solve the Stokes problem that carries the data; returns (w, q).
+
+    Warns when the vorticity of u0 misses a(0) at the walls by more than
+    the stencil order: the Stokes problem then absorbs it in an initial layer.
+    """
+    grid = u0.grid
+    if grid.has_boundary():
+        frame = boundary_frame(grid)
+        sample_a, _ = normalize_boundary_data(a, frame)
+        om0 = boundary_scalar_values(curl2d(u0), frame)
+        mism = max(float(np.max(np.abs(ob - av)))
+                   for ob, av in zip(om0, sample_a(0.0)))
+        scale = max(u0.max_abs(), 1.0)
+        if mism > 50.0 * max(grid.h1, grid.h2) ** 2 * scale + 1e-12:
+            warnings.warn(
+                f"initial vorticity trace differs from a(0) by {mism:.3e}; "
+                "the Stokes problem absorbs it in an initial layer")
+    w_hist, q_hist, _ = solve_stokes(
+        StokesRun(grid, mu, T, dt, u0, a, scheme=scheme))
+    return w_hist, q_hist
+
+
+def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
+                scheme: str = "backward-euler") -> FieldHistory:
+    """The fixed point u = v + w of the velocity map in one forward sweep.
+
+    Step n+1 of the map reads beta only at step n, so the fixed point obeys
+    v_{n+1} = Step(v_n; beta_n = v_n) and is computed causally, with no
+    iteration: Picard iterate k equals this march on snapshots 0..k.
+    """
+    w_hist, _ = _stokes_part(u0, a, mu, T, dt, scheme)
+    return VelocityMap(u0.grid, mu, dt).run(w_hist) + w_hist
+
+
 def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
                  cfg: PicardConfig, scheme: str = "backward-euler") -> NSSolution:
     """Iterate v <- V(v) from v = 0 until the W_T increment drops below
@@ -86,20 +121,7 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     """
     grid = u0.grid
     frame = boundary_frame(grid) if grid.has_boundary() else None
-
-    if frame is not None:
-        sample_a, _ = normalize_boundary_data(a, frame)
-        om0 = boundary_scalar_values(curl2d(u0), frame)
-        mism = max(float(np.max(np.abs(ob - av)))
-                   for ob, av in zip(om0, sample_a(0.0)))
-        scale = max(u0.max_abs(), 1.0)
-        if mism > 50.0 * max(grid.h1, grid.h2) ** 2 * scale + 1e-12:
-            warnings.warn(
-                f"initial vorticity trace differs from a(0) by {mism:.3e}; "
-                "the Stokes problem absorbs it in an initial layer")
-
-    w_hist, q_hist, _ = solve_stokes(
-        StokesRun(grid, mu, T, dt, u0, a, scheme=scheme))
+    w_hist, q_hist = _stokes_part(u0, a, mu, T, dt, scheme)
     nt = len(w_hist)
 
     v_prev = FieldHistory.zeros(grid, dt, nt)
@@ -108,7 +130,7 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     bad_streak = 0
     for it in range(1, cfg.max_iter + 1):
         v_next = apply_velocity_map(
-            VelocityMapInput(beta=v_prev, w=w_hist, mu=mu, dt=dt, T=T))
+            VelocityMapInput(beta=v_prev, w=w_hist, mu=mu, dt=dt))
         delta = wt_norm(v_next - v_prev)
         ratio = float("nan") if delta_prev is None else (
             delta / delta_prev if delta_prev > 0 else 0.0)

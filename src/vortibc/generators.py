@@ -112,12 +112,25 @@ def random_boundary_scalar(frame, rng, kmax=3, amplitude=1.0):
 # ---------------------------------------------------------------------------
 # named generators for the CLI
 
+def _param(params, name, default):
+    """params[name], or the default, as the type of the default.
+
+    A string, a list, a bool or a non-integral value for an int parameter
+    is a configuration error, not a crash inside the generator.
+    """
+    val = params.get(name, default)
+    kind = type(default)
+    if isinstance(val, (int, float)) and not isinstance(val, bool) and kind(val) == val:
+        return kind(val)
+    raise ConfigError(f"generator parameter {name!r} = {val!r} is not {kind.__name__}")
+
+
 def _ic_zero(grid, params, rng):
     return VectorField.zeros(grid)
 
 
 def _ic_circulation(grid, params, rng):
-    c = float(params.get("c", 1.0))
+    c = _param(params, "c", 1.0)
     if not grid.polar:
         raise ConfigError("circulation initial condition needs a polar domain")
     return VectorField(grid, -c * np.sin(grid.theta) / grid.r,
@@ -125,12 +138,12 @@ def _ic_circulation(grid, params, rng):
 
 
 def _ic_rigid_rotation(grid, params, rng):
-    om = float(params.get("omega", 1.0))
+    om = _param(params, "omega", 1.0)
     return VectorField(grid, -om * grid.y, om * grid.x)
 
 
 def _ic_taylor_green(grid, params, rng):
-    amp = float(params.get("amplitude", 1.0))
+    amp = _param(params, "amplitude", 1.0)
     return VectorField(grid, amp * np.sin(grid.x) * np.cos(grid.y),
                        -amp * np.cos(grid.x) * np.sin(grid.y))
 
@@ -138,7 +151,7 @@ def _ic_taylor_green(grid, params, rng):
 def _ic_shear_layer(grid, params, rng):
     if not grid.polar:
         raise ConfigError("shear_layer initial condition needs a polar domain")
-    amp = float(params.get("amplitude", 1.0))
+    amp = _param(params, "amplitude", 1.0)
     r0, r1 = grid.r_inner_eff, grid.r_outer_eff
     prof = amp * np.sin(math.pi * (grid.r - r0) / (r1 - r0))
     return VectorField(grid, -prof * np.sin(grid.theta), prof * np.cos(grid.theta))
@@ -149,8 +162,8 @@ def _ic_modulated_shear(grid, params, rng):
     modulation: divergence-free to stencil order, u_perp = 0 exactly."""
     if not grid.polar:
         raise ConfigError("modulated_shear initial condition needs a polar domain")
-    amp = float(params.get("amplitude", 1.0))
-    moduln = float(params.get("modulation", 0.3))
+    amp = _param(params, "amplitude", 1.0)
+    moduln = _param(params, "modulation", 0.3)
     r0, r1 = grid.r_inner_eff, grid.r_outer_eff
     psi = amp * np.sin(math.pi * (grid.r - r0) / (r1 - r0)) \
         * (1.0 + moduln * np.cos(2 * grid.theta))
@@ -158,8 +171,8 @@ def _ic_modulated_shear(grid, params, rng):
 
 
 def _ic_random_smooth(grid, params, rng):
-    amp = float(params.get("amplitude", 1.0))
-    kmax = int(params.get("kmax", 2))
+    amp = _param(params, "amplitude", 1.0)
+    kmax = _param(params, "kmax", 2)
     return random_absolute_bc_field(grid, rng, kmax=kmax, amplitude=amp)
 
 
@@ -179,13 +192,13 @@ def _bd_zero(frame, params, rng):
 
 
 def _bd_constant(frame, params, rng):
-    v = float(params.get("value", 0.0))
+    v = _param(params, "value", 0.0)
     return [np.full(c.n_nodes, v) for c in frame]
 
 
 def _bd_sin_theta(frame, params, rng):
-    amp = float(params.get("amplitude", 1.0))
-    mode = int(params.get("mode", 1))
+    amp = _param(params, "amplitude", 1.0)
+    mode = _param(params, "mode", 1)
     return boundary_from_function(
         frame, lambda x, y: amp * np.sin(mode * np.arctan2(y, x)))
 
@@ -198,7 +211,7 @@ def _bd_from_initial(frame, params, rng, u0=None):
 
 
 def _bd_random(frame, params, rng):
-    amp = float(params.get("amplitude", 1.0))
+    amp = _param(params, "amplitude", 1.0)
     return random_boundary_scalar(frame, rng, amplitude=amp)
 
 

@@ -49,7 +49,6 @@ class VelocityMapInput:
     w: FieldHistory
     mu: float
     dt: float
-    T: float
     v_init: VectorField | None = None
 
     def __post_init__(self):
@@ -61,41 +60,58 @@ class VelocityMapInput:
             raise ValueError("beta(0) must vanish")
 
 
-def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
-    """Advance the linearized problem; returns the v history.
+class VelocityMap:
+    """The velocity map's time stepping on one grid and (mu, dt).
 
-    Raises CFLViolation when dt * max|beta + w| exceeds 0.9 of the finest
-    cell spacing at any step.
+    The Picard iteration and the causal march both go through `step`, so
+    they run the same floating-point operations: iterate k of the
+    iteration equals the march bit for bit on snapshots 0..k.
     """
-    from .stepping import VelocityStepper
 
-    grid = inp.w.grid
-    frame = boundary_frame(grid) if grid.has_boundary() else None
-    stepper = VelocityStepper(grid, inp.mu, inp.dt, theta=1.0)
-    nsteps = len(inp.w) - 1
-    hmin = grid.min_spacing()
+    def __init__(self, grid, mu: float, dt: float):
+        from .stepping import VelocityStepper
 
-    v_hist = FieldHistory.zeros(grid, inp.dt, nsteps + 1)
-    if inp.v_init is not None:
-        v_hist[0] = inp.v_init
-    v = v_hist[0]
-    a_zero = boundary_zeros(frame) if frame is not None else None
+        self.dt = dt
+        self.frame = boundary_frame(grid) if grid.has_boundary() else None
+        self.a_zero = boundary_zeros(self.frame) if self.frame is not None else None
+        self.stepper = VelocityStepper(grid, mu, dt, theta=1.0)
+        self.hmin = grid.min_spacing()
 
-    for n in range(nsteps):
-        beta_n = inp.beta[n]
-        w_n = inp.w[n]
+    def step(self, n: int, v: VectorField, beta_n: VectorField,
+             w_n: VectorField) -> VectorField:
+        """v at step n+1 from v, beta and w at step n.
+
+        Raises CFLViolation when dt * max|beta + w| exceeds 0.9 of the
+        finest cell spacing.
+        """
         carrier = beta_n + w_n
-        cfl = inp.dt * carrier.max_abs() / hmin
+        cfl = self.dt * carrier.max_abs() / self.hmin
         if cfl > CFL_LIMIT:
             raise CFLViolation(
                 f"advective CFL {cfl:.3f} > {CFL_LIMIT} at step {n}")
         # the linearized pressure of (beta, w) is the inviscid pressure of
         # the carrier s = beta + w, so s is formed once per step
-        p_n = solve_pressure_euler(carrier, frame)
+        p_n = solve_pressure_euler(carrier, self.frame)
         forcing = (advect(carrier, v + w_n) + grad(p_n)) * (-1.0)
-        v = stepper.step(v, forcing, a_zero)
-        v_hist[n + 1] = v
-    return v_hist
+        return self.stepper.step(v, forcing, self.a_zero)
+
+    def run(self, w: FieldHistory, beta: FieldHistory | None = None,
+            v_init: VectorField | None = None) -> FieldHistory:
+        """The v history over the snapshots of w.  beta = None transports
+        with v itself, which is the fixed point of the map."""
+        v_hist = FieldHistory.zeros(w.grid, self.dt, len(w))
+        if v_init is not None:
+            v_hist[0] = v_init
+        v = v_hist[0]
+        for n in range(len(w) - 1):
+            v = self.step(n, v, v if beta is None else beta[n], w[n])
+            v_hist[n + 1] = v
+        return v_hist
+
+
+def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
+    """Advance the linearized problem; returns the v history."""
+    return VelocityMap(inp.w.grid, inp.mu, inp.dt).run(inp.w, inp.beta, inp.v_init)
 
 
 @dataclass
@@ -137,7 +153,8 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
     nt = len(v_hist)
 
     v_t = v_hist.time_derivative()
-    beta_t = beta_hist.time_derivative()
+    # at the fixed point beta is v itself: difference that history once
+    beta_t = v_t if beta_hist is v_hist else beta_hist.time_derivative()
     w_t = w_hist.time_derivative()
 
     d_hist = FieldHistory.zeros(v_hist.grid, dt, nt, scalar=True)

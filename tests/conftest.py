@@ -89,6 +89,21 @@ def analytic_streamfunction_shear(r0, r1, amp=1.0, moduln=0.3):
     return fn
 
 
+def fail_march_at(monkeypatch, mu_fail):
+    """Fault injection: the march raises a typed solver error for one
+    viscosity and runs normally for every other."""
+    from vortibc import fixedpoint
+    from vortibc.errors import SolverDiverged
+
+    march = fixedpoint.march_solve
+
+    def failing(u0, a, mu, *args, **kwargs):
+        if mu == mu_fail:
+            raise SolverDiverged(f"injected failure at mu={mu}")
+        return march(u0, a, mu, *args, **kwargs)
+    monkeypatch.setattr(fixedpoint, "march_solve", failing)
+
+
 def zero_mean(grid, values):
     return values - grid.integrate(values) / float(np.sum(grid.weights))
 

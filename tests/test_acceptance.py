@@ -162,7 +162,7 @@ def criterion8_sweep():
     u0 = VectorField(grid, -prof * np.sin(grid.theta), prof * np.cos(grid.theta))
     a = [np.zeros(96), np.zeros(96)]   # mismatched boundary vorticity
     cfg = SweepConfig(mu_list=[1e-1, 3e-2, 1e-2, 3e-3], u0=u0, a=a,
-                      T=0.25, dt=5e-4, grid=grid, tol_fix=1e-6, max_iter=25)
+                      T=0.25, dt=5e-4, grid=grid)
     t0 = time.time()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -255,7 +255,7 @@ solver.max_iter = 20
     assert err < 0.01
 
 
-def test_cmd_sweep_partial_exit_5(tmp_path):
+def test_cmd_sweep_partial_exit_5(tmp_path, monkeypatch):
     text = """
 domain.kind = annulus
 domain.r_inner = 1.0
@@ -272,6 +272,9 @@ solver.tol_fix = 1e-6
 solver.max_iter = 25
 """
     import warnings
+
+    from conftest import fail_march_at
+    fail_march_at(monkeypatch, 0.001)   # the smallest viscosity's march raises
     cfg = _write(tmp_path, text + f"output.directory = {tmp_path}/out\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -301,11 +304,14 @@ def test_resolution_override(tmp_path):
     ("ns", None, []),
     ("sweep", "physics.mu_list = 0.01, 0.1\n", []),
     ("ns", "physics.initial_condition = taylor_green\nphysics.ic.amplitude = nan\n", []),
+    ("ns", "physics.initial_condition = taylor_green\nphysics.ic.amplitude = abc\n", []),
+    ("ns", "physics.initial_condition = random_smooth\nphysics.ic.kmax = 2.5\n", []),
     ("ns", "physics.T = nan\n", []),
     ("sweep", "physics.mu_list = 0.1, nan\n", []),
     ("stokes", "physics.boundary_data = constant\nphysics.bd.value = -inf\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
-        "nan_float_field", "nan_mu_list_entry", "inf_bd_param"])
+        "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
+        "inf_bd_param"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:

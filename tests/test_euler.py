@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import circulation_field, shear_field, taylor_green
+from conftest import circulation_field, fail_march_at, shear_field, taylor_green
 from frozen import VISCOUS_GRONWALL_C
 from vortibc import (DomainKind, DomainSpec, VectorField, boundary_frame,
                      build_grid, curl2d, div)
@@ -86,7 +86,7 @@ def test_sweep_deterministic(annulus_spec):
     u0 = shear_field(grid, amp=0.8)
     a = [np.zeros(48), np.zeros(48)]
     cfg = SweepConfig(mu_list=[3e-2, 1e-2], u0=u0, a=a, T=0.05, dt=2e-3,
-                      grid=grid, tol_fix=1e-6)
+                      grid=grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         r1 = sweep_mu(cfg)
@@ -102,17 +102,16 @@ def test_sweep_noise_floor_flag(annulus_spec):
     u0 = circulation_field(grid, c=0.5)
     a = [np.zeros(48), np.zeros(48)]   # omega(u0) = 0: b = 0
     cfg = SweepConfig(mu_list=[3e-2, 1e-2, 3e-3], u0=u0, a=a, T=0.05,
-                      dt=2e-3, grid=grid, tol_fix=1e-9)
+                      dt=2e-3, grid=grid)
     rep = sweep_mu(cfg)
     assert all(r.converged for r in rep.rows)
     assert rep.slope_note == "noise floor"
     assert all(r.e_sup < r.noise_floor for r in rep.rows)
 
 
-def test_sweep_partial_on_failure(annulus_spec):
-    # fault injection: the smallest viscosity sits past the contraction
-    # threshold for this amplitude, so its run raises and the report is
-    # marked partial while the completed row survives
+def test_sweep_partial_on_failure(annulus_spec, monkeypatch):
+    # fault injection: the smallest viscosity's march raises, so the report
+    # is marked partial while the completed row survives
     from conftest import streamfunction_shear
     grid = build_grid(annulus_spec, 16, 32)
     u0 = streamfunction_shear(grid, amp=2.0)
@@ -120,7 +119,8 @@ def test_sweep_partial_on_failure(annulus_spec):
     from vortibc.fields import boundary_scalar_values
     a = boundary_scalar_values(curl2d(u0), frame)
     bad = SweepConfig(mu_list=[2e-1, 1e-3], u0=u0, a=a, T=0.3, dt=1e-3,
-                      grid=grid, tol_fix=1e-6, max_iter=25)
+                      grid=grid)
+    fail_march_at(monkeypatch, 1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rep = sweep_mu(bad)
@@ -133,7 +133,7 @@ def test_single_mu_slope_na(annulus_spec):
     grid = build_grid(annulus_spec, 16, 32)
     u0 = circulation_field(grid, c=0.3)
     cfg = SweepConfig(mu_list=[1e-2], u0=u0, a=[np.zeros(32), np.zeros(32)],
-                      T=0.02, dt=2e-3, grid=grid, tol_fix=1e-7)
+                      T=0.02, dt=2e-3, grid=grid)
     rep = sweep_mu(cfg)
     assert rep.slope is None
     assert rep.slope_note == "n/a"

@@ -10,9 +10,11 @@ from vortibc import (FieldHistory, ScalarField, VectorField, boundary_frame,
 from vortibc.errors import NoContraction
 from vortibc.fields import boundary_scalar_values, l2
 from vortibc.fixedpoint import (NSSolution, PicardConfig, compare_pressures,
-                                ns_residual, picard_solve,
+                                march_solve, ns_residual, picard_solve,
                                 verify_incompressibility, wt_norm)
+from vortibc.generators import random_absolute_bc_field
 from vortibc.linearized import VelocityMapInput, apply_velocity_map
+from vortibc.stokes import StokesRun, solve_stokes
 
 
 def test_zero_data_single_iteration(annulus_grid):
@@ -44,7 +46,7 @@ def test_fixed_point_consistency(annulus_spec):
     sol = picard_solve(u0, a, 0.05, 0.05, 0.0025,
                        PicardConfig(tol_fix=tol, max_iter=25))
     extra = apply_velocity_map(VelocityMapInput(
-        beta=sol.v, w=sol.w, mu=sol.mu, dt=sol.dt, T=0.05))
+        beta=sol.v, w=sol.w, mu=sol.mu, dt=sol.dt))
     moved = wt_norm(extra - sol.v)
     assert moved <= 2 * tol
 
@@ -145,3 +147,72 @@ def test_compare_pressures_taylor_green(torus_spec):
                        PicardConfig(tol_fix=1e-9, max_iter=20))
     # no boundary: q = 0 and both pressure routes see u = v + w
     assert compare_pressures(sol, None, 0.01, None) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the causal march against the Picard iteration
+
+# (grid, mu, T, dt) per family; 20 steps each
+_MARCH_CASES = {"annulus": ((24, 48), 0.05, 0.05, 0.0025),
+                "channel": ((32, 24), 0.05, 0.05, 0.0025),
+                "torus": ((24, 24), 0.02, 0.1, 0.005)}
+
+
+@pytest.fixture(scope="module", params=sorted(_MARCH_CASES))
+def march_run(request):
+    """The march, its Stokes part and the Picard iterates v^1, v^2, ...
+    stepped as picard_solve steps them, up to the first increment below
+    1e-10 of the fixed point's N-norm."""
+    shape, mu, T, dt = _MARCH_CASES[request.param]
+    grid = build_grid(request.getfixturevalue(f"{request.param}_spec"), *shape)
+    if grid.polar:
+        u0 = streamfunction_shear(grid, amp=0.6)
+    else:
+        u0 = random_absolute_bc_field(grid, np.random.default_rng(3), amplitude=1.0)
+    a = boundary_scalar_values(curl2d(u0), boundary_frame(grid)) if grid.has_boundary() else None
+    u_march = march_solve(u0, a, mu, T, dt)
+    w, _, _ = solve_stokes(StokesRun(grid, mu, T, dt, u0, a))
+    floor = 1e-10 * wt_norm(u_march - w)
+    v = FieldHistory.zeros(grid, dt, len(w))
+    iterates = []
+    while not iterates or iterates[-1][1] >= floor:
+        v_next = apply_velocity_map(VelocityMapInput(beta=v, w=w, mu=mu, dt=dt))
+        iterates.append((v_next, wt_norm(v_next - v)))
+        v = v_next
+    assert len(iterates) < len(w) - 1   # the iteration stops short of the march
+    return dict(u0=u0, a=a, mu=mu, T=T, dt=dt, w=w, u_march=u_march,
+                iterates=iterates, floor=floor)
+
+
+def test_picard_iterate_k_is_march_prefix(march_run):
+    # step n+1 reads beta only at step n, so iterate k is final on rows
+    # 0..k; the shared step makes that bit-exact
+    u_march = march_run["u_march"].data
+    for k, (v, delta) in enumerate(march_run["iterates"], start=1):
+        u_k = (v + march_run["w"]).data
+        assert np.array_equal(u_k[:k + 1], u_march[:k + 1])
+        if delta >= march_run["floor"]:
+            assert not np.array_equal(u_k[k + 1], u_march[k + 1])
+
+
+def test_march_matches_tight_picard(march_run):
+    r = march_run
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = picard_solve(r["u0"], r["a"], r["mu"], r["T"], r["dt"],
+                           PicardConfig(tol_fix=1e-11, max_iter=30))
+    gap = max(l2(p - m) for p, m in zip(sol.u, r["u_march"]))
+    assert gap <= 1e-12 * max(l2(p) for p in sol.u)
+
+
+def test_picard_error_within_banach_bound(march_run):
+    # a posteriori: ||v^k - v*||_N <= q/(1-q) delta_k with q the largest
+    # observed increment ratio; u^k - u* = v^k - v* as w is shared, and the
+    # u histories difference to exactly zero on the rows already final
+    deltas = [d for _, d in march_run["iterates"]]
+    q = max(d1 / d0 for d0, d1 in zip(deltas, deltas[1:]))
+    assert q < 1.0
+    for v, delta in march_run["iterates"]:
+        if delta >= march_run["floor"]:
+            err = wt_norm(v + march_run["w"] - march_run["u_march"])
+            assert err <= q / (1.0 - q) * delta

@@ -31,7 +31,7 @@ def test_zero_inputs_give_zero(annulus_grid):
     dt, n = 0.01, 6
     v = apply_velocity_map(VelocityMapInput(
         beta=_zero_hist(annulus_grid, dt, n), w=_zero_hist(annulus_grid, dt, n),
-        mu=0.1, dt=dt, T=dt * (n - 1)))
+        mu=0.1, dt=dt))
     assert max(l2(vk) for vk in v) == 0.0
 
 
@@ -43,7 +43,7 @@ def test_one_step_matches_hand_assembly(annulus_grid, annulus_frame):
     w0 = circulation_field(grid, c=0.8)
     w = _const_hist(w0, dt, 2)
     beta = _zero_hist(grid, dt, 2)
-    v = apply_velocity_map(VelocityMapInput(beta=beta, w=w, mu=mu, dt=dt, T=dt))
+    v = apply_velocity_map(VelocityMapInput(beta=beta, w=w, mu=mu, dt=dt))
     p0 = solve_pressure_linearized(VectorField.zeros(grid), w0, annulus_frame)
     rhs = (advect(w0, w0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
@@ -58,7 +58,7 @@ def test_one_step_taylor_green(torus_grid):
     u0 = taylor_green(grid)
     w = _const_hist(u0, dt, 2)
     v = apply_velocity_map(VelocityMapInput(
-        beta=_zero_hist(grid, dt, 2), w=w, mu=mu, dt=dt, T=dt))
+        beta=_zero_hist(grid, dt, 2), w=w, mu=mu, dt=dt))
     p0 = solve_pressure_linearized(VectorField.zeros(grid), u0, None)
     rhs = (advect(u0, u0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
@@ -74,7 +74,7 @@ def test_cfl_guard(annulus_grid):
     with pytest.raises(CFLViolation):
         apply_velocity_map(VelocityMapInput(
             beta=_zero_hist(annulus_grid, dt, 3), w=_const_hist(w0, dt, 3),
-            mu=0.1, dt=dt, T=2 * dt))
+            mu=0.1, dt=dt))
 
 
 def test_beta_zero_invariant_enforced(annulus_grid):
@@ -82,7 +82,7 @@ def test_beta_zero_invariant_enforced(annulus_grid):
     bad = _const_hist(circulation_field(annulus_grid, c=1.0), dt, 3)
     with pytest.raises(ValueError):
         VelocityMapInput(beta=bad, w=_zero_hist(annulus_grid, dt, 3),
-                         mu=0.1, dt=dt, T=2 * dt)
+                         mu=0.1, dt=dt)
 
 
 def test_absolute_bc_preserved(annulus_spec):
@@ -93,7 +93,7 @@ def test_absolute_bc_preserved(annulus_spec):
     w_hist, _, _ = solve_stokes(StokesRun(grid, 0.05, 0.1, 0.005, u0, a))
     beta = _zero_hist(grid, 0.005, len(w_hist))
     v = apply_velocity_map(VelocityMapInput(beta=beta, w=w_hist, mu=0.05,
-                                            dt=0.005, T=0.1))
+                                            dt=0.005))
     v_t = v.time_derivative()
     for hist in (v, v_t):
         for snap in hist:
@@ -119,7 +119,7 @@ def test_map_affine_in_initial_data(annulus_grid):
 
     def run(v_init):
         return apply_velocity_map(VelocityMapInput(
-            beta=beta, w=w, mu=mu, dt=dt, T=dt * (n - 1), v_init=v_init))
+            beta=beta, w=w, mu=mu, dt=dt, v_init=v_init))
 
     base = run(None)
     sa = run(va)
@@ -139,7 +139,7 @@ def _small_run(grid, frame, mu=0.05, T=0.1, dt=0.005, amp=0.6):
     a = boundary_scalar_values(curl2d(u0), frame)
     w_hist, _, _ = solve_stokes(StokesRun(grid, mu, T, dt, u0, a))
     beta = _zero_hist(grid, dt, len(w_hist))
-    v = apply_velocity_map(VelocityMapInput(beta=beta, w=w_hist, mu=mu, dt=dt, T=T))
+    v = apply_velocity_map(VelocityMapInput(beta=beta, w=w_hist, mu=mu, dt=dt))
     return v, beta, w_hist
 
 
