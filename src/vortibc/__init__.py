@@ -32,7 +32,6 @@ def __getattr__(name):
     # Solver entry points re-exported lazily to keep import cost low.
     lazy = {
         "solve_stokes": ("vortibc.stokes", "solve_stokes"),
-        "StokesRun": ("vortibc.stokes", "StokesRun"),
         "picard_solve": ("vortibc.fixedpoint", "picard_solve"),
         "PicardConfig": ("vortibc.fixedpoint", "PicardConfig"),
         "solve_euler": ("vortibc.euler", "solve_euler"),

@@ -111,13 +111,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_stokes(cfg: RunConfig) -> int:
-    from .stokes import StokesRun, solve_stokes
+    from .stokes import solve_stokes, stokes_diagnostics
 
     grid, frame, u0, a = _setup_run(cfg)
-    dt = cfg.effective_dt(grid)
-    w_hist, q_hist, diag = solve_stokes(
-        StokesRun(grid, cfg.mu, cfg.T, dt, u0, a, scheme=cfg.scheme))
+    w_hist, q_hist = solve_stokes(u0, a, cfg.mu, cfg.T, cfg.effective_dt(grid), cfg.scheme)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    diag = stokes_diagnostics(w_hist, q_hist, a, frame)
     diag.write_csv(os.path.join(cfg.out_dir, "stokes_diagnostics.csv"))
     _write_history(cfg, w_hist, "w")
     _write_history(cfg, q_hist, "q")

@@ -160,6 +160,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{attr} = {v} below minimum {lo}")
         if hi is not None and v > hi:
             raise ConfigError(f"{attr} = {v} above maximum {hi}")
+    if cfg.dt > cfg.T:
+        raise ConfigError(f"dt = {cfg.dt} exceeds T = {cfg.T}")
     if cfg.scheme not in ("backward-euler", "crank-nicolson"):
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     cfg.domain_spec()  # validates geometry

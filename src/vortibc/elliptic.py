@@ -27,6 +27,7 @@ from .fields import (
     div,
     grad,
     l2,
+    max_normal_trace,
     normal_component,
     require_finite,
     surface_curl,
@@ -36,6 +37,8 @@ from .geometry import BoundaryFrame, Grid, boundary_frame, second_fundamental_fo
 log = logging.getLogger(__name__)
 
 _RESIDUAL_TOL = 1e-10
+# allowed |u_perp| relative to max(max|u|, 1) for a field with a kinematic condition
+_BC_TOL = 1e-6
 
 
 @dataclass
@@ -221,43 +224,39 @@ def _solve_transport(s: VectorField, e: VectorField, frame: BoundaryFrame | None
     return solve_neumann_fd(s.grid, src, g, frame)
 
 
-def check_normal_trace(u, frame, tol, what):
-    """Raise BCViolation unless max |u_perp| <= tol * max(max|u|, 1)."""
+def check_normal_trace(u, frame, what):
+    """Raise BCViolation unless max |u_perp| <= 1e-6 * max(max|u|, 1)."""
     if frame is None:
         return
-    worst = max(float(np.max(np.abs(vals))) for vals in normal_component(u, frame))
-    scale = max(u.max_abs(), 1.0)
-    if worst > tol * scale:
-        raise BCViolation(f"{what}: |u_perp| = {worst:.3e} exceeds {tol:.1e} * scale")
+    worst = max_normal_trace(u, frame)
+    if worst > _BC_TOL * max(u.max_abs(), 1.0):
+        raise BCViolation(f"{what}: |u_perp| = {worst:.3e} exceeds {_BC_TOL:.1e} * scale")
 
 
-def solve_pressure_ns(u: VectorField, a, mu: float, frame: BoundaryFrame | None,
-                      bc_tol: float = 1e-6) -> ScalarField:
+def solve_pressure_ns(u: VectorField, a, mu: float, frame: BoundaryFrame | None) -> ScalarField:
     """Pressure for the viscous problem with a prescribed boundary vorticity.
 
     Solves lap(p) = -div(u . grad u) with d_nu p = pi(u, u) - mu * da/ds,
     normalized to zero mean.  Requires u_perp ~ 0 on the boundary.
     """
-    check_normal_trace(u, frame, bc_tol, "solve_pressure_ns")
+    check_normal_trace(u, frame, "solve_pressure_ns")
     return _solve_transport(u, u, frame, mu, a)
 
 
-def solve_pressure_euler(u: VectorField, frame: BoundaryFrame,
-                         bc_tol: float = 1e-6) -> ScalarField:
+def solve_pressure_euler(u: VectorField, frame: BoundaryFrame) -> ScalarField:
     """Pressure for the inviscid problem: the mu = 0 case."""
-    return solve_pressure_ns(u, None, 0.0, frame, bc_tol=bc_tol)
+    return solve_pressure_ns(u, None, 0.0, frame)
 
 
 def solve_pressure_linearized(beta: VectorField, w: VectorField,
-                              frame: BoundaryFrame | None,
-                              bc_tol: float = 1e-6) -> ScalarField:
+                              frame: BoundaryFrame | None) -> ScalarField:
     """Pressure driving the linearized parabolic step.
 
     Solves lap(p) = -div(s . grad s) with d_nu p = pi(s, s) for s = beta + w,
     zero mean; requires s_perp ~ 0 on the boundary.
     """
     s = beta + w
-    check_normal_trace(s, frame, bc_tol, "solve_pressure_linearized")
+    check_normal_trace(s, frame, "solve_pressure_linearized")
     return _solve_transport(s, s, frame)
 
 

@@ -33,10 +33,9 @@ from .fields import (
     tangential_part,
 )
 from .geometry import DomainKind, Grid, boundary_frame, surface_integrate
+from .linearized import CFL_LIMIT
 
 log = logging.getLogger(__name__)
-
-CFL_LIMIT = 0.9
 
 
 def _advect_scalar(u: VectorField, f: ScalarField) -> np.ndarray:

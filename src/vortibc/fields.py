@@ -20,7 +20,7 @@ __all__ = [
     "ScalarField", "VectorField", "FieldHistory",
     "grad", "div", "curl2d", "curl_scalar", "laplacian", "advect",
     "normal_component", "tangential_part", "boundary_vector_values",
-    "surface_curl", "normal_derivative",
+    "surface_curl", "normal_derivative", "max_normal_trace", "max_vorticity_defect",
     "l2", "h1", "h2", "n_norm", "n_norm_sq",
 ]
 
@@ -227,6 +227,24 @@ def normal_component(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:
     for comp, vals in zip(frame, boundary_vector_values(u, frame)):
         out.append(vals[:, 0] * comp.nu[:, 0] + vals[:, 1] * comp.nu[:, 1])
     return out
+
+
+def max_normal_trace(u: VectorField, frame: BoundaryFrame | None) -> float:
+    """max |u_perp| over the boundary nodes; 0 without a boundary."""
+    if frame is None:
+        return 0.0
+    return max(float(np.max(np.abs(v))) for v in normal_component(u, frame))
+
+
+def max_vorticity_defect(u: VectorField, frame: BoundaryFrame | None, a) -> float:
+    """max |curl(u) - a| over the boundary nodes, with a per component;
+    a = None reads as zero data.  0 without a boundary."""
+    if frame is None:
+        return 0.0
+    defect = boundary_scalar_values(curl2d(u), frame)
+    if a is not None:
+        defect = [ob - av for ob, av in zip(defect, a)]
+    return max(float(np.max(np.abs(d))) for d in defect)
 
 
 def tangential_part(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:

@@ -9,7 +9,6 @@ snapshots of sqrt(||dv||_H2^2 + ||dv_t||_H1^2).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +20,17 @@ from .fields import (
     ScalarField,
     VectorField,
     advect,
-    boundary_scalar_values,
-    curl2d,
     div,
     grad,
     l2,
     laplacian,
+    max_normal_trace,
+    max_vorticity_defect,
     n_norm,
-    normal_component,
 )
 from .geometry import boundary_frame
 from .linearized import VelocityMap, VelocityMapInput, apply_velocity_map
-from .stokes import StokesRun, normalize_boundary_data, solve_stokes
+from .stokes import normalize_boundary_data, solve_stokes
 
 
 @dataclass
@@ -75,29 +73,6 @@ def wt_norm(diff: FieldHistory) -> float:
     return worst
 
 
-def _stokes_part(u0: VectorField, a, mu: float, T: float, dt: float, scheme: str):
-    """Solve the Stokes problem that carries the data; returns (w, q).
-
-    Warns when the vorticity of u0 misses a(0) at the walls by more than
-    the stencil order: the Stokes problem then absorbs it in an initial layer.
-    """
-    grid = u0.grid
-    if grid.has_boundary():
-        frame = boundary_frame(grid)
-        sample_a, _ = normalize_boundary_data(a, frame)
-        om0 = boundary_scalar_values(curl2d(u0), frame)
-        mism = max(float(np.max(np.abs(ob - av)))
-                   for ob, av in zip(om0, sample_a(0.0)))
-        scale = max(u0.max_abs(), 1.0)
-        if mism > 50.0 * max(grid.h1, grid.h2) ** 2 * scale + 1e-12:
-            warnings.warn(
-                f"initial vorticity trace differs from a(0) by {mism:.3e}; "
-                "the Stokes problem absorbs it in an initial layer")
-    w_hist, q_hist, _ = solve_stokes(
-        StokesRun(grid, mu, T, dt, u0, a, scheme=scheme))
-    return w_hist, q_hist
-
-
 def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
                 scheme: str = "backward-euler") -> FieldHistory:
     """The fixed point u = v + w of the velocity map in one forward sweep.
@@ -106,7 +81,7 @@ def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     v_{n+1} = Step(v_n; beta_n = v_n) and is computed causally, with no
     iteration: Picard iterate k equals this march on snapshots 0..k.
     """
-    w_hist, _ = _stokes_part(u0, a, mu, T, dt, scheme)
+    w_hist, _ = solve_stokes(u0, a, mu, T, dt, scheme)
     return VelocityMap(u0.grid, mu, dt).run(w_hist) + w_hist
 
 
@@ -121,7 +96,7 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     """
     grid = u0.grid
     frame = boundary_frame(grid) if grid.has_boundary() else None
-    w_hist, q_hist = _stokes_part(u0, a, mu, T, dt, scheme)
+    w_hist, q_hist = solve_stokes(u0, a, mu, T, dt, scheme)
     nt = len(w_hist)
 
     v_prev = FieldHistory.zeros(grid, dt, nt)
@@ -206,13 +181,8 @@ def ns_residual(sol: NSSolution, a, mu: float, frame) -> ResidualReport:
         p = solve_pressure_ns(u, sample_a(k * sol.dt), mu, frame)
         resid = u_t[k] + advect(u, u) + grad(p) - mu * laplacian(u)
         interior[k] = float(np.sqrt(np.sum(w_int * (resid.ux**2 + resid.uy**2))))
-        if frame is not None:
-            bc_perp = max(bc_perp, max(float(np.max(np.abs(vv)))
-                                       for vv in normal_component(u, frame)))
-            om_b = boundary_scalar_values(curl2d(u), frame)
-            bc_vort = max(bc_vort, max(
-                float(np.max(np.abs(ob - av)))
-                for ob, av in zip(om_b, sample_a(k * sol.dt))))
+        bc_perp = max(bc_perp, max_normal_trace(u, frame))
+        bc_vort = max(bc_vort, max_vorticity_defect(u, frame, sample_a(k * sol.dt)))
     return ResidualReport(
         interior_l2_max=float(np.max(interior)),
         interior_l2=interior,

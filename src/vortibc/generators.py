@@ -7,6 +7,7 @@ boundary data by these names.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -125,55 +126,68 @@ def _param(params, name, default):
     raise ConfigError(f"generator parameter {name!r} = {val!r} is not {kind.__name__}")
 
 
-def _ic_zero(grid, params, rng):
+def _resolve(table, what, name, params):
+    """The generator table[name] and its keyword arguments from params.
+
+    A generator reads exactly its keyword-only parameters, whose defaults
+    fix their types: any other key would be silently ignored, so it is a
+    configuration error.
+    """
+    try:
+        gen = table[name]
+    except KeyError:
+        raise ConfigError(f"unknown {what} {name!r}; known: {sorted(table)}")
+    defaults = {p.name: p.default for p in inspect.signature(gen).parameters.values()
+                if p.kind is p.KEYWORD_ONLY}
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ConfigError(f"{what} {name!r} does not read {', '.join(unknown)}; "
+                          f"it reads: {', '.join(sorted(defaults)) or 'no parameters'}")
+    return gen, {k: _param(params, k, d) for k, d in defaults.items()}
+
+
+def _ic_zero(grid, rng):
     return VectorField.zeros(grid)
 
 
-def _ic_circulation(grid, params, rng):
-    c = _param(params, "c", 1.0)
+def _ic_circulation(grid, rng, *, c=1.0):
     if not grid.polar:
         raise ConfigError("circulation initial condition needs a polar domain")
     return VectorField(grid, -c * np.sin(grid.theta) / grid.r,
                        c * np.cos(grid.theta) / grid.r)
 
 
-def _ic_rigid_rotation(grid, params, rng):
-    om = _param(params, "omega", 1.0)
-    return VectorField(grid, -om * grid.y, om * grid.x)
+def _ic_rigid_rotation(grid, rng, *, omega=1.0):
+    return VectorField(grid, -omega * grid.y, omega * grid.x)
 
 
-def _ic_taylor_green(grid, params, rng):
-    amp = _param(params, "amplitude", 1.0)
-    return VectorField(grid, amp * np.sin(grid.x) * np.cos(grid.y),
-                       -amp * np.cos(grid.x) * np.sin(grid.y))
+def _ic_taylor_green(grid, rng, *, amplitude=1.0):
+    return VectorField(grid, amplitude * np.sin(grid.x) * np.cos(grid.y),
+                       -amplitude * np.cos(grid.x) * np.sin(grid.y))
 
 
-def _ic_shear_layer(grid, params, rng):
+def _ic_shear_layer(grid, rng, *, amplitude=1.0):
     if not grid.polar:
         raise ConfigError("shear_layer initial condition needs a polar domain")
-    amp = _param(params, "amplitude", 1.0)
     r0, r1 = grid.r_inner_eff, grid.r_outer_eff
-    prof = amp * np.sin(math.pi * (grid.r - r0) / (r1 - r0))
+    prof = amplitude * np.sin(math.pi * (grid.r - r0) / (r1 - r0))
     return VectorField(grid, -prof * np.sin(grid.theta), prof * np.cos(grid.theta))
 
 
-def _ic_modulated_shear(grid, params, rng):
+def _ic_modulated_shear(grid, rng, *, amplitude=1.0, modulation=0.3):
     """Rotated gradient of a windowed streamfunction with angular
     modulation: divergence-free to stencil order, u_perp = 0 exactly."""
     if not grid.polar:
         raise ConfigError("modulated_shear initial condition needs a polar domain")
-    amp = _param(params, "amplitude", 1.0)
-    moduln = _param(params, "modulation", 0.3)
     r0, r1 = grid.r_inner_eff, grid.r_outer_eff
-    psi = amp * np.sin(math.pi * (grid.r - r0) / (r1 - r0)) \
-        * (1.0 + moduln * np.cos(2 * grid.theta))
+    psi = amplitude * np.sin(math.pi * (grid.r - r0) / (r1 - r0)) \
+        * (1.0 + modulation * np.cos(2 * grid.theta))
     return curl_scalar(ScalarField(grid, psi))
 
 
-def _ic_random_smooth(grid, params, rng):
-    amp = _param(params, "amplitude", 1.0)
-    kmax = _param(params, "kmax", 2)
-    return random_absolute_bc_field(grid, rng, kmax=kmax, amplitude=amp)
+def _ic_random_smooth(grid, rng, *, amplitude=1.0, kmax=2):
+    return random_absolute_bc_field(grid, rng, kmax=kmax, amplitude=amplitude)
 
 
 INITIAL_CONDITIONS = {
@@ -187,32 +201,28 @@ INITIAL_CONDITIONS = {
 }
 
 
-def _bd_zero(frame, params, rng):
+def _bd_zero(frame, rng):
     return boundary_zeros(frame)
 
 
-def _bd_constant(frame, params, rng):
-    v = _param(params, "value", 0.0)
-    return [np.full(c.n_nodes, v) for c in frame]
+def _bd_constant(frame, rng, *, value=0.0):
+    return [np.full(c.n_nodes, value) for c in frame]
 
 
-def _bd_sin_theta(frame, params, rng):
-    amp = _param(params, "amplitude", 1.0)
-    mode = _param(params, "mode", 1)
+def _bd_sin_theta(frame, rng, *, amplitude=1.0, mode=1):
     return boundary_from_function(
-        frame, lambda x, y: amp * np.sin(mode * np.arctan2(y, x)))
+        frame, lambda x, y: amplitude * np.sin(mode * np.arctan2(y, x)))
 
 
-def _bd_from_initial(frame, params, rng, u0=None):
+def _bd_from_initial(frame, u0):
     from .fields import boundary_scalar_values, curl2d
     if u0 is None:
         raise ConfigError("boundary data 'from_initial' needs an initial condition")
     return boundary_scalar_values(curl2d(u0), frame)
 
 
-def _bd_random(frame, params, rng):
-    amp = _param(params, "amplitude", 1.0)
-    return random_boundary_scalar(frame, rng, amplitude=amp)
+def _bd_random(frame, rng, *, amplitude=1.0):
+    return random_boundary_scalar(frame, rng, amplitude=amplitude)
 
 
 BOUNDARY_DATA = {
@@ -225,22 +235,16 @@ BOUNDARY_DATA = {
 
 
 def make_initial_condition(name, grid, params=None, rng=None):
-    try:
-        gen = INITIAL_CONDITIONS[name]
-    except KeyError:
-        raise ConfigError(f"unknown initial condition {name!r}; "
-                          f"known: {sorted(INITIAL_CONDITIONS)}")
-    return gen(grid, params or {}, rng or np.random.default_rng(0))
+    gen, kwargs = _resolve(INITIAL_CONDITIONS, "initial condition", name, params)
+    return gen(grid, rng or np.random.default_rng(0), **kwargs)
 
 
 def make_boundary_data(name, frame, params=None, rng=None, u0=None):
+    """Per-component boundary data, or None without a boundary; name and
+    params are checked either way."""
+    gen, kwargs = _resolve(BOUNDARY_DATA, "boundary data", name, params)
     if frame is None:
         return None
-    try:
-        gen = BOUNDARY_DATA[name]
-    except KeyError:
-        raise ConfigError(f"unknown boundary data {name!r}; "
-                          f"known: {sorted(BOUNDARY_DATA)}")
     if name == "from_initial":
-        return gen(frame, params or {}, rng, u0=u0)
-    return gen(frame, params or {}, rng or np.random.default_rng(0))
+        return gen(frame, u0)
+    return gen(frame, rng or np.random.default_rng(0), **kwargs)

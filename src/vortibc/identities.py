@@ -32,6 +32,8 @@ from .fields import (
     hessian_seminorm,
     l2,
     laplacian,
+    max_normal_trace,
+    max_vorticity_defect,
     normal_component,
     normal_derivative,
     surface_curl,
@@ -217,26 +219,22 @@ class NormRatioReport:
     count: int
 
 
-def check_absolute_bc(u: VectorField, frame: BoundaryFrame,
-                      tol_perp=1e-10, tol_vort=None):
-    """Raise BCViolation unless u_perp ~ 0 and the boundary vorticity is
-    O(h^2)-small; tolerances scale with the field size."""
+def check_absolute_bc(u: VectorField, frame: BoundaryFrame):
+    """Raise BCViolation unless |u_perp| <= 1e-10 and the boundary vorticity
+    <= 200 h^2, both relative to max|u|."""
     g = u.grid
     scale = max(u.max_abs(), 1e-30)
-    if tol_vort is None:
-        tol_vort = 200.0 * max(g.h1, g.h2) ** 2
-    worst_perp = max(float(np.max(np.abs(v))) for v in normal_component(u, frame))
-    if worst_perp > tol_perp * scale:
-        raise BCViolation(f"normal trace {worst_perp:.3e} exceeds {tol_perp:.1e}*scale")
-    om_b = boundary_scalar_values(curl2d(u), frame)
-    worst_om = max(float(np.max(np.abs(v))) for v in om_b)
+    tol_vort = 200.0 * max(g.h1, g.h2) ** 2
+    worst_perp = max_normal_trace(u, frame)
+    if worst_perp > 1e-10 * scale:
+        raise BCViolation(f"normal trace {worst_perp:.3e} exceeds 1.0e-10*scale")
+    worst_om = max_vorticity_defect(u, frame, None)
     if worst_om > tol_vort * scale:
         raise BCViolation(f"boundary vorticity {worst_om:.3e} exceeds "
                           f"{tol_vort:.1e}*scale")
 
 
-def absolute_bc_norm_ratios(ensemble, frame: BoundaryFrame,
-                            tol_perp=1e-10, tol_vort=None) -> NormRatioReport:
+def absolute_bc_norm_ratios(ensemble, frame: BoundaryFrame) -> NormRatioReport:
     """Equivalent-norm ratios over an ensemble of absolute-BC fields.
 
     The continuous estimates make each ratio a domain constant; the suite
@@ -248,7 +246,7 @@ def absolute_bc_norm_ratios(ensemble, frame: BoundaryFrame,
     for u in ensemble:
         if l2(u) == 0.0:
             raise DegenerateInput("ensemble contains the zero field")
-        check_absolute_bc(u, frame, tol_perp, tol_vort)
+        check_absolute_bc(u, frame)
         om = curl2d(u)
         d = div(u)
         denom1 = np.sqrt(l2(om) ** 2 + l2(d) ** 2 + l2(u) ** 2)
@@ -285,5 +283,4 @@ def trace_inequality_constant(ensemble, frame: BoundaryFrame, eps_values) -> flo
 def curl_curl_normal_trace(u: VectorField, frame: BoundaryFrame) -> float:
     """Max boundary |<curl(curl u), nu>|: vanishes (order >= 1 under
     refinement) for fields satisfying the absolute boundary conditions."""
-    psi = curl_scalar(curl2d(u))
-    return max(float(np.max(np.abs(v))) for v in normal_component(psi, frame))
+    return max_normal_trace(curl_scalar(curl2d(u)), frame)

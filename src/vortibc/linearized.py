@@ -33,6 +33,7 @@ from .fields import (
 )
 from .geometry import boundary_frame, boundary_zeros
 
+# largest dt * max|u| / (finest spacing) of an explicit advection step, here and in euler
 CFL_LIMIT = 0.9
 
 

@@ -27,6 +27,7 @@ from .identities import (
 )
 
 ORDER_THRESHOLD = 1.8
+MACHINE_FLOOR = 1e-12   # a check whose residuals all sit below this is an exact identity
 
 
 @dataclass
@@ -76,8 +77,7 @@ def _ls_order(residuals):
 
 
 def run_identity_suite(spec: DomainSpec, resolutions=(32, 64, 128),
-                       seed: int = 7, order_threshold: float = ORDER_THRESHOLD,
-                       machine_floor: float = 1e-12) -> SuiteReport:
+                       seed: int = 7) -> SuiteReport:
     """Evaluate every identity residual at each resolution.
 
     A check passes when its least-squares observed order meets the
@@ -128,11 +128,11 @@ def run_identity_suite(spec: DomainSpec, resolutions=(32, 64, 128),
             report.checks.append(CheckResult(
                 name, [], None, True, "skipped: no boundary"))
             continue
-        if max(res) <= machine_floor:
+        if max(res) <= MACHINE_FLOOR:
             report.checks.append(CheckResult(name, res, None, True, "machine zero"))
             continue
         order = _ls_order(res)
-        passed = order is not None and order >= order_threshold
+        passed = order is not None and order >= ORDER_THRESHOLD
         report.checks.append(CheckResult(name, res, order, passed))
     if not has_boundary:
         report.checks.append(CheckResult(

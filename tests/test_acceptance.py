@@ -18,7 +18,7 @@ from vortibc import (DomainKind, DomainSpec, VectorField, boundary_frame,
                      build_grid, curl2d, div)
 from vortibc.fields import boundary_scalar_values, h2, l2
 from vortibc.fixedpoint import PicardConfig, picard_solve
-from vortibc.stokes import StokesRun, solve_stokes, stokes_energy_report
+from vortibc.stokes import solve_stokes, stokes_energy_report
 
 ANNULUS = DomainSpec(DomainKind.ANNULUS, r_inner=1.0, r_outer=2.0)
 CHANNEL = DomainSpec(DomainKind.CHANNEL, length_x=2 * math.pi, length_y=2.0)
@@ -69,8 +69,7 @@ def test_criterion_2_gradient_bound():
 def test_criterion_3_stationary_circulation():
     grid = build_grid(ANNULUS, 64, 64)
     u0 = circulation_field(grid, c=1.0)
-    w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.1, T=1.0, dt=0.01,
-                                          u0=u0, a=None))
+    w_hist, _ = solve_stokes(u0, None, 0.1, 1.0, 0.01)
     drift = max(l2(w - u0) for w in w_hist)
     ok = drift <= 1e-6
     assert report(3, ok, f"circulation steady state drift {drift:.2e} <= 1e-6")
@@ -120,8 +119,7 @@ def test_criterion_6_energy_balance():
     for n, dt in ((32, 0.01), (64, 0.005)):
         grid = build_grid(TORUS, n, n)
         mu = 0.01
-        w_hist, _, _ = solve_stokes(StokesRun(grid, mu=mu, T=0.5, dt=dt,
-                                              u0=taylor_green(grid), a=None))
+        w_hist, _ = solve_stokes(taylor_green(grid), None, mu, 0.5, dt)
         rep = stokes_energy_report(w_hist, None, mu, None)
         e0 = rep.notes["initial_enstrophy"]
         bal = max(max(abs(v) for v in rep.column("balance_g")),
@@ -143,8 +141,7 @@ def test_criterion_7_mu_uniformity():
     a = boundary_scalar_values(curl2d(u0), frame)
     sups = []
     for mu in (1e-1, 1e-2, 1e-3):
-        w_hist, _, _ = solve_stokes(StokesRun(grid, mu=mu, T=0.2, dt=0.005,
-                                              u0=u0, a=a))
+        w_hist, _ = solve_stokes(u0, a, mu, 0.2, 0.005)
         sups.append(max(h2(w) for w in w_hist))
     spread = max(sups) / min(sups)
     ok = spread < 2.0

@@ -173,7 +173,11 @@ def test_cmd_stokes_writes_outputs(tmp_path):
     cfg = _write(tmp_path, BASE_CFG.replace("zero", "circulation", 1)
                  + f"output.directory = {tmp_path}/out\n")
     assert main(["stokes", "--config", cfg]) == 0
-    assert (tmp_path / "out" / "stokes_diagnostics.csv").exists()
+    rows = open(tmp_path / "out" / "stokes_diagnostics.csv").read().splitlines()
+    assert rows[0] == "t,l2_w,h1_w,h2_w,l2_div_w,max_w_perp,max_vort_bc_err,l2_q"
+    assert len(rows) == 1 + 10 + 1   # header and one row per snapshot (T / dt = 10 steps)
+    perp = rows[0].split(",").index("max_w_perp")
+    assert max(float(r.split(",")[perp]) for r in rows[1:]) <= 1e-10
     files = sorted(os.listdir(tmp_path / "out"))
     assert any(f.startswith("w_") and f.endswith(".vbf") for f in files)
 
@@ -309,9 +313,14 @@ def test_resolution_override(tmp_path):
     ("ns", "physics.T = nan\n", []),
     ("sweep", "physics.mu_list = 0.1, nan\n", []),
     ("stokes", "physics.boundary_data = constant\nphysics.bd.value = -inf\n", []),
+    ("ns", "physics.initial_condition = taylor_green\nphysics.ic.amplitud = 2.0\n", []),
+    ("stokes", "physics.boundary_data = from_initial\nphysics.bd.value = 1.0\n", []),
+    ("stokes", "physics.T = 0.001\n", []),
+    ("euler", "physics.T = 0.001\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
-        "inf_bd_param"])
+        "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
+        "dt_above_T_euler"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -322,13 +331,10 @@ def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     assert not (tmp_path / "out").exists()
 
 
-def test_perfbench_tracer_installs(tmp_path):
-    # the benchmark's layer tracer wraps functions of the package by name;
-    # it must still install, and see stencil and Picard-norm calls, on ns
+def _traced_metrics(tmp_path, command, cfg_text):
+    """Per-layer metrics of one CLI run under the benchmark's tracer."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = _write(tmp_path, "domain.kind = torus\ndomain.n1 = 16\ndomain.n2 = 16\n"
-                           "physics.mu = 0.05\nphysics.T = 0.02\nphysics.dt = 0.005\n"
-                           "physics.initial_condition = taylor_green\n")
+    cfg = _write(tmp_path, cfg_text, name=f"{command}.cfg")
     script = (
         "import json, sys\n"
         f"sys.path[:0] = [{os.path.join(repo, 'perfbench')!r}, {os.path.join(repo, 'src')!r}]\n"
@@ -336,7 +342,8 @@ def test_perfbench_tracer_installs(tmp_path):
         "from vortibc.cli import main\n"
         "tracer = Tracer()\n"
         "tracer.install()\n"
-        f"code = main(['ns', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        f"code = main([{command!r}, '--config', {cfg!r}, '--out', "
+        f"{str(tmp_path / command)!r}])\n"
         "tracer.enabled = False\n"
         "print(json.dumps(dict(tracer.layer_metrics(), exit_code=code)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -344,8 +351,21 @@ def test_perfbench_tracer_installs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.splitlines()[-1])
     assert metrics["exit_code"] == 0
-    assert metrics["fields.ops.calls"] > 0
-    assert metrics["fixedpoint.wt_norm.calls"] > 0
+    return metrics
+
+
+def test_perfbench_tracer_installs(tmp_path):
+    # the benchmark's layer tracer wraps functions of the package by name;
+    # it must still install, and see stencil and Picard-norm calls on ns and
+    # the one Stokes solve on stokes
+    ns = _traced_metrics(tmp_path, "ns",
+                         "domain.kind = torus\ndomain.n1 = 16\ndomain.n2 = 16\n"
+                         "physics.mu = 0.05\nphysics.T = 0.02\nphysics.dt = 0.005\n"
+                         "physics.initial_condition = taylor_green\n")
+    assert ns["fields.ops.calls"] > 0
+    assert ns["fixedpoint.wt_norm.calls"] > 0
+    stokes = _traced_metrics(tmp_path, "stokes", BASE_CFG)
+    assert stokes["stokes.solve_stokes.calls"] == 1
 
 
 def test_ns_diagnostics_deterministic(tmp_path):

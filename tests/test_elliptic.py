@@ -272,7 +272,7 @@ def test_non_finite_data_raises_typed_errors(annulus_grid, annulus_frame):
     from vortibc.elliptic import solve_dirichlet
     from vortibc.errors import LinearSolveFailed, SolverDiverged
     from vortibc.euler import solve_euler
-    from vortibc.stokes import StokesRun, solve_stokes
+    from vortibc.stokes import solve_stokes
 
     grid = annulus_grid
     bad = np.zeros(grid.shape)
@@ -290,6 +290,6 @@ def test_non_finite_data_raises_typed_errors(annulus_grid, annulus_frame):
         solve_dirichlet(grid, np.zeros(grid.shape), np.nan, 0.0)
     u0 = VectorField(grid, bad, np.zeros(grid.shape))
     with pytest.raises(SolverDiverged):
-        solve_stokes(StokesRun(grid, mu=0.1, T=0.02, dt=0.01, u0=u0))
+        solve_stokes(u0, None, 0.1, 0.02, 0.01)
     with pytest.raises(SolverDiverged):
         solve_euler(u0, T=0.02, dt=0.01, grid=grid)

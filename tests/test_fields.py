@@ -11,7 +11,8 @@ from vortibc import (DomainKind, DomainSpec, FieldHistory, ScalarField,
                      curl_scalar, div, grad, laplacian, normal_component,
                      surface_curl, tangential_part)
 from vortibc.errors import MissingTimeDerivative
-from vortibc.fields import _d1, _d2, h1, h2, l2, n_norm
+from vortibc.fields import (_d1, _d2, h1, h2, l2, max_normal_trace, max_vorticity_defect,
+                            n_norm)
 
 
 def seam_free(grid, values, width=2):
@@ -82,6 +83,23 @@ def test_normal_tangential_traces(annulus_grid, annulus_frame):
     assert np.allclose(normal_component(tau_field, annulus_frame)[comps["outer"]], 0.0,
                        atol=1e-14)
     assert np.allclose(tangential_part(tau_field, annulus_frame)[comps["outer"]], 1.0)
+
+
+def test_boundary_residual_helpers_rigid_rotation(annulus_grid, annulus_frame, torus_grid):
+    # u = Omega (-y, x): tangent to every circle, vorticity 2 Omega
+    om = 0.7
+    g, frame = annulus_grid, annulus_frame
+    u = VectorField(g, -om * g.y, om * g.x)
+    assert max_normal_trace(u, frame) <= 1e-14
+    two_om = [np.full(c.n_nodes, 2 * om) for c in frame]
+    assert max_vorticity_defect(u, frame, two_om) <= om * max(g.h1, g.h2) ** 2
+    zeros = [np.zeros(c.n_nodes) for c in frame]
+    assert max_vorticity_defect(u, frame, None) == max_vorticity_defect(u, frame, zeros)
+    assert max_vorticity_defect(u, frame, None) == pytest.approx(2 * om, rel=1e-2)
+    # no boundary, no residual
+    t = VectorField(torus_grid, np.ones(torus_grid.shape), np.zeros(torus_grid.shape))
+    assert max_normal_trace(t, None) == 0.0
+    assert max_vorticity_defect(t, None, None) == 0.0
 
 
 def test_surface_curl_examples(annulus_grid, annulus_frame):

@@ -14,7 +14,7 @@ from vortibc.fixedpoint import (NSSolution, PicardConfig, compare_pressures,
                                 verify_incompressibility, wt_norm)
 from vortibc.generators import random_absolute_bc_field
 from vortibc.linearized import VelocityMapInput, apply_velocity_map
-from vortibc.stokes import StokesRun, solve_stokes
+from vortibc.stokes import solve_stokes
 
 
 def test_zero_data_single_iteration(annulus_grid):
@@ -77,11 +77,16 @@ def test_no_contraction_triggers(annulus_spec):
                                           contraction_window=3))
 
 
-def test_incompatible_initial_data_warns(annulus_grid, annulus_frame):
+@pytest.mark.parametrize("solve", [
+    solve_stokes,
+    march_solve,
+    lambda *args: picard_solve(*args, PicardConfig(tol_fix=1e-6)),
+], ids=["solve_stokes", "march_solve", "picard_solve"])
+def test_incompatible_initial_data_warns(annulus_grid, annulus_frame, solve):
     u0 = streamfunction_shear(annulus_grid, amp=0.3)
     a = [np.full(c.n_nodes, 5.0) for c in annulus_frame]   # != omega(u0)
     with pytest.warns(UserWarning, match="initial vorticity"):
-        picard_solve(u0, a, 0.1, 0.02, 0.005, PicardConfig(tol_fix=1e-6))
+        solve(u0, a, 0.1, 0.02, 0.005)
 
 
 def test_verify_incompressibility_zero(annulus_grid):
@@ -171,7 +176,7 @@ def march_run(request):
         u0 = random_absolute_bc_field(grid, np.random.default_rng(3), amplitude=1.0)
     a = boundary_scalar_values(curl2d(u0), boundary_frame(grid)) if grid.has_boundary() else None
     u_march = march_solve(u0, a, mu, T, dt)
-    w, _, _ = solve_stokes(StokesRun(grid, mu, T, dt, u0, a))
+    w, _ = solve_stokes(u0, a, mu, T, dt)
     floor = 1e-10 * wt_norm(u_march - w)
     v = FieldHistory.zeros(grid, dt, len(w))
     iterates = []

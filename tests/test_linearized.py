@@ -16,7 +16,7 @@ from vortibc.linearized import (EnergyDiagnostics, VelocityMapInput,
                                 compute_F, gronwall_envelope,
                                 initial_energy_direct)
 from vortibc.stepping import VelocityStepper, _polar_operator
-from vortibc.stokes import StokesRun, solve_stokes
+from vortibc.stokes import solve_stokes
 
 
 def _zero_hist(grid, dt, count):
@@ -90,7 +90,7 @@ def test_absolute_bc_preserved(annulus_spec):
     frame = boundary_frame(grid)
     u0 = streamfunction_shear(grid, amp=0.6, moduln=0.3)
     a = boundary_scalar_values(curl2d(u0), frame)
-    w_hist, _, _ = solve_stokes(StokesRun(grid, 0.05, 0.1, 0.005, u0, a))
+    w_hist, _ = solve_stokes(u0, a, 0.05, 0.1, 0.005)
     beta = _zero_hist(grid, 0.005, len(w_hist))
     v = apply_velocity_map(VelocityMapInput(beta=beta, w=w_hist, mu=0.05,
                                             dt=0.005))
@@ -137,7 +137,7 @@ def test_map_affine_in_initial_data(annulus_grid):
 def _small_run(grid, frame, mu=0.05, T=0.1, dt=0.005, amp=0.6):
     u0 = streamfunction_shear(grid, amp=amp, moduln=0.3)
     a = boundary_scalar_values(curl2d(u0), frame)
-    w_hist, _, _ = solve_stokes(StokesRun(grid, mu, T, dt, u0, a))
+    w_hist, _ = solve_stokes(u0, a, mu, T, dt)
     beta = _zero_hist(grid, dt, len(w_hist))
     v = apply_velocity_map(VelocityMapInput(beta=beta, w=w_hist, mu=mu, dt=dt))
     return v, beta, w_hist

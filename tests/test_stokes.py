@@ -10,14 +10,12 @@ from vortibc import (DomainKind, DomainSpec, VectorField,
                      normal_component)
 from vortibc.errors import BCViolation
 from vortibc.fields import boundary_scalar_values, h2, l2
-from vortibc.stokes import (StokesRun, solve_stokes, stokes_energy_report,
+from vortibc.stokes import (solve_stokes, stokes_diagnostics, stokes_energy_report,
                             verify_prop43)
 
 
 def test_zero_run_stays_zero(annulus_grid):
-    w_hist, q_hist, diag = solve_stokes(
-        StokesRun(annulus_grid, mu=0.1, T=0.1, dt=0.01,
-                  u0=VectorField.zeros(annulus_grid), a=None))
+    w_hist, q_hist = solve_stokes(VectorField.zeros(annulus_grid), None, 0.1, 0.1, 0.01)
     assert max(l2(w) for w in w_hist) == 0.0
     assert max(l2(q) for q in q_hist) == 0.0
 
@@ -26,7 +24,7 @@ def test_stationary_circulation_preserved(annulus_spec):
     # harmonic, divergence-free, BC-compatible: an exact steady state
     grid = build_grid(annulus_spec, 64, 128)
     u0 = circulation_field(grid, c=1.0)
-    w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.1, T=1.0, dt=0.01, u0=u0, a=None))
+    w_hist, _ = solve_stokes(u0, None, 0.1, 1.0, 0.01)
     assert max(l2(w - u0) for w in w_hist) <= 1e-6
 
 
@@ -34,8 +32,7 @@ def test_taylor_green_decay(torus_spec):
     grid = build_grid(torus_spec, 64, 64)
     mu = 0.01
     u0 = taylor_green(grid)
-    w_hist, q_hist, _ = solve_stokes(StokesRun(grid, mu=mu, T=0.5, dt=0.005,
-                                               u0=u0, a=None))
+    w_hist, q_hist = solve_stokes(u0, None, mu, 0.5, 0.005)
     worst = 0.0
     for k, w in enumerate(w_hist):
         ex = math.exp(-2 * mu * k * 0.005)
@@ -50,8 +47,7 @@ def test_crank_nicolson_more_accurate(torus_spec):
     u0 = taylor_green(grid)
     errs = {}
     for scheme in ("backward-euler", "crank-nicolson"):
-        w_hist, _, _ = solve_stokes(StokesRun(grid, mu, T, dt, u0, None,
-                                              scheme=scheme))
+        w_hist, _ = solve_stokes(u0, None, mu, T, dt, scheme=scheme)
         # compare against the exact decay of the discrete eigenmode is
         # overkill: the analytic decay suffices to rank the schemes
         ex = math.exp(-2 * mu * T)
@@ -66,7 +62,7 @@ def test_channel_linear_shear_steady():
     s = 0.8
     u0 = VectorField(grid, -s * (grid.y - 1.0), np.zeros(grid.shape))
     a = [np.full(c.n_nodes, s) for c in frame]   # omega = -du/dy = s
-    w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.2, T=0.5, dt=0.01, u0=u0, a=a))
+    w_hist, _ = solve_stokes(u0, a, 0.2, 0.5, 0.01)
     assert max(l2(w - u0) for w in w_hist) <= 1e-10
 
 
@@ -75,8 +71,8 @@ def test_bc_enforced_every_step(annulus_spec):
     frame = boundary_frame(grid)
     u0 = shear_field(grid, amp=0.5)
     a = boundary_scalar_values(curl2d(u0), frame)
-    w_hist, _, diag = solve_stokes(StokesRun(grid, mu=0.05, T=0.2, dt=0.005,
-                                             u0=u0, a=a))
+    w_hist, q_hist = solve_stokes(u0, a, 0.05, 0.2, 0.005)
+    diag = stokes_diagnostics(w_hist, q_hist, a, frame)
     perp = diag.column("max_w_perp")
     vort_err = diag.column("max_vort_bc_err")
     assert max(perp) <= 1e-10
@@ -93,8 +89,7 @@ def test_divergence_preservation_refines(annulus_spec):
         frame = boundary_frame(grid)
         u0 = streamfunction_shear(grid, amp=0.5, moduln=0.4)
         a = boundary_scalar_values(curl2d(u0), frame)
-        w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.05, T=0.1, dt=dt,
-                                              u0=u0, a=a))
+        w_hist, _ = solve_stokes(u0, a, 0.05, 0.1, dt)
         worst.append(max(l2(div(w)) for w in w_hist))
     assert worst[0] < 0.05
     assert worst[1] < worst[0] / 3.0
@@ -105,8 +100,7 @@ def test_backward_euler_energy_monotone(torus_spec):
     rng = np.random.default_rng(12)
     from vortibc.generators import random_absolute_bc_field
     u0 = random_absolute_bc_field(grid, rng)
-    w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.05, T=0.2, dt=0.01,
-                                          u0=u0, a=None))
+    w_hist, _ = solve_stokes(u0, None, 0.05, 0.2, 0.01)
     norms = [l2(w) for w in w_hist]
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-12)
@@ -124,9 +118,9 @@ def test_time_dependent_boundary_data_as_history(annulus_spec):
     def a_hist(t):
         return snaps[min(max(int(round(t / dt)), 0), nt - 1)]
 
-    w_hist, q_hist, diag = solve_stokes(
-        StokesRun(grid, mu=0.1, T=T, dt=dt,
-                  u0=VectorField.zeros(grid), a=a_hist))
+    with pytest.warns(UserWarning, match="initial vorticity"):
+        w_hist, q_hist = solve_stokes(VectorField.zeros(grid), a_hist, 0.1, T, dt)
+    diag = stokes_diagnostics(w_hist, q_hist, a_hist, frame)
     # the run must have tracked the sampled data, not the t = 0 slice;
     # the first steps carry the incompatible-start layer, later ones lag
     # the oscillation only at O(h^2 + dt)
@@ -143,7 +137,7 @@ def test_disk_rigid_rotation_steady():
     om0 = 0.8
     u0 = VectorField(grid, -om0 * grid.y, om0 * grid.x)
     a = [np.full(c.n_nodes, 2 * om0) for c in frame]
-    w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.1, T=0.2, dt=0.01, u0=u0, a=a))
+    w_hist, _ = solve_stokes(u0, a, 0.1, 0.2, 0.01)
     assert max(l2(w - u0) for w in w_hist) < 1e-10
 
 
@@ -151,7 +145,7 @@ def test_bad_initial_data_raises(annulus_grid):
     bad = VectorField(annulus_grid, np.cos(annulus_grid.theta),
                       np.sin(annulus_grid.theta))
     with pytest.raises(BCViolation):
-        solve_stokes(StokesRun(annulus_grid, mu=0.1, T=0.1, dt=0.01, u0=bad, a=None))
+        solve_stokes(bad, None, 0.1, 0.1, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +159,7 @@ def test_energy_report_constant_curl(annulus_grid):
     frame = boundary_frame(grid)
     u0 = VectorField(grid, -om0 * grid.y, om0 * grid.x)
     a = [np.full(c.n_nodes, 2 * om0) for c in frame]
-    w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.1, T=0.05, dt=0.01,
-                                          u0=u0, a=a))
+    w_hist, _ = solve_stokes(u0, a, 0.1, 0.05, 0.01)
     assert max(l2(w - u0) for w in w_hist) < 1e-10   # exactly steady
     rep = stokes_energy_report(w_hist, a, 0.1, frame)
     assert max(abs(v) for v in rep.column("balance_g")) < 1e-8
@@ -179,8 +172,7 @@ def test_energy_balance_taylor_green_refines(torus_spec):
         grid = build_grid(torus_spec, n, n)
         u0 = taylor_green(grid)
         mu = 0.01
-        w_hist, _, _ = solve_stokes(StokesRun(grid, mu=mu, T=0.5, dt=dt,
-                                              u0=u0, a=None))
+        w_hist, _ = solve_stokes(u0, None, mu, 0.5, dt)
         rep = stokes_energy_report(w_hist, None, mu, None)
         e0 = rep.notes["initial_enstrophy"]
         bal = max(abs(v) for v in rep.column("balance_g"))
@@ -197,8 +189,7 @@ def test_energy_balance_boundary_driven(annulus_spec):
         frame = boundary_frame(grid)
         u0 = shear_field(grid, amp=0.5)
         a = boundary_scalar_values(curl2d(u0), frame)
-        w_hist, _, _ = solve_stokes(StokesRun(grid, mu=0.1, T=0.3, dt=dt,
-                                              u0=u0, a=a))
+        w_hist, _ = solve_stokes(u0, a, 0.1, 0.3, dt)
         rep = stokes_energy_report(w_hist, a, 0.1, frame)
         residuals.append((max(abs(v) for v in rep.column("balance_g")),
                           max(abs(v) for v in rep.column("balance_h"))))
@@ -217,8 +208,7 @@ def test_mu_uniform_h2_bound(annulus_spec):
     a = boundary_scalar_values(curl2d(u0), frame)
     sups = []
     for mu in (1e-1, 1e-2, 1e-3):
-        w_hist, _, _ = solve_stokes(StokesRun(grid, mu=mu, T=0.2, dt=0.005,
-                                              u0=u0, a=a))
+        w_hist, _ = solve_stokes(u0, a, mu, 0.2, 0.005)
         sups.append(max(h2(w) for w in w_hist))
     assert max(sups) / min(sups) < 2.0
 
