@@ -162,6 +162,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{attr} = {v} above maximum {hi}")
     if cfg.dt > cfg.T:
         raise ConfigError(f"dt = {cfg.dt} exceeds T = {cfg.T}")
+    # the time loops run round(T / dt) steps, so a remainder would change the end time
+    steps = cfg.T / cfg.dt if cfg.dt > 0 else 0.0
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"dt = {cfg.dt} does not divide T = {cfg.T}")
     if cfg.scheme not in ("backward-euler", "crank-nicolson"):
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     cfg.domain_spec()  # validates geometry

@@ -120,14 +120,47 @@ def _fv_laplacian(grid: Grid):
     return A
 
 
+class PeriodicSolve:
+    """Solver for an operator K that is circulant along both axes of a doubly
+    periodic grid, as every constant-coefficient stencil with wrap is.  Such
+    a K is diagonal in the 2-D DFT with eigenvalues the rfft2 of its column
+    0, so the assembled matrix stays the one source of the coefficients.  A
+    zero eigenvalue (the constants of the Neumann operator) maps its mode to
+    zero, which gives the zero-sum solution."""
+
+    def __init__(self, K, shape):
+        self.shape = tuple(shape)
+        symbol = np.fft.rfft2(K[:, [0]].toarray().reshape(self.shape))
+        nonzero = np.abs(symbol) > 1e-12 * np.abs(symbol).max()
+        self.inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=nonzero)
+
+    def solve(self, b):
+        """K^-1 b for one flat field, or for several stacked into one vector."""
+        bhat = np.fft.rfft2(b.reshape(-1, *self.shape))
+        return np.fft.irfft2(bhat * self.inverse, s=self.shape).reshape(b.shape)
+
+
+class _PinnedLU:
+    """LU of a Neumann operator with node 0 pinned to zero."""
+
+    def __init__(self, A):
+        self.lu = splu(pin_rows(A, [0]).tocsc())
+
+    def solve(self, b):
+        rhs = b.copy()
+        rhs[0] = 0.0
+        return self.lu.solve(rhs)
+
+
 def _assemble_neumann(grid: Grid):
-    """Weighted FV Laplacian A (symmetric, null space = constants), the LU
-    factorization of A with node 0 pinned, and the boundary frame (None on
-    the torus)."""
+    """Weighted FV Laplacian A (symmetric, null space = constants), a solver
+    for compatible data (2-D FFT on the torus, else the LU of A with node 0
+    pinned), and the boundary frame (None on the torus)."""
     def build():
         A = _fv_laplacian(grid)
-        frame = boundary_frame(grid) if grid.has_boundary() else None
-        return A, splu(pin_rows(A, [0]).tocsc()), frame
+        if not grid.has_boundary():
+            return A, PeriodicSolve(A, grid.shape), None
+        return A, _PinnedLU(A), boundary_frame(grid)
     return grid.cached("neumann", build)
 
 
@@ -146,7 +179,7 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
     misses 1e-10 relative.
     """
     grid = prob.grid
-    A, lu, frame = _assemble_neumann(grid)
+    A, solver, frame = _assemble_neumann(grid)
 
     b = (grid.weights * prob.source.values).ravel().copy()
     flux = prob.flux if prob.flux is not None else []
@@ -176,9 +209,7 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
             log.debug("repairing Neumann data: defect %.3e spread over volume", defect)
             b -= grid.weights.ravel() * (defect / float(np.sum(grid.weights)))
 
-    rhs = b.copy()
-    rhs[0] = 0.0
-    phi = lu.solve(rhs)
+    phi = solver.solve(b)
     res = A @ phi - b
     bnorm = float(np.linalg.norm(b))
     # `not <=` so that a NaN residual fails as well

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import solve_dirichlet, solve_neumann_fd
-from .errors import CFLViolation, CirculationSystemSingular, SolverDiverged
+from .errors import CFLViolation, CirculationSystemSingular, ConfigError, SolverDiverged
 from .fields import (
     FieldHistory,
     ScalarField,
@@ -198,12 +198,16 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
     the report is marked partial.  The row table is assembled in mu order
     regardless of execution order, so output is deterministic.
     """
+    raw_threads = os.environ.get("VORTIBC_THREADS", "1") or "1"
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        raise ConfigError(f"VORTIBC_THREADS = {raw_threads!r} is not an integer")
     grid = cfg.grid
     euler_hist = solve_euler(cfg.u0, cfg.T, cfg.dt, grid)
     noise_floor = 10.0 * (grid.min_spacing() ** 2 + cfg.dt)
 
     results = {}
-    threads = int(os.environ.get("VORTIBC_THREADS", "1") or "1")
     mus = list(cfg.mu_list)
     if threads > 1 and len(mus) > 1:
         from concurrent.futures import ThreadPoolExecutor

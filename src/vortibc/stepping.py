@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .elliptic import kron_sum, pin_rows, second_difference, stencil
+from .elliptic import PeriodicSolve, kron_sum, pin_rows, second_difference, stencil
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame
@@ -99,7 +99,8 @@ class VelocityStepper:
     theta = 1 is backward Euler; theta = 0.5 is Crank-Nicolson, with the
     boundary data evaluated at the new time level on both halves (an O(dt)
     bias only when the data is time dependent).  Instances are reused across
-    time steps and Picard iterations; the factorization is computed once.
+    time steps and Picard iterations; the factorization (the FFT symbol on
+    the torus) is computed once.
     """
 
     def __init__(self, grid: Grid, mu: float, dt: float, theta: float = 1.0):
@@ -112,11 +113,15 @@ class VelocityStepper:
         build = _polar_operator if grid.polar else _cartesian_operator
         self.L, self.normal_dofs, self.aterm_idx, self.aterm_coef = grid.cached(
             "vel_op", lambda: build(grid))
-        self.lu = grid.cached(("vel_lu", self.mu * self.dt, self.theta), self._factor)
+        self.solver = grid.cached(("vel_lu", self.mu * self.dt, self.theta), self._factor)
 
     def _factor(self):
         M = sparse.identity(self.L.shape[0], format="csr") \
             - (self.theta * self.mu * self.dt) * self.L
+        if not self.grid.has_boundary():
+            # torus: M = block_diag(K, K) with K circulant along both axes
+            n = self.grid.nnodes
+            return PeriodicSolve(M[:n, :n], self.grid.shape)
         try:
             return splu(pin_rows(M, self.normal_dofs).tocsc())
         except RuntimeError as exc:
@@ -146,7 +151,7 @@ class VelocityStepper:
             rhs += (self.theta * self.mu * self.dt) * contrib
         if len(self.normal_dofs):
             rhs[self.normal_dofs] = 0.0
-        out = self.lu.solve(rhs)
+        out = self.solver.solve(rhs)
         require_finite(LinearSolveFailed, "implicit velocity solve", out)
         n = g.nnodes
         return from_native(g, out[:n].reshape(g.shape), out[n:].reshape(g.shape))

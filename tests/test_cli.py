@@ -317,10 +317,11 @@ def test_resolution_override(tmp_path):
     ("stokes", "physics.boundary_data = from_initial\nphysics.bd.value = 1.0\n", []),
     ("stokes", "physics.T = 0.001\n", []),
     ("euler", "physics.T = 0.001\n", []),
+    ("stokes", "physics.T = 0.05\nphysics.dt = 0.03\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
         "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
-        "dt_above_T_euler"])
+        "dt_above_T_euler", "dt_not_dividing_T"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -328,6 +329,16 @@ def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
                       + f"output.directory = {tmp_path}/out\n")
     assert main([command, "--config", path, *extra_args]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_threads_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("VORTIBC_THREADS", "two")
+    cfg = _write(tmp_path, BASE_CFG + "physics.mu_list = 0.1, 0.01\n"
+                 + f"output.directory = {tmp_path}/out\n")
+    assert main(["sweep", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "VORTIBC_THREADS" in err
     assert not (tmp_path / "out").exists()
 
 

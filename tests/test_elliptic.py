@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from conftest import circulation_field, ls_order, zero_mean
 from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField,
                      boundary_frame, build_grid, grad)
 from vortibc.elliptic import (NeumannProblem, _assemble_dirichlet,
-                              _assemble_neumann, solonnikov_ratio,
+                              _assemble_neumann, pin_rows, solonnikov_ratio,
                               solve_divergence_coupling,
                               solve_harmonic_q, solve_neumann,
                               solve_pressure_euler, solve_pressure_linearized,
@@ -18,6 +21,7 @@ from vortibc.errors import BCViolation, DegenerateInput, IncompatibleData
 from vortibc.fields import advect, boundary_vector_values, div, l2
 from vortibc.geometry import second_fundamental_form
 from vortibc.generators import random_vector
+from vortibc.stepping import VelocityStepper
 
 
 def test_zero_data_gives_zero(annulus_grid, annulus_frame):
@@ -293,3 +297,41 @@ def test_non_finite_data_raises_typed_errors(annulus_grid, annulus_frame):
         solve_stokes(u0, None, 0.1, 0.02, 0.01)
     with pytest.raises(SolverDiverged):
         solve_euler(u0, T=0.02, dt=0.01, grid=grid)
+
+
+# the torus solves by 2-D FFT; sparse LU of the same assembled matrices is the oracle
+TORUS_GRIDS = [
+    (DomainSpec(DomainKind.TORUS, length_x=2 * math.pi, length_y=2 * math.pi), 32, 32),
+    (DomainSpec(DomainKind.TORUS, length_x=2 * math.pi, length_y=3.0), 24, 40),
+]
+
+
+@pytest.mark.parametrize("spec, n1, n2", TORUS_GRIDS, ids=["square", "oblong"])
+def test_torus_neumann_fft_matches_pinned_lu(spec, n1, n2):
+    grid = build_grid(spec, n1, n2)
+    A = _assemble_neumann(grid)[0]
+    raw = np.random.default_rng(5).normal(size=grid.shape)
+    raw -= np.sum(grid.weights * raw) / np.sum(grid.weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = solve_neumann(NeumannProblem(grid, ScalarField(grid, raw), [],
+                                           tol_compat=1e-6)).values.ravel()
+    b = (grid.weights * raw).ravel()
+    rhs = b.copy()
+    rhs[0] = 0.0
+    ref = splu(pin_rows(A, [0]).tocsc()).solve(rhs)
+    ref -= grid.integrate(ref.reshape(grid.shape)) / np.sum(grid.weights)
+    assert np.max(np.abs(phi - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.linalg.norm(A @ phi - b) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("spec, n1, n2", TORUS_GRIDS, ids=["square", "oblong"])
+def test_torus_velocity_fft_matches_splu(spec, n1, n2, theta):
+    grid = build_grid(spec, n1, n2)
+    mu, dt = 1.0, 0.1   # theta*mu*dt/h^2 of order 1, far from the identity
+    stepper = VelocityStepper(grid, mu, dt, theta)
+    M = sparse.identity(2 * grid.nnodes, format="csc") - (theta * mu * dt) * stepper.L
+    z = np.random.default_rng(6).normal(size=2 * grid.nnodes)
+    ref = splu(M.tocsc()).solve(z)
+    assert np.max(np.abs(stepper.solver.solve(z) - ref)) <= 1e-12 * np.max(np.abs(ref))
