@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import errors
-from .config import RunConfig, load_config
+from .config import RunConfig, check_ranges, load_config
 from .diagnostics import DiagnosticsRecord
 from .fields import div, l2
 from .generators import make_boundary_data, make_initial_condition
@@ -59,6 +59,7 @@ def _prepare(args):
         except ValueError:
             raise errors.ConfigError(
                 f"--resolution-override expects N1,N2, got {args.resolution_override!r}")
+    check_ranges(cfg)
     return cfg
 
 

@@ -9,7 +9,7 @@ serializing then re-parsing yields an identical structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .geometry import DomainKind, DomainSpec
@@ -128,10 +128,36 @@ _KEYMAP = {
     "output.checkpoint_stride": "checkpoint_stride",
 }
 
+# declared type of each RunConfig field ("int", "float", ...)
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
 _NUMERIC_RANGES = {
     "mu": (0.0, None), "T": (0.0, None), "tol_fix": (0.0, None),
-    "max_iter": (2, None), "n1": (1, None), "n2": (1, None),
+    "max_iter": (2, None), "n1": (1, None), "n2": (1, None), "seed": (0, None),
 }
+
+
+def _number(key, val, kind):
+    """val as a number of the declared kind: an int field takes only an
+    integral value, which it stores as int."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{key} = {val!r} is not a number")
+    if kind == "int":
+        if not float(val).is_integer():
+            raise ConfigError(f"{key} = {val!r} is not an integer")
+        return int(val)
+    return val
+
+
+def check_ranges(cfg: RunConfig) -> None:
+    """Raise ConfigError when a numeric field leaves its range; run again
+    after command-line overrides."""
+    for attr, (lo, hi) in _NUMERIC_RANGES.items():
+        v = getattr(cfg, attr)
+        if lo is not None and v < lo:
+            raise ConfigError(f"{attr} = {v} below minimum {lo}")
+        if hi is not None and v > hi:
+            raise ConfigError(f"{attr} = {v} above maximum {hi}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,13 +179,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         if attr == "mu_list" and not isinstance(val, list):
             val = [val]
+        if _FIELD_TYPES[attr] in ("int", "float"):
+            val = _number(key, val, _FIELD_TYPES[attr])
         setattr(cfg, attr, val)
-    for attr, (lo, hi) in _NUMERIC_RANGES.items():
-        v = getattr(cfg, attr)
-        if lo is not None and v < lo:
-            raise ConfigError(f"{attr} = {v} below minimum {lo}")
-        if hi is not None and v > hi:
-            raise ConfigError(f"{attr} = {v} above maximum {hi}")
+    check_ranges(cfg)
     if cfg.dt > cfg.T:
         raise ConfigError(f"dt = {cfg.dt} exceeds T = {cfg.T}")
     # the time loops run round(T / dt) steps, so a remainder would change the end time

@@ -140,27 +140,78 @@ class PeriodicSolve:
         return np.fft.irfft2(bhat * self.inverse, s=self.shape).reshape(b.shape)
 
 
-class _PinnedLU:
-    """LU of a Neumann operator with node 0 pinned to zero."""
+class ModeBlockSolve:
+    """Solver for an operator M that is circulant along the one periodic axis
+    of a bounded grid (theta on polar grids, x on the channel) and acts on
+    ncomp fields stacked component-major.  The rfft along that axis splits M
+    into one banded (ncomp * n_radial)^2 block per mode; `factor`, the
+    caller's sparse LU, factors their complex block-diagonal matrix once.
+    Block k is M's rows at periodic index 0, each entry phased by the
+    periodic index of its column, so the assembled matrix stays the one
+    source of the coefficients.  `pin` gives radial node 0 of the k = 0 block
+    an identity row and a zero rhs, which selects one solution of a Neumann
+    operator (kernel: the constants).  Raises LinearSolveFailed when M does
+    not commute with a one-node shift along the axis."""
 
-    def __init__(self, A):
-        self.lu = splu(pin_rows(A, [0]).tocsc())
+    def __init__(self, M, grid: Grid, factor, pin: bool = False):
+        axis = 0 if grid.periodic1 else 1
+        self.layout = (M.shape[0] // grid.nnodes, *grid.shape)
+        self.axis = axis + 1           # the periodic axis of `layout`
+        self.n = grid.shape[axis]
+        self.pin = pin
+        _check_circulant(M, self.layout, self.axis)
+
+        ncomp, nr = self.layout[0], grid.shape[1 - axis]
+        modes = np.arange(self.n // 2 + 1)[:, None]
+        size = ncomp * nr
+        rows0 = np.take(np.arange(M.shape[0]).reshape(self.layout), 0, axis=self.axis)
+        sub = M[rows0.ravel()].tocoo()   # row = c * nr + r
+        c, i1, i2 = np.unravel_index(sub.col, self.layout)
+        p, r = (i1, i2) if axis == 0 else (i2, i1)
+        phase = np.exp(2j * np.pi * ((modes * p) % self.n) / self.n)
+        B = sparse.csr_matrix(
+            ((sub.data * phase).ravel(),
+             ((modes * size + sub.row).ravel(), (modes * size + c * nr + r).ravel())),
+            shape=(modes.size * size,) * 2)
+        if pin:
+            B = pin_rows(B, [0])
+        self.lu = factor(B.tocsc())
 
     def solve(self, b):
-        rhs = b.copy()
-        rhs[0] = 0.0
-        return self.lu.solve(rhs)
+        """M^-1 b for one stacked vector."""
+        bhat = np.moveaxis(np.fft.rfft(b.reshape(self.layout), axis=self.axis), self.axis, 0)
+        rhs = bhat.ravel()
+        if self.pin:
+            rhs[0] = 0.0
+        xhat = np.moveaxis(self.lu.solve(rhs).reshape(bhat.shape), 0, self.axis)
+        return np.fft.irfft(xhat, n=self.n, axis=self.axis).reshape(b.shape)
+
+
+def _check_circulant(M, layout, axis):
+    """Raise LinearSolveFailed unless M commutes with a one-node shift along
+    `axis` of `layout`, to 1e-12 relative to |M| |x| for a fixed x."""
+    x = np.random.default_rng(0).standard_normal(M.shape[0])
+
+    def shift(v):
+        return np.roll(v.reshape(layout), 1, axis=axis).ravel()
+
+    defect = float(np.max(np.abs(M @ shift(x) - shift(M @ x))))
+    scale = float(np.max(abs(M) @ np.abs(x)))
+    if not defect <= 1e-12 * scale:
+        raise LinearSolveFailed(
+            f"operator not circulant along the periodic axis: shift defect "
+            f"{defect:.3e} vs scale {scale:.3e}")
 
 
 def _assemble_neumann(grid: Grid):
     """Weighted FV Laplacian A (symmetric, null space = constants), a solver
-    for compatible data (2-D FFT on the torus, else the LU of A with node 0
-    pinned), and the boundary frame (None on the torus)."""
+    for compatible data (2-D FFT on the torus, else the mode blocks of A with
+    the k = 0 block pinned), and the boundary frame (None on the torus)."""
     def build():
         A = _fv_laplacian(grid)
         if not grid.has_boundary():
             return A, PeriodicSolve(A, grid.shape), None
-        return A, _PinnedLU(A), boundary_frame(grid)
+        return A, ModeBlockSolve(A, grid, splu, pin=True), boundary_frame(grid)
     return grid.cached("neumann", build)
 
 
@@ -331,7 +382,7 @@ def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> floa
 
 def _assemble_dirichlet(grid: Grid):
     """FD Laplacian A with identity rows at the non-periodic boundary nodes,
-    its LU factorization, and the wall nodes in frame order."""
+    its mode-block solver, and the wall nodes in frame order."""
     def build():
         walls = [c.nodes for c in boundary_frame(grid)]
         n1, n2 = grid.shape
@@ -344,8 +395,8 @@ def _assemble_dirichlet(grid: Grid):
         else:
             A = kron_sum(second_difference(n1, h1, grid.periodic1),
                          second_difference(n2, h2, grid.periodic2))
-        A = pin_rows(A, np.flatnonzero(grid.wall_mask)).tocsc()
-        return A, splu(A), walls
+        A = pin_rows(A, np.flatnonzero(grid.wall_mask))
+        return A, ModeBlockSolve(A, grid, splu), walls
     return grid.cached("dirichlet", build)
 
 
@@ -357,10 +408,10 @@ def solve_dirichlet(grid: Grid, source: np.ndarray, bc_low, bc_high) -> np.ndarr
     LinearSolveFailed when the solution is not finite, which non-finite data
     makes it.
     """
-    _, lu, walls = _assemble_dirichlet(grid)
+    _, solver, walls = _assemble_dirichlet(grid)
     vals = np.array(source, dtype=float)
     for nodes, bc in zip(walls, (bc_low, bc_high)):
         vals.flat[nodes] = bc
-    phi = lu.solve(vals.ravel()).reshape(grid.shape)
+    phi = solver.solve(vals.ravel()).reshape(grid.shape)
     require_finite(LinearSolveFailed, "solve_dirichlet", phi)
     return phi

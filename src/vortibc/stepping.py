@@ -20,7 +20,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .elliptic import PeriodicSolve, kron_sum, pin_rows, second_difference, stencil
+from .elliptic import (ModeBlockSolve, PeriodicSolve, kron_sum, pin_rows, second_difference,
+                       stencil)
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame
@@ -99,8 +100,8 @@ class VelocityStepper:
     theta = 1 is backward Euler; theta = 0.5 is Crank-Nicolson, with the
     boundary data evaluated at the new time level on both halves (an O(dt)
     bias only when the data is time dependent).  Instances are reused across
-    time steps and Picard iterations; the factorization (the FFT symbol on
-    the torus) is computed once.
+    time steps and Picard iterations; the factorization (the mode-block LU,
+    or the FFT symbol on the torus) is computed once.
     """
 
     def __init__(self, grid: Grid, mu: float, dt: float, theta: float = 1.0):
@@ -123,7 +124,7 @@ class VelocityStepper:
             n = self.grid.nnodes
             return PeriodicSolve(M[:n, :n], self.grid.shape)
         try:
-            return splu(pin_rows(M, self.normal_dofs).tocsc())
+            return ModeBlockSolve(pin_rows(M, self.normal_dofs), self.grid, splu)
         except RuntimeError as exc:
             raise BCEnforcementFailed(f"implicit boundary system singular: {exc}")
 

@@ -318,10 +318,15 @@ def test_resolution_override(tmp_path):
     ("stokes", "physics.T = 0.001\n", []),
     ("euler", "physics.T = 0.001\n", []),
     ("stokes", "physics.T = 0.05\nphysics.dt = 0.03\n", []),
+    ("ns", "solver.seed = -3\n", []),
+    ("ns", "", ["--seed", "-1"]),
+    ("ns", "solver.seed = 1.5\n", []),
+    ("ns", "physics.mu = abc\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
         "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
-        "dt_above_T_euler", "dt_not_dividing_T"])
+        "dt_above_T_euler", "dt_not_dividing_T", "negative_seed_cfg", "negative_seed_arg",
+        "fractional_seed", "text_float_field"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -377,6 +382,12 @@ def test_perfbench_tracer_installs(tmp_path):
     assert ns["fixedpoint.wt_norm.calls"] > 0
     stokes = _traced_metrics(tmp_path, "stokes", BASE_CFG)
     assert stokes["stokes.solve_stokes.calls"] == 1
+    # the velocity mode blocks are factored through stepping's splu, the
+    # Neumann ones through elliptic's; a 2-D LU of the 2 x 16 x 16 velocity
+    # system would hold well over 20 nonzeros per unknown
+    assert stokes["stepping.factor.calls"] == 1
+    assert stokes["elliptic.factor.calls"] >= 1
+    assert stokes["stepping.lu_nnz"] <= 20 * (2 * 16 * 16)
 
 
 def test_ns_diagnostics_deterministic(tmp_path):

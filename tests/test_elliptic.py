@@ -11,13 +11,13 @@ from scipy.sparse.linalg import splu
 from conftest import circulation_field, ls_order, zero_mean
 from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField,
                      boundary_frame, build_grid, grad)
-from vortibc.elliptic import (NeumannProblem, _assemble_dirichlet,
+from vortibc.elliptic import (ModeBlockSolve, NeumannProblem, _assemble_dirichlet,
                               _assemble_neumann, pin_rows, solonnikov_ratio,
                               solve_divergence_coupling,
                               solve_harmonic_q, solve_neumann,
                               solve_pressure_euler, solve_pressure_linearized,
                               solve_pressure_ns)
-from vortibc.errors import BCViolation, DegenerateInput, IncompatibleData
+from vortibc.errors import BCViolation, DegenerateInput, IncompatibleData, LinearSolveFailed
 from vortibc.fields import advect, boundary_vector_values, div, l2
 from vortibc.geometry import second_fundamental_form
 from vortibc.generators import random_vector
@@ -308,13 +308,19 @@ TORUS_GRIDS = [
 
 @pytest.mark.parametrize("spec, n1, n2", TORUS_GRIDS, ids=["square", "oblong"])
 def test_torus_neumann_fft_matches_pinned_lu(spec, n1, n2):
-    grid = build_grid(spec, n1, n2)
+    _check_neumann_against_pinned_lu(build_grid(spec, n1, n2))
+
+
+def _check_neumann_against_pinned_lu(grid):
+    """The Neumann solve of compatible random data, with zero flux, matches
+    the mean-shifted solve of splu(pin_rows(A, [0])) and warns of nothing."""
     A = _assemble_neumann(grid)[0]
     raw = np.random.default_rng(5).normal(size=grid.shape)
     raw -= np.sum(grid.weights * raw) / np.sum(grid.weights)
+    flux = [np.zeros(c.n_nodes) for c in boundary_frame(grid)] if grid.has_boundary() else []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        phi = solve_neumann(NeumannProblem(grid, ScalarField(grid, raw), [],
+        phi = solve_neumann(NeumannProblem(grid, ScalarField(grid, raw), flux,
                                            tol_compat=1e-6)).values.ravel()
     b = (grid.weights * raw).ravel()
     rhs = b.copy()
@@ -335,3 +341,60 @@ def test_torus_velocity_fft_matches_splu(spec, n1, n2, theta):
     z = np.random.default_rng(6).normal(size=2 * grid.nnodes)
     ref = splu(M.tocsc()).solve(z)
     assert np.max(np.abs(stepper.solver.solve(z) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# the bounded grids solve by mode blocks along the periodic axis; sparse LU of
+# the same assembled matrices is the oracle
+BOUNDED_GRIDS = [(spec, n1, n2) for spec in SPECS[:3] for n1, n2 in ((24, 40), (48, 48))]
+BOUNDED_IDS = [f"{spec.kind.value}-{n1}x{n2}" for spec, n1, n2 in BOUNDED_GRIDS]
+
+
+def _rel_diff(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def _refined_splu(A, b):
+    """splu of A plus one step of iterative refinement."""
+    lu = splu(A.tocsc())
+    x = lu.solve(b)
+    return x + lu.solve(b - A @ x)
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("spec, n1, n2", BOUNDED_GRIDS, ids=BOUNDED_IDS)
+def test_bounded_velocity_mode_blocks_match_splu(spec, n1, n2, theta):
+    # raw splu of the stiff disk system is itself 1.3e-12 from its refined
+    # solution at 48^2, so the oracle takes one refinement step
+    grid = build_grid(spec, n1, n2)
+    mu, dt = 1.0, 0.1
+    stepper = VelocityStepper(grid, mu, dt, theta)
+    assert isinstance(stepper.solver, ModeBlockSolve)
+    M = pin_rows(sparse.identity(2 * grid.nnodes) - (theta * mu * dt) * stepper.L,
+                 stepper.normal_dofs)
+    z = np.random.default_rng(6).normal(size=2 * grid.nnodes)
+    z[stepper.normal_dofs] = 0.0
+    assert _rel_diff(stepper.solver.solve(z), _refined_splu(M, z)) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, n1, n2", BOUNDED_GRIDS, ids=BOUNDED_IDS)
+def test_bounded_neumann_mode_blocks_match_pinned_lu(spec, n1, n2):
+    _check_neumann_against_pinned_lu(build_grid(spec, n1, n2))
+
+
+@pytest.mark.parametrize("spec, n1, n2", BOUNDED_GRIDS, ids=BOUNDED_IDS)
+def test_bounded_dirichlet_mode_blocks_match_refined_lu(spec, n1, n2):
+    # raw splu drifts from its own refined solution as the grid grows (6.6e-12
+    # on the 192^2 annulus for random data), so it is refined once first
+    grid = build_grid(spec, n1, n2)
+    A, solver, _ = _assemble_dirichlet(grid)
+    assert isinstance(solver, ModeBlockSolve)
+    b = np.random.default_rng(7).normal(size=grid.nnodes)
+    assert _rel_diff(solver.solve(b), _refined_splu(A, b)) <= 1e-12
+
+
+def test_mode_blocks_reject_non_circulant_operator(annulus_grid):
+    A = _assemble_dirichlet(annulus_grid)[0].tolil()
+    row = annulus_grid.n2 + 3          # an interior node at periodic index 3
+    A[row, row] *= 1.5
+    with pytest.raises(LinearSolveFailed):
+        ModeBlockSolve(A.tocsr(), annulus_grid, splu)
