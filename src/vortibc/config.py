@@ -99,7 +99,7 @@ class RunConfig:
                           length_x=self.length_x, length_y=self.length_y)
 
     def effective_dt(self, grid) -> float:
-        # default desk-scale step: min(h^2, T/100)
+        # dt = 0 selects the default desk-scale step min(h^2, T/100)
         if self.dt > 0:
             return self.dt
         return min(grid.min_spacing() ** 2, self.T / 100.0)
@@ -134,6 +134,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _NUMERIC_RANGES = {
     "mu": (0.0, None), "T": (0.0, None), "tol_fix": (0.0, None),
     "max_iter": (2, None), "n1": (1, None), "n2": (1, None), "seed": (0, None),
+    "dt": (0.0, None), "checkpoint_stride": (0, None), "contraction_window": (1, None),
 }
 
 

@@ -21,7 +21,7 @@ __all__ = [
     "grad", "div", "curl2d", "curl_scalar", "laplacian", "advect",
     "normal_component", "tangential_part", "boundary_vector_values",
     "surface_curl", "normal_derivative", "max_normal_trace", "max_vorticity_defect",
-    "l2", "h1", "h2", "n_norm", "n_norm_sq",
+    "l2", "h1", "h2", "n_norm", "history_n_norm_sq",
 ]
 
 
@@ -109,6 +109,14 @@ def _last(a, axis):
     return a if axis == 1 else a.swapaxes(-1, -2)
 
 
+def _flat(values, axis):
+    """(v, out, s): values as a C-contiguous array, an empty result of its
+    shape, and the stride s of grid axis `axis` in the flattened array (1
+    for axis 1, n2 for axis 0)."""
+    v = np.ascontiguousarray(values)
+    return v, np.empty_like(v), 1 if axis == 1 else v.shape[-1]
+
+
 def _d1(values, axis, h, periodic):
     """First derivative: centered interior, one-sided ends whose leading
     truncation (-h^2/6 f''') matches the centered stencil; periodic ends wrap.
@@ -117,12 +125,21 @@ def _d1(values, axis, h, periodic):
     (Hessians, grad of div) second-order accurate up to the boundary; plain
     higher-order ends leave an O(h^2) kink there that a second pass would
     differentiate into O(h).
+
+    Stencil form: the interior is one difference of the flattened array at
+    the axis stride, written straight into the result.  It also runs across
+    the seams between grid lines and between leading batch slices; the two
+    end nodes of every line are then overwritten by their own formulas.
+    Input may be 1-D, carry leading batch axes or be a non-contiguous view
+    (copied once).
     """
-    out = np.empty_like(values)
-    v, o, d = _last(values, axis), _last(out, axis), 2.0 * h
-    o[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / d
+    v, out, s = _flat(values, axis)
+    flat, inner, d = v.reshape(-1), out.reshape(-1)[s:-s], 2.0 * h
+    np.divide(np.subtract(flat[2 * s:], flat[:-2 * s], out=inner), d, out=inner)
+    v, o = _last(v, axis), _last(out, axis)
     if periodic:
-        o[..., [0, -1]] = (v[..., [1, 0]] - v[..., [-1, -2]]) / d
+        o[..., 0] = (v[..., 1] - v[..., -1]) / d
+        o[..., -1] = (v[..., 0] - v[..., -2]) / d
     else:
         o[..., 0] = (-4.0 * v[..., 0] + 7.0 * v[..., 1] - 4.0 * v[..., 2] + v[..., 3]) / d
         o[..., -1] = (4.0 * v[..., -1] - 7.0 * v[..., -2] + 4.0 * v[..., -3] - v[..., -4]) / d
@@ -131,15 +148,20 @@ def _d1(values, axis, h, periodic):
 
 def _d2(values, axis, h, periodic):
     """Second derivative: centered interior, one-sided ends whose leading
-    truncation (+h^2/12 f'''') matches the centered stencil; periodic ends wrap."""
-    out = np.empty_like(values)
-    v, o = _last(values, axis), _last(out, axis)
-    o[..., 1:-1] = (v[..., 2:] - 2.0 * v[..., 1:-1] + v[..., :-2]) / h**2
+    truncation (+h^2/12 f'''') matches the centered stencil; periodic ends
+    wrap.  Same stencil form as _d1."""
+    v, out, s = _flat(values, axis)
+    flat, inner, hh = v.reshape(-1), out.reshape(-1)[s:-s], h**2
+    np.subtract(flat[2 * s:], np.multiply(flat[s:-s], 2.0, out=inner), out=inner)
+    np.divide(np.add(inner, flat[:-2 * s], out=inner), hh, out=inner)
+    v, o = _last(v, axis), _last(out, axis)
     if periodic:
-        o[..., [0, -1]] = (v[..., [1, 0]] - 2.0 * v[..., [0, -1]] + v[..., [-1, -2]]) / h**2
+        o[..., 0] = (v[..., 1] - 2.0 * v[..., 0] + v[..., -1]) / hh
+        o[..., -1] = (v[..., 0] - 2.0 * v[..., -1] + v[..., -2]) / hh
     else:
-        o[..., [0, -1]] = (3.0 * v[..., [0, -1]] - 9.0 * v[..., [1, -2]] + 10.0 * v[..., [2, -3]]
-                           - 5.0 * v[..., [3, -4]] + v[..., [4, -5]]) / h**2
+        for e, k in ((0, 1), (-1, -1)):   # end node, step inward
+            o[..., e] = (3.0 * v[..., e] - 9.0 * v[..., e + k] + 10.0 * v[..., e + 2 * k]
+                         - 5.0 * v[..., e + 3 * k] + v[..., e + 4 * k]) / hh
     return out
 
 
@@ -152,6 +174,16 @@ def _dx_dy(grid, values):
         dthet = d2 / grid.r
         return ct * d1 - st * dthet, st * d1 + ct * dthet
     return d1, d2
+
+
+def _partial(grid, values, axis):
+    """The one Cartesian partial d/dx (axis 0) or d/dy (axis 1): a single
+    _d1 on a Cartesian grid, the chain rule through _dx_dy on a polar one."""
+    if grid.polar:
+        return _dx_dy(grid, values)[axis]
+    if axis == 0:
+        return _d1(values, 0, grid.h1, grid.periodic1)
+    return _d1(values, 1, grid.h2, grid.periodic2)
 
 
 def _laplacian_values(grid, values):
@@ -174,15 +206,13 @@ def grad(f: ScalarField) -> VectorField:
 
 
 def div(u: VectorField) -> ScalarField:
-    dxux, _ = _dx_dy(u.grid, u.ux)
-    _, dyuy = _dx_dy(u.grid, u.uy)
-    return ScalarField(u.grid, dxux + dyuy)
+    g = u.grid
+    return ScalarField(g, _partial(g, u.ux, 0) + _partial(g, u.uy, 1))
 
 
 def curl2d(u: VectorField) -> ScalarField:
-    dxuy, _ = _dx_dy(u.grid, u.uy)
-    _, dyux = _dx_dy(u.grid, u.ux)
-    return ScalarField(u.grid, dxuy - dyux)
+    g = u.grid
+    return ScalarField(g, _partial(g, u.uy, 0) - _partial(g, u.ux, 1))
 
 
 def curl_scalar(w: ScalarField) -> VectorField:
@@ -280,62 +310,94 @@ def normal_derivative(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # norms
 
-def _component_arrays(field):
+# history rows per N-norm evaluation.  On a 64^2 grid each temporary of a
+# 4-row chunk is 256 KB and stays in cache; 8 or 16 rows were no faster and
+# raised the peak RSS of a Picard run by 2-5 MB.
+_NORM_ROWS = 4
+
+
+def _block(field):
+    """The components of a field as one (c, n1, n2) array."""
     if isinstance(field, ScalarField):
-        return (field.values,)
-    return (field.ux, field.uy)
+        return field.values[np.newaxis]
+    return np.stack((field.ux, field.uy))
 
 
-def _sobolev_sq(field, lo: int, hi: int) -> float:
-    """Sum over components of the integrals of the squared partial
-    derivatives of orders lo..hi (at most 2).  Orders 0 and 1 accumulate as
-    one term per component and order 2 as another; another grouping would
-    move the last bits of every norm the diagnostics CSVs print."""
-    g = field.grid
+def _sobolev_sq(grid, a, lo: int, hi: int):
+    """For each leading index of a (..., c, n1, n2) block: the sum over its
+    c components of the integrals of the squared partial derivatives of
+    orders lo..hi (at most 2).  Per component in turn, orders 0 and 1 add as
+    one term and order 2 as another; another grouping would move the last
+    bits of every norm the diagnostics CSVs print."""
+    def integral(d):
+        sq = d**2
+        return np.sum(np.multiply(sq, grid.weights, out=sq), axis=(-2, -1))
+
+    derivs = [a]
+    if hi >= 1:
+        derivs += _dx_dy(grid, a)
+    terms = []
+    if lo <= 1:
+        terms.append(sum(integral(d) for d in derivs[lo:]))
+    if hi == 2:
+        terms.append(sum(integral(s) for d in derivs[1:] for s in _dx_dy(grid, d)))
     total = 0.0
-    for a in _component_arrays(field):
-        derivs = [a]
-        if hi >= 1:
-            derivs += _dx_dy(g, a)
-        if lo <= 1:
-            total += sum(g.integrate(d**2) for d in derivs[lo:])
-        if hi == 2:
-            total += sum(g.integrate(s**2) for d in derivs[1:] for s in _dx_dy(g, d))
+    for c in range(a.shape[-3]):
+        for t in terms:
+            total = total + t[..., c]
     return total
 
 
+def _norm(field, lo: int, hi: int) -> float:
+    return float(np.sqrt(_sobolev_sq(field.grid, _block(field), lo, hi)))
+
+
 def l2(field) -> float:
-    return float(np.sqrt(_sobolev_sq(field, 0, 0)))
+    return _norm(field, 0, 0)
 
 
 def h1(field) -> float:
-    return float(np.sqrt(_sobolev_sq(field, 0, 1)))
+    return _norm(field, 0, 1)
 
 
 def h2(field) -> float:
-    return float(np.sqrt(_sobolev_sq(field, 0, 2)))
+    return _norm(field, 0, 2)
 
 
 def hessian_seminorm(field) -> float:
     """sqrt of the integral of |second derivatives|^2 (all components)."""
-    return float(np.sqrt(_sobolev_sq(field, 2, 2)))
+    return _norm(field, 2, 2)
 
 
 def grad_l2(field) -> float:
     """L2 norm of the full gradient/Jacobian of a field."""
-    return float(np.sqrt(_sobolev_sq(field, 1, 1)))
+    return _norm(field, 1, 1)
 
 
-def n_norm_sq(v: VectorField, v_t) -> float:
-    """||v||_H2^2 + ||v_t||_H1^2; v_t = None raises."""
-    if v_t is None:
-        raise MissingTimeDerivative("n_norm requires the time derivative v_t")
-    return h2(v) ** 2 + h1(v_t) ** 2
+def _n_norm_sq(grid, v, v_t):
+    """||v||_H2^2 + ||v_t||_H1^2 per leading index of (..., 2, n1, n2)
+    blocks.  Each norm is rooted, then squared by libm pow, as a Python
+    float's ** 2 is; an array's ** 2 multiplies instead, which moves the
+    last bit of about one value in 1250."""
+    return (np.float_power(np.sqrt(_sobolev_sq(grid, v, 0, 2)), 2)
+            + np.float_power(np.sqrt(_sobolev_sq(grid, v_t, 0, 1)), 2))
 
 
 def n_norm(v: VectorField, v_t) -> float:
     """sqrt(||v||_H2^2 + ||v_t||_H1^2); v_t = None raises."""
-    return float(np.sqrt(n_norm_sq(v, v_t)))
+    if v_t is None:
+        raise MissingTimeDerivative("n_norm requires the time derivative v_t")
+    return float(np.sqrt(_n_norm_sq(v.grid, _block(v), _block(v_t))))
+
+
+def history_n_norm_sq(hist, hist_t) -> np.ndarray:
+    """The squared N-norm of every row of a vector history, given its time
+    derivative, evaluated _NORM_ROWS rows at a time."""
+    out = np.empty(len(hist))
+    for i in range(0, len(hist), _NORM_ROWS):
+        rows = slice(i, i + _NORM_ROWS)
+        out[rows] = _n_norm_sq(hist.grid, hist.data[rows], hist_t.data[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .fields import (
     div,
     grad,
     grad_l2,
+    history_n_norm_sq,
     l2,
-    n_norm_sq,
 )
 from .geometry import boundary_frame, boundary_zeros
 
@@ -168,7 +168,6 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
     comp_v_psi = np.zeros(nt)
     comp_grad_gq = np.zeros(nt)
     comp_td = np.zeros(nt)
-    load = np.zeros(nt)
     for k in range(nt):
         v, beta, w = v_hist[k], beta_hist[k], w_hist[k]
         psi = curl_scalar(om_hist[k])
@@ -177,7 +176,7 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
         comp_v_psi[k] = l2(v) ** 2 + l2(psi) ** 2
         comp_grad_gq[k] = grad_l2(gfield) ** 2 + grad_l2(q) ** 2
         comp_td[k] = l2(v_t[k]) ** 2 + l2(d_t[k]) ** 2 + l2(om_t[k]) ** 2
-        load[k] = 1.0 + n_norm_sq(beta, beta_t[k]) + n_norm_sq(w, w_t[k])
+    load = 1.0 + history_n_norm_sq(beta_hist, beta_t) + history_n_norm_sq(w_hist, w_t)
 
     F = comp_v_psi + comp_grad_gq + comp_td
     Q = np.zeros(nt)

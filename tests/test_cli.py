@@ -322,11 +322,15 @@ def test_resolution_override(tmp_path):
     ("ns", "", ["--seed", "-1"]),
     ("ns", "solver.seed = 1.5\n", []),
     ("ns", "physics.mu = abc\n", []),
+    ("ns", "physics.dt = -0.005\n", []),
+    ("ns", "output.checkpoint_stride = -1\n", []),
+    ("ns", "solver.contraction_window = 0\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
         "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
         "dt_above_T_euler", "dt_not_dividing_T", "negative_seed_cfg", "negative_seed_arg",
-        "fractional_seed", "text_float_field"])
+        "fractional_seed", "text_float_field", "negative_dt", "negative_checkpoint_stride",
+        "zero_contraction_window"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -376,10 +380,15 @@ def test_perfbench_tracer_installs(tmp_path):
     # the one Stokes solve on stokes
     ns = _traced_metrics(tmp_path, "ns",
                          "domain.kind = torus\ndomain.n1 = 16\ndomain.n2 = 16\n"
-                         "physics.mu = 0.05\nphysics.T = 0.02\nphysics.dt = 0.005\n"
-                         "physics.initial_condition = taylor_green\n")
+                         "physics.mu = 0.05\nphysics.T = 0.04\nphysics.dt = 0.005\n"
+                         "physics.initial_condition = taylor_green\n"
+                         "solver.tol_fix = 1e-14\nsolver.max_iter = 20\n")
     assert ns["fields.ops.calls"] > 0
     assert ns["fixedpoint.wt_norm.calls"] > 0
+    # wt_norm evaluates whole row chunks, not h1 and h2 per snapshot: the
+    # norm calls of the run stay below two per snapshot and Picard iteration
+    snapshots = 9
+    assert ns["fields.norms.calls"] < 2 * snapshots * ns["fixedpoint.wt_norm.calls"]
     stokes = _traced_metrics(tmp_path, "stokes", BASE_CFG)
     assert stokes["stokes.solve_stokes.calls"] == 1
     # the velocity mode blocks are factored through stepping's splu, the

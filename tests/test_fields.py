@@ -196,18 +196,71 @@ def test_field_history_derivatives():
     assert not np.any(vh.data[1])
 
 
-@pytest.mark.parametrize("shape", [(9, 7), (3, 9, 7)], ids=["plain", "batched"])
-def test_slice_stencils_match_roll(shape):
-    # the periodic stencils equal the np.roll formula bit for bit; a leading
-    # batch axis differentiates each slice as on its own
-    v = np.random.default_rng(9).normal(size=shape)
+def _stencil_ref(op, v, axis, h, periodic):
+    """_d1 or _d2 written out with the grid axis moved last: np.roll for
+    the centered interior and periodic ends, the one-sided formulas at
+    non-periodic ends."""
+    w = np.moveaxis(np.array(v), axis - 2, -1)
+    fwd, back = np.roll(w, -1, -1), np.roll(w, 1, -1)
+    if op is _d1:
+        out = (fwd - back) / (2.0 * h)
+        if not periodic:
+            out[..., 0] = (-4.0 * w[..., 0] + 7.0 * w[..., 1] - 4.0 * w[..., 2]
+                           + w[..., 3]) / (2.0 * h)
+            out[..., -1] = (4.0 * w[..., -1] - 7.0 * w[..., -2] + 4.0 * w[..., -3]
+                            - w[..., -4]) / (2.0 * h)
+    else:
+        out = (fwd - 2.0 * w + back) / h**2
+        if not periodic:
+            out[..., 0] = (3.0 * w[..., 0] - 9.0 * w[..., 1] + 10.0 * w[..., 2]
+                           - 5.0 * w[..., 3] + w[..., 4]) / h**2
+            out[..., -1] = (3.0 * w[..., -1] - 9.0 * w[..., -2] + 10.0 * w[..., -3]
+                            - 5.0 * w[..., -4] + w[..., -5]) / h**2
+    return np.moveaxis(out, -1, axis - 2)
+
+
+def _stencil_inputs(rng):
+    hist = rng.normal(size=(4, 2, 9, 7))
+    return {
+        "plain": rng.normal(size=(9, 7)),
+        "batched": rng.normal(size=(3, 9, 7)),
+        "batch_2x2": rng.normal(size=(2, 2, 9, 7)),
+        "swapaxes_view": rng.normal(size=(7, 9)).swapaxes(0, 1),
+        "history_component": hist[:, 1],
+        "periodic_1d": rng.normal(size=11),
+    }
+
+
+@pytest.mark.parametrize("kind", ["plain", "batched", "batch_2x2", "swapaxes_view",
+                                  "history_component", "periodic_1d"])
+def test_slice_stencils_match_roll(kind):
+    # _d1/_d2 equal the written-out formulas bit for bit on every input form
+    # the callers use: 1-D (surface_curl), leading batch axes, whose slices
+    # differentiate as on their own, and non-contiguous views
+    v = _stencil_inputs(np.random.default_rng(9))[kind]
+    if kind in ("swapaxes_view", "history_component"):
+        assert not v.flags.c_contiguous
+    before = v.copy()
     h = 0.37
-    for axis in (0, 1):
-        fwd, back = np.roll(v, -1, axis - 2), np.roll(v, 1, axis - 2)
-        assert np.array_equal(_d1(v, axis, h, True), (fwd - back) / (2.0 * h))
-        assert np.array_equal(_d2(v, axis, h, True), (fwd - 2.0 * v + back) / h**2)
-        for op in (_d1, _d2):
+    for op in (_d1, _d2):
+        for axis in ((1,) if v.ndim == 1 else (0, 1)):
             for periodic in (True, False):
                 out = op(v, axis, h, periodic)
-                for b in np.ndindex(shape[:-2]):
-                    assert np.array_equal(out[b], op(v[b], axis, h, periodic))
+                assert np.array_equal(out, _stencil_ref(op, v, axis, h, periodic))
+                for b in np.ndindex(v.shape[:-2]):
+                    assert np.array_equal(out[b], op(np.ascontiguousarray(v[b]), axis, h,
+                                                     periodic))
+    assert np.array_equal(v, before)
+
+
+@pytest.mark.parametrize("family", ["torus", "channel", "annulus"])
+def test_div_curl_equal_partials_form(family, torus_grid, channel_grid, annulus_grid):
+    # div and curl2d take one partial per component; the values equal the
+    # full-gradient form bit for bit on every family
+    from vortibc.fields import _dx_dy
+    g = {"torus": torus_grid, "channel": channel_grid, "annulus": annulus_grid}[family]
+    rng = np.random.default_rng(12)
+    u = VectorField(g, rng.normal(size=g.shape), rng.normal(size=g.shape))
+    (dxux, dyux), (dxuy, dyuy) = _dx_dy(g, u.ux), _dx_dy(g, u.uy)
+    assert np.array_equal(div(u).values, dxux + dyuy)
+    assert np.array_equal(curl2d(u).values, dxuy - dyux)

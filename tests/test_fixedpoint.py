@@ -221,3 +221,66 @@ def test_picard_error_within_banach_bound(march_run):
         if delta >= march_run["floor"]:
             err = wt_norm(v + march_run["w"] - march_run["u_march"])
             assert err <= q / (1.0 - q) * delta
+
+
+def _sobolev_sq_per_component(field, lo, hi):
+    """The single-field norm sum written out: per component, orders lo..1
+    as one integral sum, then order 2 as another."""
+    from vortibc.fields import _dx_dy
+    g = field.grid
+    comps = (field.values,) if isinstance(field, ScalarField) else (field.ux, field.uy)
+    total = 0.0
+    for a in comps:
+        derivs = [a, *(_dx_dy(g, a) if hi >= 1 else ())]
+        if lo <= 1:
+            total += sum(g.integrate(d**2) for d in derivs[lo:])
+        if hi == 2:
+            total += sum(g.integrate(s**2) for d in derivs[1:] for s in _dx_dy(g, d))
+    return total
+
+
+def _family_grid(kind):
+    from vortibc import DomainKind, DomainSpec
+    spec = {"annulus": DomainSpec(DomainKind.ANNULUS, r_inner=1.0, r_outer=2.0),
+            "disk": DomainSpec(DomainKind.DISK, r_outer=1.0),
+            "channel": DomainSpec(DomainKind.CHANNEL, length_x=2 * math.pi, length_y=2.0),
+            "torus": DomainSpec(DomainKind.TORUS, length_x=2 * math.pi,
+                                length_y=2 * math.pi)}[kind]
+    return build_grid(spec, 12, 16)
+
+
+@pytest.mark.parametrize("kind", ["annulus", "disk", "channel", "torus"])
+def test_wt_norm_is_max_of_snapshot_n_norms(kind):
+    # wt_norm evaluates the N-norm on chunks of rows; it must equal the max
+    # of the per-snapshot norms exactly, for row counts below, at, just
+    # above and well above the chunk size
+    from vortibc.fields import _NORM_ROWS, _sobolev_sq, h1, h2, history_n_norm_sq, n_norm
+    grid = _family_grid(kind)
+    rng = np.random.default_rng(21)
+    for nt in sorted({2, _NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1, 4 * _NORM_ROWS + 1}):
+        # the largest row first, then last
+        for amp in (np.arange(nt, 0, -1), np.arange(1, nt + 1)):
+            data = amp[:, None, None, None] * rng.normal(size=(nt, 2, *grid.shape))
+            diff = FieldHistory(grid, 0.01, data)
+            diff_t = diff.time_derivative()
+            pairs = list(zip(diff, diff_t))
+            per_row = [math.sqrt(h2(d) ** 2 + h1(d_t) ** 2) for d, d_t in pairs]
+            assert [n_norm(d, d_t) for d, d_t in pairs] == per_row
+            assert list(np.sqrt(history_n_norm_sq(diff, diff_t))) == per_row
+            assert wt_norm(diff) == max(per_row)
+
+    # the batched kernel gives each row the single-field sums bit for bit
+    hist = FieldHistory(grid, 0.01, rng.normal(size=(3, 2, *grid.shape)))
+    scalars = rng.normal(size=(3, *grid.shape))
+    for lo, hi in ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2)):
+        rows = _sobolev_sq(grid, hist.data, lo, hi)
+        for k, u in enumerate(hist):
+            assert rows[k] == _sobolev_sq_per_component(u, lo, hi)
+        srows = _sobolev_sq(grid, scalars[:, np.newaxis], lo, hi)
+        for k, s in enumerate(scalars):
+            assert srows[k] == _sobolev_sq_per_component(ScalarField(grid, s), lo, hi)
+    u, f = hist[1], ScalarField(grid, scalars[1])
+    for field in (u, f):
+        assert l2(field) == math.sqrt(_sobolev_sq_per_component(field, 0, 0))
+        assert h1(field) == math.sqrt(_sobolev_sq_per_component(field, 0, 1))
+        assert h2(field) == math.sqrt(_sobolev_sq_per_component(field, 0, 2))
