@@ -141,17 +141,18 @@ def cmd_ns(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "ns_trace.csv"), NS_TRACE_COLUMNS,
               [(it, d, r) for it, d, r in sol.trace])
+    # div v of every snapshot, computed once for all three outputs below
+    inc = verify_incompressibility(sol)
     rec = DiagnosticsRecord(("t", "l2_u", "l2_v", "l2_div_v"))
     for k, (u, v) in enumerate(zip(sol.u, sol.v)):
-        rec.add(k * dt, l2(u), l2(v), l2(div(v)))
+        rec.add(k * dt, l2(u), l2(v), inc.div_l2[k])
     rec.write_csv(os.path.join(cfg.out_dir, "ns_diagnostics.csv"))
     if len(sol.v) >= 3:
-        diag = compute_F(sol.v, sol.v, sol.w, cfg.mu, frame)
+        diag = compute_F(sol.v, sol.v, sol.w, cfg.mu, frame, div_v=inc.div)
         write_csv(os.path.join(cfg.out_dir, "ns_energy.csv"), F_COLUMNS,
                   list(diag.rows()))
     _write_history(cfg, sol.u, "u")
     _write_history(cfg, sol.p, "p")
-    inc = verify_incompressibility(sol)
     print(f"final ||u||_2 = {format_float(l2(sol.u[-1]))}")
     print(f"max_t ||div v||_2 = {format_float(inc.max_div)}")
     print(f"picard iterations = {len(sol.trace)}")

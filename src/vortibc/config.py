@@ -159,6 +159,10 @@ def check_ranges(cfg: RunConfig) -> None:
             raise ConfigError(f"{attr} = {v} below minimum {lo}")
         if hi is not None and v > hi:
             raise ConfigError(f"{attr} = {v} above maximum {hi}")
+    # each sweep viscosity is a log-log fit abscissa, so it must be positive
+    for m in cfg.mu_list:
+        if not _number("physics.mu_list", m, "float") > 0:
+            raise ConfigError(f"physics.mu_list entry {m} must be positive")
 
 
 def parse_config(text: str) -> RunConfig:

@@ -21,7 +21,7 @@ __all__ = [
     "grad", "div", "curl2d", "curl_scalar", "laplacian", "advect",
     "normal_component", "tangential_part", "boundary_vector_values",
     "surface_curl", "normal_derivative", "max_normal_trace", "max_vorticity_defect",
-    "l2", "h1", "h2", "n_norm", "history_n_norm_sq",
+    "l2", "h1", "h2", "n_norm", "history_n_norm_sq", "history_div", "max_speed",
 ]
 
 
@@ -92,6 +92,13 @@ class VectorField:
         return VectorField(self.grid, self.ux * c, self.uy * c)
 
     __rmul__ = __mul__
+
+
+def max_speed(u):
+    """max |u| over the grid for each (2, n1, n2) row of a (..., 2, n1, n2)
+    block, as the root of max |u|^2: within an ulp of the max of np.hypot,
+    which costs about 12x more."""
+    return np.sqrt(np.max(u[..., 0, :, :] ** 2 + u[..., 1, :, :] ** 2, axis=(-2, -1)))
 
 
 def require_finite(exc, what: str, *arrays):
@@ -165,6 +172,13 @@ def _d2(values, axis, h, periodic):
     return out
 
 
+def _block(field):
+    """The components of a field as one (c, n1, n2) array."""
+    if isinstance(field, ScalarField):
+        return field.values[np.newaxis]
+    return np.stack((field.ux, field.uy))
+
+
 def _dx_dy(grid, values):
     """Cartesian partials of nodal values on any grid family."""
     d1 = _d1(values, 0, grid.h1, grid.periodic1)
@@ -205,9 +219,14 @@ def grad(f: ScalarField) -> VectorField:
     return VectorField(f.grid, gx, gy)
 
 
+def _div(grid, ux, uy):
+    """Divergence values from the two component arrays, which may carry
+    leading batch axes."""
+    return _partial(grid, ux, 0) + _partial(grid, uy, 1)
+
+
 def div(u: VectorField) -> ScalarField:
-    g = u.grid
-    return ScalarField(g, _partial(g, u.ux, 0) + _partial(g, u.uy, 1))
+    return ScalarField(u.grid, _div(u.grid, u.ux, u.uy))
 
 
 def curl2d(u: VectorField) -> ScalarField:
@@ -229,13 +248,19 @@ def laplacian(field):
                        _laplacian_values(field.grid, field.uy))
 
 
+def _advect(grid, x, y):
+    """(x . grad) y componentwise for (..., 2, n1, n2) blocks."""
+    dx, dy = _dx_dy(grid, y)
+    # in place on the fresh partials: x_x * dx + x_y * dy, in that order
+    dx *= x[..., 0:1, :, :]
+    dy *= x[..., 1:2, :, :]
+    dx += dy
+    return dx
+
+
 def advect(X: VectorField, Y: VectorField) -> VectorField:
     """(X . grad) Y componentwise."""
-    g = X.grid
-    dxYx, dyYx = _dx_dy(g, Y.ux)
-    dxYy, dyYy = _dx_dy(g, Y.uy)
-    return VectorField(g, X.ux * dxYx + X.uy * dyYx,
-                       X.ux * dxYy + X.uy * dyYy)
+    return VectorField(X.grid, *_advect(X.grid, _block(X), _block(Y)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +335,10 @@ def normal_derivative(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # norms
 
-# history rows per N-norm evaluation.  On a 64^2 grid each temporary of a
-# 4-row chunk is 256 KB and stays in cache; 8 or 16 rows were no faster and
-# raised the peak RSS of a Picard run by 2-5 MB.
+# history rows per N-norm or divergence evaluation.  On a 64^2 grid each
+# temporary of a 4-row chunk is 256 KB and stays in cache; 8 or 16 rows were
+# no faster and raised the peak RSS of a Picard run by 2-5 MB.
 _NORM_ROWS = 4
-
-
-def _block(field):
-    """The components of a field as one (c, n1, n2) array."""
-    if isinstance(field, ScalarField):
-        return field.values[np.newaxis]
-    return np.stack((field.ux, field.uy))
 
 
 def _sobolev_sq(grid, a, lo: int, hi: int):
@@ -398,6 +416,16 @@ def history_n_norm_sq(hist, hist_t) -> np.ndarray:
         rows = slice(i, i + _NORM_ROWS)
         out[rows] = _n_norm_sq(hist.grid, hist.data[rows], hist_t.data[rows])
     return out
+
+
+def history_div(hist) -> "FieldHistory":
+    """The divergence of every row of a vector history, evaluated
+    _NORM_ROWS rows at a time."""
+    out = np.empty((len(hist), *hist.grid.shape))
+    for i in range(0, len(hist), _NORM_ROWS):
+        rows = hist.data[i:i + _NORM_ROWS]
+        out[i:i + _NORM_ROWS] = _div(hist.grid, rows[:, 0], rows[:, 1])
+    return FieldHistory(hist.grid, hist.dt, out)
 
 
 # ---------------------------------------------------------------------------

@@ -13,22 +13,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import solve_pressure_linearized, solve_pressure_ns
+from .elliptic import solve_pressure_ns, solve_transport
 from .errors import MaxIterExceeded, NoContraction
 from .fields import (
     FieldHistory,
     ScalarField,
     VectorField,
     advect,
-    div,
     grad,
+    history_div,
     history_n_norm_sq,
     l2,
     laplacian,
     max_normal_trace,
     max_vorticity_defect,
 )
-from .geometry import boundary_frame
 from .linearized import VelocityMap, VelocityMapInput, apply_velocity_map
 from .stokes import normalize_boundary_data, solve_stokes
 
@@ -93,7 +92,6 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     and MaxIterExceeded at the iteration cap.
     """
     grid = u0.grid
-    frame = boundary_frame(grid) if grid.has_boundary() else None
     w_hist, q_hist = solve_stokes(u0, a, mu, T, dt, scheme)
     nt = len(w_hist)
 
@@ -102,8 +100,9 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     delta_prev = None
     bad_streak = 0
     for it in range(1, cfg.max_iter + 1):
-        v_next = apply_velocity_map(
-            VelocityMapInput(beta=v_prev, w=w_hist, mu=mu, dt=dt))
+        # iterate it - 1 is final on rows 0..it - 1, so sweep it steps from there
+        v_next = apply_velocity_map(VelocityMapInput(
+            beta=v_prev, w=w_hist, mu=mu, dt=dt, known_rows=min(it - 1, nt - 1)))
         delta = wt_norm(v_next - v_prev)
         ratio = float("nan") if delta_prev is None else (
             delta / delta_prev if delta_prev > 0 else 0.0)
@@ -127,9 +126,8 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
 
     v = v_prev
     u = v + w_hist
-    p = FieldHistory.zeros(grid, dt, nt, scalar=True)
-    for k in range(nt):
-        p[k] = solve_pressure_linearized(v[k], w_hist[k], frame)
+    # the linearized pressure of (v, w) is the pressure of the carrier u = v + w
+    p = FieldHistory(grid, dt, solve_transport(grid, u.data))
     return NSSolution(v=v, w=w_hist, u=u, q=q_hist, p=p, trace=trace,
                       mu=mu, dt=dt, u0=u0)
 
@@ -138,6 +136,7 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
 class IncompressibilityReport:
     times: np.ndarray
     div_l2: np.ndarray
+    div: FieldHistory    # div v at every snapshot
 
     @property
     def max_div(self) -> float:
@@ -146,8 +145,8 @@ class IncompressibilityReport:
 
 def verify_incompressibility(sol: NSSolution) -> IncompressibilityReport:
     """max_t ||div v(t)||_2: the divergence the fixed point recovered."""
-    vals = np.array([l2(div(vk)) for vk in sol.v])
-    return IncompressibilityReport(sol.v.times, vals)
+    d = history_div(sol.v)
+    return IncompressibilityReport(sol.v.times, np.array([l2(dk) for dk in d]), d)
 
 
 @dataclass

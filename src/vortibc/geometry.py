@@ -376,13 +376,13 @@ def boundary_from_function(frame: BoundaryFrame, fn) -> list[np.ndarray]:
 def second_fundamental_form(frame: BoundaryFrame, u_vals, w_vals) -> list[np.ndarray]:
     """Pointwise pi(u, w) = h * <u, tau> <w, tau> on each component.
 
-    u_vals / w_vals are per-component (m, 2) vector values; only the
+    u_vals / w_vals are per-component (..., m, 2) vector values; only the
     tangential parts enter in the 2D reduction.
     """
     out = []
     for comp, u, w in zip(frame, u_vals, w_vals):
-        ut = u[:, 0] * comp.tau[:, 0] + u[:, 1] * comp.tau[:, 1]
-        wt = w[:, 0] * comp.tau[:, 0] + w[:, 1] * comp.tau[:, 1]
+        ut = u[..., 0] * comp.tau[:, 0] + u[..., 1] * comp.tau[:, 1]
+        wt = w[..., 0] * comp.tau[:, 0] + w[..., 1] * comp.tau[:, 1]
         out.append(comp.curvature * ut * wt)
     return out
 

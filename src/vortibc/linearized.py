@@ -17,19 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import solve_divergence_coupling, solve_pressure_euler, solve_pressure_linearized
+from .elliptic import _PRESSURE_ROWS, solve_pressure_linearized, solve_transport
 from .errors import CFLViolation
 from .fields import (
     FieldHistory,
+    ScalarField,
     VectorField,
+    _dx_dy,
     advect,
     curl2d,
     curl_scalar,
-    div,
     grad,
     grad_l2,
+    history_div,
     history_n_norm_sq,
     l2,
+    max_speed,
 )
 from .geometry import boundary_frame, boundary_zeros
 
@@ -43,7 +46,10 @@ class VelocityMapInput:
 
     beta and w share grid, dt, and snapshot count; beta[0] must vanish.
     v_init is the initial value of the evolving unknown (kept zero for the
-    fixed-point iteration; exposed for superposition tests).
+    fixed-point iteration; exposed for superposition tests).  known_rows = j
+    states that beta is iterate j of the Picard iteration from v = v_init on
+    the same w, which is final on rows 0..j: rows 1..j of the result are
+    copied from beta instead of stepped.
     """
 
     beta: FieldHistory
@@ -51,6 +57,7 @@ class VelocityMapInput:
     mu: float
     dt: float
     v_init: VectorField | None = None
+    known_rows: int = 0
 
     def __post_init__(self):
         if len(self.beta) != len(self.w):
@@ -59,6 +66,8 @@ class VelocityMapInput:
             raise ValueError("beta and w must share dt")
         if l2(self.beta[0]) > 1e-12 * max(1.0, l2(self.w[0])):
             raise ValueError("beta(0) must vanish")
+        if not 0 <= self.known_rows < len(self.w):
+            raise ValueError("known_rows must index a snapshot")
 
 
 class VelocityMap:
@@ -66,53 +75,72 @@ class VelocityMap:
 
     The Picard iteration and the causal march both go through `step`, so
     they run the same floating-point operations: iterate k of the
-    iteration equals the march bit for bit on snapshots 0..k.
+    iteration equals the march bit for bit on snapshots 0..k.  A Picard
+    sweep knows every carrier s = beta + w before it starts, so it solves
+    their pressures _PRESSURE_ROWS snapshots ahead; each row of that solve
+    equals the march's one-row solve bit for bit.
     """
 
     def __init__(self, grid, mu: float, dt: float):
         from .stepping import VelocityStepper
 
+        self.grid = grid
         self.dt = dt
         self.frame = boundary_frame(grid) if grid.has_boundary() else None
         self.a_zero = boundary_zeros(self.frame) if self.frame is not None else None
         self.stepper = VelocityStepper(grid, mu, dt, theta=1.0)
         self.hmin = grid.min_spacing()
 
-    def step(self, n: int, v: VectorField, beta_n: VectorField,
-             w_n: VectorField) -> VectorField:
-        """v at step n+1 from v, beta and w at step n.
+    def pressure_gradients(self, s, n0: int):
+        """grad p for each row of the (rows, 2, n1, n2) carrier block s, the
+        carriers of steps n0, n0 + 1, ...; the linearized pressure of (beta,
+        w) is the inviscid pressure of s = beta + w.  Returns (gx, gy), each
+        (rows, n1, n2).
 
-        Raises CFLViolation when dt * max|beta + w| exceeds 0.9 of the
-        finest cell spacing.
+        Raises CFLViolation when dt * max|s| exceeds 0.9 of the finest cell
+        spacing, naming the first such step.
         """
-        carrier = beta_n + w_n
-        cfl = self.dt * carrier.max_abs() / self.hmin
-        if cfl > CFL_LIMIT:
+        cfl = self.dt * max_speed(s) / self.hmin
+        bad = np.flatnonzero(cfl > CFL_LIMIT)
+        if bad.size:
             raise CFLViolation(
-                f"advective CFL {cfl:.3f} > {CFL_LIMIT} at step {n}")
-        # the linearized pressure of (beta, w) is the inviscid pressure of
-        # the carrier s = beta + w, so s is formed once per step
-        p_n = solve_pressure_euler(carrier, self.frame)
-        forcing = (advect(carrier, v + w_n) + grad(p_n)) * (-1.0)
+                f"advective CFL {cfl[bad[0]]:.3f} > {CFL_LIMIT} at step {n0 + bad[0]}")
+        return _dx_dy(self.grid, solve_transport(self.grid, s))
+
+    def step(self, v: VectorField, s: VectorField, w_n: VectorField,
+             grad_p: VectorField) -> VectorField:
+        """v at step n+1 from v, the carrier s = beta + w, w and grad p at
+        step n."""
+        forcing = (advect(s, v + w_n) + grad_p) * (-1.0)
         return self.stepper.step(v, forcing, self.a_zero)
 
     def run(self, w: FieldHistory, beta: FieldHistory | None = None,
-            v_init: VectorField | None = None) -> FieldHistory:
+            v_init: VectorField | None = None, known_rows: int = 0) -> FieldHistory:
         """The v history over the snapshots of w.  beta = None transports
-        with v itself, which is the fixed point of the map."""
-        v_hist = FieldHistory.zeros(w.grid, self.dt, len(w))
+        with v itself, which is the fixed point of the map; its carrier is
+        known one step ahead only.  Rows 1..known_rows are copied from beta
+        (see VelocityMapInput)."""
+        g, nt = w.grid, len(w)
+        v_hist = FieldHistory.zeros(g, self.dt, nt)
         if v_init is not None:
             v_hist[0] = v_init
-        v = v_hist[0]
-        for n in range(len(w) - 1):
-            v = self.step(n, v, v if beta is None else beta[n], w[n])
-            v_hist[n + 1] = v
+        if known_rows:
+            v_hist.data[1:known_rows + 1] = beta.data[1:known_rows + 1]
+        ahead, transport = (1, v_hist) if beta is None else (_PRESSURE_ROWS, beta)
+        for n0 in range(known_rows, nt - 1, ahead):
+            n1 = min(n0 + ahead, nt - 1)
+            s = transport.data[n0:n1] + w.data[n0:n1]
+            gx, gy = self.pressure_gradients(s, n0)
+            for i, n in enumerate(range(n0, n1)):
+                v_hist[n + 1] = self.step(v_hist[n], VectorField(g, *s[i]), w[n],
+                                          VectorField(g, gx[i], gy[i]))
         return v_hist
 
 
 def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
     """Advance the linearized problem; returns the v history."""
-    return VelocityMap(inp.w.grid, inp.mu, inp.dt).run(inp.w, inp.beta, inp.v_init)
+    return VelocityMap(inp.w.grid, inp.mu, inp.dt).run(inp.w, inp.beta, inp.v_init,
+                                                       inp.known_rows)
 
 
 @dataclass
@@ -142,11 +170,13 @@ F_COLUMNS = ("t", "F", "Q", "l2sq_v_psi", "l2sq_gradg_gradq", "l2sq_vt_dt_wt")
 
 
 def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
-              mu: float, frame) -> EnergyDiagnostics:
+              mu: float, frame, div_v: FieldHistory | None = None) -> EnergyDiagnostics:
     """Assemble F(t) and Q(t) from the computed histories.
 
     Needs at least 3 snapshots for interior-centered time derivatives.  The
     auxiliary scalar q couples the current v explicitly (same-step values).
+    div_v is the divergence history of v_hist when the caller has it.  mu
+    and frame are not read: q's solve takes the boundary from the grid.
     """
     if len(v_hist) < 3:
         raise ValueError("compute_F needs at least 3 snapshots")
@@ -158,24 +188,32 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
     beta_t = v_t if beta_hist is v_hist else beta_hist.time_derivative()
     w_t = w_hist.time_derivative()
 
-    d_hist = FieldHistory.zeros(v_hist.grid, dt, nt, scalar=True)
-    om_hist = FieldHistory.zeros(v_hist.grid, dt, nt, scalar=True)
+    grid = v_hist.grid
+    d_hist = history_div(v_hist) if div_v is None else div_v
+    om_hist = FieldHistory.zeros(grid, dt, nt, scalar=True)
     for k, v in enumerate(v_hist):
-        d_hist[k], om_hist[k] = div(v), curl2d(v)
+        om_hist[k] = curl2d(v)
     d_t = d_hist.time_derivative()
     om_t = om_hist.time_derivative()
 
     comp_v_psi = np.zeros(nt)
     comp_grad_gq = np.zeros(nt)
     comp_td = np.zeros(nt)
-    for k in range(nt):
-        v, beta, w = v_hist[k], beta_hist[k], w_hist[k]
-        psi = curl_scalar(om_hist[k])
-        q = solve_divergence_coupling(beta, w, v, frame)
-        gfield = d_hist[k] - q
-        comp_v_psi[k] = l2(v) ** 2 + l2(psi) ** 2
-        comp_grad_gq[k] = grad_l2(gfield) ** 2 + grad_l2(q) ** 2
-        comp_td[k] = l2(v_t[k]) ** 2 + l2(d_t[k]) ** 2 + l2(om_t[k]) ** 2
+    for i in range(0, nt, _PRESSURE_ROWS):
+        rows = slice(i, i + _PRESSURE_ROWS)
+        # the divergence coupling q for s = beta + w, e = beta - v, one chunk
+        # of rows per solve: whole-history s and e blocks would add two
+        # history-sized temporaries to the peak memory of a run
+        q_rows = solve_transport(grid, beta_hist.data[rows] + w_hist.data[rows],
+                                 beta_hist.data[rows] - v_hist.data[rows])
+        for k, q_values in enumerate(q_rows, start=i):
+            v = v_hist[k]
+            psi = curl_scalar(om_hist[k])
+            q = ScalarField(grid, q_values)
+            gfield = d_hist[k] - q
+            comp_v_psi[k] = l2(v) ** 2 + l2(psi) ** 2
+            comp_grad_gq[k] = grad_l2(gfield) ** 2 + grad_l2(q) ** 2
+            comp_td[k] = l2(v_t[k]) ** 2 + l2(d_t[k]) ** 2 + l2(om_t[k]) ** 2
     load = 1.0 + history_n_norm_sq(beta_hist, beta_t) + history_n_norm_sq(w_hist, w_t)
 
     F = comp_v_psi + comp_grad_gq + comp_td

@@ -325,12 +325,14 @@ def test_resolution_override(tmp_path):
     ("ns", "physics.dt = -0.005\n", []),
     ("ns", "output.checkpoint_stride = -1\n", []),
     ("ns", "solver.contraction_window = 0\n", []),
+    ("sweep", "physics.mu_list = 0.1, -0.1\n", []),
+    ("sweep", "physics.mu_list = 0.1, 0.0\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
         "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
         "dt_above_T_euler", "dt_not_dividing_T", "negative_seed_cfg", "negative_seed_arg",
         "fractional_seed", "text_float_field", "negative_dt", "negative_checkpoint_stride",
-        "zero_contraction_window"])
+        "zero_contraction_window", "nonpositive_mu_list_entry", "zero_mu_list_entry"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -397,6 +399,20 @@ def test_perfbench_tracer_installs(tmp_path):
     assert stokes["stepping.factor.calls"] == 1
     assert stokes["elliptic.factor.calls"] >= 1
     assert stokes["stepping.lu_nnz"] <= 20 * (2 * 16 * 16)
+
+
+def test_perfbench_setup_builds(monkeypatch):
+    # a guard for the benchmark's set-up step, which imports elliptic and
+    # stepping entry points by name: renaming or re-signing one must fail
+    # here, not only in the benchmark
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(repo, "perfbench"))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        cfg = parse_config(workloads.config_text(name, 1))
+        cfg.n1 = cfg.n2 = 16
+        workloads.build_setup(name, cfg)
 
 
 def test_ns_diagnostics_deterministic(tmp_path):

@@ -11,16 +11,17 @@ from scipy.sparse.linalg import splu
 from conftest import circulation_field, ls_order, zero_mean
 from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField,
                      boundary_frame, build_grid, grad)
-from vortibc.elliptic import (ModeBlockSolve, NeumannProblem, _assemble_dirichlet,
-                              _assemble_neumann, pin_rows, solonnikov_ratio,
-                              solve_divergence_coupling,
-                              solve_harmonic_q, solve_neumann,
-                              solve_pressure_euler, solve_pressure_linearized,
-                              solve_pressure_ns)
-from vortibc.errors import BCViolation, DegenerateInput, IncompatibleData, LinearSolveFailed
-from vortibc.fields import advect, boundary_vector_values, div, l2
+from vortibc.elliptic import (_PRESSURE_ROWS, ModeBlockSolve, NeumannProblem,
+                              _assemble_dirichlet, _assemble_neumann, _solve_neumann_rows,
+                              pin_rows, solonnikov_ratio, solve_divergence_coupling,
+                              solve_harmonic_q, solve_neumann, solve_pressure_euler,
+                              solve_pressure_linearized, solve_pressure_ns, solve_transport)
+from vortibc.errors import (BCViolation, DegenerateInput, IncompatibleData, LinearSolveFailed,
+                            SolverDiverged)
+from vortibc.fields import advect, boundary_vector_values, div, l2, surface_curl
 from vortibc.geometry import second_fundamental_form
-from vortibc.generators import random_vector
+from vortibc.generators import (random_absolute_bc_field, random_boundary_scalar,
+                                random_vector)
 from vortibc.stepping import VelocityStepper
 
 
@@ -398,3 +399,87 @@ def test_mode_blocks_reject_non_circulant_operator(annulus_grid):
     A[row, row] *= 1.5
     with pytest.raises(LinearSolveFailed):
         ModeBlockSolve(A.tocsr(), annulus_grid, splu)
+
+
+# ---------------------------------------------------------------------------
+# the stacked transport kernel against one snapshot at a time
+
+def _transport_by_hand(s, e, mu=0.0, a=None):
+    """One snapshot's transport solve assembled from the single-field
+    operators: lap(q) = -div(s . grad e), d_nu q = pi(s, e) - mu da/ds."""
+    grid = s.grid
+    flux = []
+    if grid.has_boundary():
+        frame = boundary_frame(grid)
+        flux = second_fundamental_form(frame, boundary_vector_values(s, frame),
+                                       boundary_vector_values(e, frame))
+        if a is not None:
+            flux = [g - mu * sk for g, sk in zip(flux, surface_curl(a, frame))]
+    src = ScalarField(grid, -div(advect(s, e)).values)
+    return solve_neumann(NeumannProblem(grid, src, flux, tol_compat=np.inf)).values
+
+
+def _carrier_block(grid, rows, seed):
+    """(rows, 2, n1, n2) block of distinct fields with u_perp = 0."""
+    rng = np.random.default_rng(seed)
+    fields = [random_absolute_bc_field(grid, rng, amplitude=1.0 + 0.1 * k) for k in range(rows)]
+    return np.stack([np.stack((f.ux, f.uy)) for f in fields])
+
+
+def _row(grid, block, k):
+    return VectorField(grid, block[k, 0], block[k, 1])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 2 * _PRESSURE_ROWS + 3])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+def test_transport_rows_equal_single_snapshots(spec, rows):
+    """Every row of a stacked solve equals the one-snapshot solve bit for
+    bit: pressures (e = s, with and without boundary vorticity) and the
+    divergence coupling (e != s); the last case spans a partial chunk."""
+    grid = build_grid(spec, 16, 24)
+    s = _carrier_block(grid, rows, 1)
+    e = s - _carrier_block(grid, rows, 2)
+    a = None
+    if grid.has_boundary():
+        a = random_boundary_scalar(boundary_frame(grid), np.random.default_rng(3))
+    pressures = solve_transport(grid, s)
+    viscous = solve_transport(grid, s, None, 0.3, a)
+    coupling = solve_transport(grid, s, e)
+    for k in range(rows):
+        sk, ek = _row(grid, s, k), _row(grid, e, k)
+        assert np.array_equal(pressures[k], _transport_by_hand(sk, sk))
+        assert np.array_equal(viscous[k], _transport_by_hand(sk, sk, 0.3, a))
+        assert np.array_equal(coupling[k], _transport_by_hand(sk, ek))
+        assert np.array_equal(pressures[k], solve_pressure_euler(sk, None).values)
+        assert np.array_equal(viscous[k], solve_pressure_ns(sk, a, 0.3, None).values)
+        assert np.array_equal(coupling[k], solve_divergence_coupling(
+            sk, VectorField.zeros(grid), sk - ek, None).values)
+
+
+@pytest.mark.parametrize("spec", [SPECS[0], SPECS[3]], ids=lambda s: s.kind.value)
+def test_transport_block_with_nan_row_raises(spec):
+    grid = build_grid(spec, 16, 24)
+    s = _carrier_block(grid, 3, 4)
+    s[1, 0, 5, 7] = np.nan
+    with pytest.raises(SolverDiverged):
+        solve_transport(grid, s)
+
+
+def test_neumann_block_with_incompatible_row_raises(annulus_grid, annulus_frame):
+    grid = annulus_grid
+    source = np.zeros((3, *grid.shape))
+    source[2] = 1.0
+    flux = [np.zeros(c.n_nodes) for c in annulus_frame]
+    with pytest.raises(IncompatibleData):
+        _solve_neumann_rows(grid, source, flux, 1e-8)
+    # the compatible rows alone solve
+    assert np.all(_solve_neumann_rows(grid, source[:2], flux, 1e-8) == 0.0)
+
+
+def test_pressure_block_with_normal_trace_raises(annulus_spec):
+    grid = build_grid(annulus_spec, 16, 24)
+    s = _carrier_block(grid, 3, 5)
+    s[1, 0] += np.cos(grid.theta)     # a radial flow e_r through both circles
+    s[1, 1] += np.sin(grid.theta)
+    with pytest.raises(BCViolation):
+        solve_transport(grid, s)

@@ -223,6 +223,43 @@ def test_picard_error_within_banach_bound(march_run):
             assert err <= q / (1.0 - q) * delta
 
 
+def test_picard_sweep_k_steps_only_rows_k_on(torus_spec, monkeypatch):
+    """Sweep k copies rows 1..k-1 from iterate k-1, where it is final, and
+    steps the other nt - 1 - (k - 1); the iterates stay those of full sweeps
+    bit for bit."""
+    import vortibc.fixedpoint as fp
+    from vortibc.stepping import VelocityStepper
+
+    grid = build_grid(torus_spec, 16, 16)
+    u0 = random_absolute_bc_field(grid, np.random.default_rng(3), amplitude=1.0)
+    mu, T, dt = 0.02, 0.05, 0.005
+    steps, sweeps = [0], []
+    step, apply_map = VelocityStepper.step, fp.apply_velocity_map
+
+    def counted_step(self, *args):
+        steps[0] += 1
+        return step(self, *args)
+
+    def counted_map(inp):
+        steps[0] = 0
+        v = apply_map(inp)
+        sweeps.append(steps[0])
+        return v
+
+    monkeypatch.setattr(VelocityStepper, "step", counted_step)
+    monkeypatch.setattr(fp, "apply_velocity_map", counted_map)
+    sol = picard_solve(u0, None, mu, T, dt, PicardConfig(tol_fix=1e-12, max_iter=30))
+    nt = len(sol.w)
+    assert 2 < len(sweeps) < nt - 1
+    assert sweeps == [nt - 1 - (k - 1) for k in range(1, len(sweeps) + 1)]
+
+    monkeypatch.undo()
+    v = FieldHistory.zeros(grid, dt, nt)
+    for _ in sweeps:
+        v = apply_velocity_map(VelocityMapInput(beta=v, w=sol.w, mu=mu, dt=dt))
+    assert np.array_equal(v.data, sol.v.data)
+
+
 def _sobolev_sq_per_component(field, lo, hi):
     """The single-field norm sum written out: per component, orders lo..1
     as one integral sum, then order 2 as another."""
