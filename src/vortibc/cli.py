@@ -2,7 +2,7 @@
 
 Subcommands: verify (identity/inequality suite), stokes, ns, euler, sweep.
 Exit codes: 0 success, 1 verify-suite failure, 2 configuration error,
-3 no contraction, 4 solver failure, 5 partial sweep.
+3 no contraction, 4 solver failure or internal error, 5 partial sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from . import errors
 from .config import RunConfig, check_ranges, load_config
 from .diagnostics import DiagnosticsRecord
-from .fields import div, l2
+from .fields import div, l2, step_count
 from .generators import make_boundary_data, make_initial_condition
 from .geometry import boundary_frame, build_grid
 from .io import atomic_write_text, format_float, scalar_checkpoint, vector_checkpoint, write_csv
@@ -72,17 +72,22 @@ def _setup_run(cfg: RunConfig):
     return grid, frame, u0, a
 
 
-def _write_history(cfg, hist, tag):
+def _stream(cfg, rows, nt, tags, rec, diag_row):
+    """Consume nt snapshots of fields as they pass: add diag_row(k, *fields)
+    to rec, and checkpoint each field under its tag at every
+    checkpoint_stride-th snapshot (stride 0: the last one only).  Returns
+    the fields of the last snapshot."""
     stride = cfg.checkpoint_stride
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    idxs = [len(hist) - 1] if stride <= 0 else list(range(0, len(hist), stride))
-    for k in idxs:
-        snap = hist[k]
-        path = os.path.join(cfg.out_dir, f"{tag}_{k:06d}.vbf")
-        if hasattr(snap, "ux"):
-            vector_checkpoint(path, snap)
-        else:
-            scalar_checkpoint(path, snap)
+    for k, fields in enumerate(rows):
+        rec.add(*diag_row(k, *fields))
+        if k == nt - 1 if stride <= 0 else k % stride == 0:
+            for tag, snap in zip(tags, fields):
+                path = os.path.join(cfg.out_dir, f"{tag}_{k:06d}.vbf")
+                if hasattr(snap, "ux"):
+                    vector_checkpoint(path, snap)
+                else:
+                    scalar_checkpoint(path, snap)
+    return fields
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -112,17 +117,18 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_stokes(cfg: RunConfig) -> int:
-    from .stokes import solve_stokes, stokes_diagnostics
+    from .stokes import STOKES_COLUMNS, normalize_boundary_data, stokes_row, stokes_rows
 
     grid, frame, u0, a = _setup_run(cfg)
-    w_hist, q_hist = solve_stokes(u0, a, cfg.mu, cfg.T, cfg.effective_dt(grid), cfg.scheme)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    diag = stokes_diagnostics(w_hist, q_hist, a, frame)
-    diag.write_csv(os.path.join(cfg.out_dir, "stokes_diagnostics.csv"))
-    _write_history(cfg, w_hist, "w")
-    _write_history(cfg, q_hist, "q")
-    print(f"final ||w||_2 = {format_float(l2(w_hist[-1]))}")
-    print(f"final ||div w||_2 = {format_float(l2(div(w_hist[-1])))}")
+    dt = cfg.effective_dt(grid)
+    sample_a, _ = normalize_boundary_data(a, frame)
+    rows = stokes_rows(u0, a, cfg.mu, cfg.T, dt, cfg.scheme)
+    rec = DiagnosticsRecord(STOKES_COLUMNS)
+    w, _ = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("w", "q"), rec,
+                   lambda k, w, q: stokes_row(k * dt, w, q, sample_a(k * dt), frame))
+    rec.write_csv(os.path.join(cfg.out_dir, "stokes_diagnostics.csv"))
+    print(f"final ||w||_2 = {format_float(l2(w))}")
+    print(f"final ||div w||_2 = {format_float(l2(div(w)))}")
     return EXIT_OK
 
 
@@ -144,15 +150,13 @@ def cmd_ns(cfg: RunConfig) -> int:
     # div v of every snapshot, computed once for all three outputs below
     inc = verify_incompressibility(sol)
     rec = DiagnosticsRecord(("t", "l2_u", "l2_v", "l2_div_v"))
-    for k, (u, v) in enumerate(zip(sol.u, sol.v)):
-        rec.add(k * dt, l2(u), l2(v), inc.div_l2[k])
+    _stream(cfg, zip(sol.u, sol.p), len(sol.u), ("u", "p"), rec,
+            lambda k, u, p: (k * dt, l2(u), l2(sol.v[k]), inc.div_l2[k]))
     rec.write_csv(os.path.join(cfg.out_dir, "ns_diagnostics.csv"))
     if len(sol.v) >= 3:
         diag = compute_F(sol.v, sol.v, sol.w, cfg.mu, frame, div_v=inc.div)
         write_csv(os.path.join(cfg.out_dir, "ns_energy.csv"), F_COLUMNS,
                   list(diag.rows()))
-    _write_history(cfg, sol.u, "u")
-    _write_history(cfg, sol.p, "p")
     print(f"final ||u||_2 = {format_float(l2(sol.u[-1]))}")
     print(f"max_t ||div v||_2 = {format_float(inc.max_div)}")
     print(f"picard iterations = {len(sol.trace)}")
@@ -166,18 +170,16 @@ def cmd_ns(cfg: RunConfig) -> int:
 
 
 def cmd_euler(cfg: RunConfig) -> int:
-    from .euler import kinetic_energy, solve_euler
+    from .euler import euler_rows, kinetic_energy
 
     grid, frame, u0, a = _setup_run(cfg)
     dt = cfg.effective_dt(grid)
-    hist = solve_euler(u0, cfg.T, dt, grid)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    rows = ((u,) for u in euler_rows(u0, cfg.T, dt, grid))
     rec = DiagnosticsRecord(("t", "l2_u", "energy"))
-    for k in range(len(hist)):
-        rec.add(k * dt, l2(hist[k]), kinetic_energy(hist[k]))
+    u, = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("u",), rec,
+                 lambda k, u: (k * dt, l2(u), kinetic_energy(u)))
     rec.write_csv(os.path.join(cfg.out_dir, "euler_diagnostics.csv"))
-    _write_history(cfg, hist, "u")
-    print(f"final ||u||_2 = {format_float(l2(hist[-1]))}")
+    print(f"final ||u||_2 = {format_float(l2(u))}")
     return EXIT_OK
 
 
@@ -229,6 +231,9 @@ def main(argv=None) -> int:
         return EXIT_NO_CONTRACTION
     except errors.VortibcError as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except Exception as exc:  # noqa: BLE001 - exit 1 means a failed verify suite
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import (BCViolation, DegenerateInput, IncompatibleData, LinearSolveFailed,
                      SolverDiverged)
@@ -55,6 +54,14 @@ class NeumannProblem:
     source: ScalarField
     flux: list | None = None
     tol_compat: float | None = None
+
+
+def splu(A):
+    """scipy's sparse LU of A, imported on the first call: doubly periodic
+    runs solve by FFT and never load scipy.sparse.linalg."""
+    from scipy.sparse.linalg import splu as sparse_lu
+
+    return sparse_lu(A)
 
 
 # ---------------------------------------------------------------------------

@@ -63,3 +63,7 @@ class CirculationSystemSingular(VortibcError):
 
 class ConfigError(VortibcError):
     """Run configuration failed to parse or validate."""
+
+
+class MemoryBudgetExceeded(VortibcError):
+    """A field history would not fit in physical memory."""

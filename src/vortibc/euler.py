@@ -29,7 +29,9 @@ from .fields import (
     curl_scalar,
     grad_l2,
     l2,
+    max_speed,
     require_finite,
+    step_count,
     tangential_part,
 )
 from .geometry import DomainKind, Grid, boundary_frame, surface_integrate
@@ -93,22 +95,23 @@ class StreamfunctionSolver:
         return curl_scalar(ScalarField(g, s0 + c * self.s1))
 
 
-def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistory:
-    """Vorticity-transport Euler solve; returns the velocity history.
+def euler_rows(u0: VectorField, T: float, dt: float, grid: Grid):
+    """Vorticity-transport Euler solve, yielding the velocity at steps
+    0, 1, ..., step_count(T, dt) as each is computed.
 
-    RK2 (Heun) in time, centered advection in space; raises CFLViolation
-    when dt * max|u| exceeds 0.9 of the finest spacing.
+    RK2 (Heun) in time, centered advection in space; raises CFLViolation,
+    naming the step, when dt * max|u| before that step exceeds 0.9 of the
+    finest spacing.
     """
+    nsteps = step_count(T, dt)
     require_finite(SolverDiverged, "solve_euler: u0", u0.ux, u0.uy)
     solver = StreamfunctionSolver(grid, u0)
     hmin = grid.min_spacing()
     omega = curl2d(u0)
     u = solver.velocity(omega)
-    nsteps = int(round(T / dt))
-    hist = FieldHistory.zeros(grid, dt, nsteps + 1)
-    hist[0] = u
+    yield u
     for n in range(nsteps):
-        if dt * u.max_abs() / hmin > CFL_LIMIT:
+        if dt * max_speed(np.stack((u.ux, u.uy))) / hmin > CFL_LIMIT:
             raise CFLViolation(f"Euler advective CFL exceeded at step {n}")
         k1 = _advect_scalar(u, omega)
         om1 = ScalarField(grid, omega.values - dt * k1)
@@ -116,7 +119,14 @@ def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistor
         k2 = _advect_scalar(u1, om1)
         omega = ScalarField(grid, omega.values - 0.5 * dt * (k1 + k2))
         u = solver.velocity(omega)
-        hist[n + 1] = u
+        yield u
+
+
+def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistory:
+    """The velocity history of euler_rows, allocated before the first step."""
+    hist = FieldHistory.zeros(grid, dt, step_count(T, dt) + 1)
+    for n, u in enumerate(euler_rows(u0, T, dt, grid)):
+        hist[n] = u
     return hist
 
 
@@ -178,13 +188,14 @@ SWEEP_COLUMNS = ("mu", "e_sup", "e_grad", "noise_floor", "converged")
 
 
 def _run_single_mu(cfg, mu, euler_hist):
-    from .fixedpoint import march_solve
+    """(e_sup, e_grad) of one viscosity, read off the march as it passes:
+    a running max, and a trapezoid over the per-step series."""
+    from .fixedpoint import march_rows
 
-    u_hist = march_solve(cfg.u0, cfg.a, mu, cfg.T, cfg.dt)
     e_sup = 0.0
-    e_grad_series = np.zeros(len(u_hist))
-    for k in range(len(u_hist)):
-        diff = u_hist[k] - euler_hist[k]
+    e_grad_series = np.zeros(len(euler_hist))
+    for k, u in enumerate(march_rows(cfg.u0, cfg.a, mu, cfg.T, cfg.dt)):
+        diff = u - euler_hist[k]
         e_sup = max(e_sup, l2(diff))
         e_grad_series[k] = grad_l2(diff) ** 2
     e_grad = float(np.trapezoid(e_grad_series, dx=cfg.dt))

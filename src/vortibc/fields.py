@@ -9,11 +9,13 @@ FieldHistory holds its snapshots in one array that producers fill row by row.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingTimeDerivative
+from .errors import MemoryBudgetExceeded, MissingTimeDerivative
 from .geometry import BoundaryFrame, Grid
 
 __all__ = [
@@ -22,6 +24,7 @@ __all__ = [
     "normal_component", "tangential_part", "boundary_vector_values",
     "surface_curl", "normal_derivative", "max_normal_trace", "max_vorticity_defect",
     "l2", "h1", "h2", "n_norm", "history_n_norm_sq", "history_div", "max_speed",
+    "step_count",
 ]
 
 
@@ -184,9 +187,15 @@ def _dx_dy(grid, values):
     d1 = _d1(values, 0, grid.h1, grid.periodic1)
     d2 = _d1(values, 1, grid.h2, grid.periodic2)
     if grid.polar:
+        # ct d1 - st dthet and st d1 + ct dthet, reusing the fresh partials
         ct, st = grid.cos_theta, grid.sin_theta
-        dthet = d2 / grid.r
-        return ct * d1 - st * dthet, st * d1 + ct * dthet
+        dthet = np.divide(d2, grid.r, out=d2)
+        tmp = st * dthet
+        dx = ct * d1
+        dx -= tmp
+        dy = np.multiply(st, d1, out=d1)
+        dy += np.multiply(ct, dthet, out=tmp)
+        return dx, dy
     return d1, d2
 
 
@@ -296,7 +305,13 @@ def max_vorticity_defect(u: VectorField, frame: BoundaryFrame | None, a) -> floa
     a = None reads as zero data.  0 without a boundary."""
     if frame is None:
         return 0.0
-    defect = boundary_scalar_values(curl2d(u), frame)
+    return max_trace_defect(curl2d(u), frame, a)
+
+
+def max_trace_defect(f: ScalarField, frame: BoundaryFrame, a) -> float:
+    """max |f - a| over the boundary nodes, with a per component; a = None
+    reads as zero data."""
+    defect = boundary_scalar_values(f, frame)
     if a is not None:
         defect = [ob - av for ob, av in zip(defect, a)]
     return max(float(np.max(np.abs(d))) for d in defect)
@@ -341,19 +356,20 @@ def normal_derivative(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
 _NORM_ROWS = 4
 
 
-def _sobolev_sq(grid, a, lo: int, hi: int):
+def _sobolev_sq(grid, a, lo: int, hi: int, partials=None):
     """For each leading index of a (..., c, n1, n2) block: the sum over its
     c components of the integrals of the squared partial derivatives of
     orders lo..hi (at most 2).  Per component in turn, orders 0 and 1 add as
     one term and order 2 as another; another grouping would move the last
-    bits of every norm the diagnostics CSVs print."""
+    bits of every norm the diagnostics CSVs print.  partials = _dx_dy(grid,
+    a) when the caller has them."""
     def integral(d):
         sq = d**2
         return np.sum(np.multiply(sq, grid.weights, out=sq), axis=(-2, -1))
 
     derivs = [a]
     if hi >= 1:
-        derivs += _dx_dy(grid, a)
+        derivs += _dx_dy(grid, a) if partials is None else partials
     terms = []
     if lo <= 1:
         terms.append(sum(integral(d) for d in derivs[lo:]))
@@ -366,20 +382,22 @@ def _sobolev_sq(grid, a, lo: int, hi: int):
     return total
 
 
-def _norm(field, lo: int, hi: int) -> float:
-    return float(np.sqrt(_sobolev_sq(field.grid, _block(field), lo, hi)))
+def _norm(field, lo: int, hi: int, partials=None) -> float:
+    return float(np.sqrt(_sobolev_sq(field.grid, _block(field), lo, hi, partials)))
 
 
 def l2(field) -> float:
     return _norm(field, 0, 0)
 
 
-def h1(field) -> float:
-    return _norm(field, 0, 1)
+def h1(field, partials=None) -> float:
+    """partials: _dx_dy of the field's components, when the caller has them."""
+    return _norm(field, 0, 1, partials)
 
 
-def h2(field) -> float:
-    return _norm(field, 0, 2)
+def h2(field, partials=None) -> float:
+    """partials: _dx_dy of the field's components, when the caller has them."""
+    return _norm(field, 0, 2, partials)
 
 
 def hessian_seminorm(field) -> float:
@@ -431,6 +449,18 @@ def history_div(hist) -> "FieldHistory":
 # ---------------------------------------------------------------------------
 # time series
 
+def step_count(T: float, dt: float) -> int:
+    """Number of steps of size dt to T; dt must not exceed T."""
+    if dt > T:
+        raise ValueError("dt must not exceed T")
+    return int(round(T / dt))
+
+
+def physical_memory_bytes() -> int:
+    """The machine's physical memory, the budget of one history."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 class FieldHistory:
     """Uniformly spaced snapshots from t = 0, stored as one array: shape
     (nt, 2, n1, n2) for a vector history, (nt, n1, n2) for a scalar one.
@@ -451,7 +481,16 @@ class FieldHistory:
 
     @classmethod
     def zeros(cls, grid: Grid, dt: float, nt: int, scalar: bool = False):
-        return cls(grid, dt, np.zeros((nt, *(() if scalar else (2,)), *grid.shape)))
+        """An nt-snapshot history of zeros.  Raises MemoryBudgetExceeded,
+        before allocating, when it would not fit in physical memory."""
+        shape = (nt, *(() if scalar else (2,)), *grid.shape)
+        nbytes = 8 * math.prod(shape)
+        budget = physical_memory_bytes()
+        if nbytes > budget:
+            raise MemoryBudgetExceeded(
+                f"a {nt}-snapshot history needs {nbytes / 2**30:.4g} GiB, "
+                f"more than the {budget / 2**30:.4g} GiB of physical memory")
+        return cls(grid, dt, np.zeros(shape))
 
     def __len__(self):
         return len(self.data)

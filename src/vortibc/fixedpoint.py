@@ -27,9 +27,10 @@ from .fields import (
     laplacian,
     max_normal_trace,
     max_vorticity_defect,
+    step_count,
 )
 from .linearized import VelocityMap, VelocityMapInput, apply_velocity_map
-from .stokes import normalize_boundary_data, solve_stokes
+from .stokes import normalize_boundary_data, solve_stokes, stokes_rows
 
 
 @dataclass
@@ -70,16 +71,26 @@ def wt_norm(diff: FieldHistory) -> float:
     return float(np.fmax.reduce(np.sqrt(n_sq), initial=0.0))
 
 
-def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
-                scheme: str = "backward-euler") -> FieldHistory:
-    """The fixed point u = v + w of the velocity map in one forward sweep.
+def march_rows(u0: VectorField, a, mu: float, T: float, dt: float,
+               scheme: str = "backward-euler"):
+    """The fixed point u = v + w of the velocity map in one forward sweep,
+    yielded a snapshot at a time, with the Stokes part advanced in step.
 
     Step n+1 of the map reads beta only at step n, so the fixed point obeys
     v_{n+1} = Step(v_n; beta_n = v_n) and is computed causally, with no
     iteration: Picard iterate k equals this march on snapshots 0..k.
     """
-    w_hist, _ = solve_stokes(u0, a, mu, T, dt, scheme)
-    return VelocityMap(u0.grid, mu, dt).run(w_hist) + w_hist
+    w_rows = (w for w, _ in stokes_rows(u0, a, mu, T, dt, scheme))
+    return VelocityMap(u0.grid, mu, dt).march(w_rows)
+
+
+def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
+                scheme: str = "backward-euler") -> FieldHistory:
+    """The u history of march_rows, allocated before the first step."""
+    u_hist = FieldHistory.zeros(u0.grid, dt, step_count(T, dt) + 1)
+    for n, u in enumerate(march_rows(u0, a, mu, T, dt, scheme)):
+        u_hist[n] = u
+    return u_hist
 
 
 def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
@@ -92,10 +103,10 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     and MaxIterExceeded at the iteration cap.
     """
     grid = u0.grid
+    v_prev = FieldHistory.zeros(grid, dt, step_count(T, dt) + 1)
     w_hist, q_hist = solve_stokes(u0, a, mu, T, dt, scheme)
     nt = len(w_hist)
 
-    v_prev = FieldHistory.zeros(grid, dt, nt)
     trace = []
     delta_prev = None
     bad_streak = 0

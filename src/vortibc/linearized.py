@@ -73,12 +73,12 @@ class VelocityMapInput:
 class VelocityMap:
     """The velocity map's time stepping on one grid and (mu, dt).
 
-    The Picard iteration and the causal march both go through `step`, so
-    they run the same floating-point operations: iterate k of the
-    iteration equals the march bit for bit on snapshots 0..k.  A Picard
-    sweep knows every carrier s = beta + w before it starts, so it solves
-    their pressures _PRESSURE_ROWS snapshots ahead; each row of that solve
-    equals the march's one-row solve bit for bit.
+    The Picard iteration (`run`) and the causal march (`march`) both go
+    through `step`, so they run the same floating-point operations: iterate
+    k of the iteration equals the march bit for bit on snapshots 0..k.  A
+    Picard sweep knows every carrier s = beta + w before it starts, so it
+    solves their pressures _PRESSURE_ROWS snapshots ahead; each row of that
+    solve equals the march's one-row solve bit for bit.
     """
 
     def __init__(self, grid, mu: float, dt: float):
@@ -114,27 +114,44 @@ class VelocityMap:
         forcing = (advect(s, v + w_n) + grad_p) * (-1.0)
         return self.stepper.step(v, forcing, self.a_zero)
 
-    def run(self, w: FieldHistory, beta: FieldHistory | None = None,
-            v_init: VectorField | None = None, known_rows: int = 0) -> FieldHistory:
-        """The v history over the snapshots of w.  beta = None transports
-        with v itself, which is the fixed point of the map; its carrier is
-        known one step ahead only.  Rows 1..known_rows are copied from beta
-        (see VelocityMapInput)."""
+    def run(self, w: FieldHistory, beta: FieldHistory, v_init: VectorField | None = None,
+            known_rows: int = 0) -> FieldHistory:
+        """The v history over the snapshots of w transported by beta.  Rows
+        1..known_rows are copied from beta (see VelocityMapInput)."""
         g, nt = w.grid, len(w)
         v_hist = FieldHistory.zeros(g, self.dt, nt)
         if v_init is not None:
             v_hist[0] = v_init
         if known_rows:
             v_hist.data[1:known_rows + 1] = beta.data[1:known_rows + 1]
-        ahead, transport = (1, v_hist) if beta is None else (_PRESSURE_ROWS, beta)
-        for n0 in range(known_rows, nt - 1, ahead):
-            n1 = min(n0 + ahead, nt - 1)
-            s = transport.data[n0:n1] + w.data[n0:n1]
+        for n0 in range(known_rows, nt - 1, _PRESSURE_ROWS):
+            n1 = min(n0 + _PRESSURE_ROWS, nt - 1)
+            s = beta.data[n0:n1] + w.data[n0:n1]
             gx, gy = self.pressure_gradients(s, n0)
             for i, n in enumerate(range(n0, n1)):
                 v_hist[n + 1] = self.step(v_hist[n], VectorField(g, *s[i]), w[n],
                                           VectorField(g, gx[i], gy[i]))
         return v_hist
+
+    def march(self, w_rows):
+        """Yield u_n = v_n + w_n of the fixed point beta = v, reading the
+        Stokes snapshots w_0, w_1, ... from the iterable w_rows one at a time.
+
+        The carrier s_n = v_n + w_n is u_n itself and is known one step
+        ahead only, so each pressure is a one-row solve, made once w_{n+1}
+        has arrived (the last snapshot's pressure is never needed).
+        """
+        g = self.grid
+        v = VectorField.zeros(g)
+        for n, w in enumerate(w_rows):
+            if n:
+                gx, gy = self.pressure_gradients(s, n - 1)
+                v = self.step(v, u, w_prev, VectorField(g, gx[0], gy[0]))
+            s = np.empty((1, 2, *g.shape))
+            np.add(v.ux, w.ux, out=s[0, 0])
+            np.add(v.uy, w.uy, out=s[0, 1])
+            u, w_prev = VectorField(g, *s[0]), w
+            yield u
 
 
 def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .elliptic import (ModeBlockSolve, PeriodicSolve, kron_sum, pin_rows, second_difference,
-                       stencil)
+                       splu, stencil)
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame

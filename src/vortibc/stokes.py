@@ -21,6 +21,8 @@ from .fields import (
     FieldHistory,
     ScalarField,
     VectorField,
+    _block,
+    _dx_dy,
     curl2d,
     curl_scalar,
     div,
@@ -30,9 +32,11 @@ from .fields import (
     h2,
     l2,
     max_normal_trace,
+    max_trace_defect,
     max_vorticity_defect,
     normal_derivative,
     require_finite,
+    step_count,
 )
 from .geometry import BoundaryFrame, boundary_frame, boundary_zeros, surface_integrate
 
@@ -85,17 +89,17 @@ def _check_initial_data(u0, frame, a0):
             "the Stokes problem absorbs it in an initial layer")
 
 
-def solve_stokes(u0: VectorField, a, mu: float, T: float, dt: float,
-                 scheme: str = "backward-euler"):
-    """Advance the Stokes problem from u0; returns the (w, q) histories.
+def stokes_rows(u0: VectorField, a, mu: float, T: float, dt: float,
+                scheme: str = "backward-euler"):
+    """Advance the Stokes problem from u0, yielding (w, q) at steps
+    0, 1, ..., step_count(T, dt) as each is computed.
 
     `a` follows normalize_boundary_data; `scheme` is "backward-euler" or
     "crank-nicolson".  dt must divide T up to rounding.
     """
     from .stepping import VelocityStepper
 
-    if dt > T:
-        raise ValueError("dt must not exceed T")
+    nsteps = step_count(T, dt)
     if scheme not in ("backward-euler", "crank-nicolson"):
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = u0.grid
@@ -105,19 +109,14 @@ def solve_stokes(u0: VectorField, a, mu: float, T: float, dt: float,
 
     theta = 1.0 if scheme == "backward-euler" else 0.5
     stepper = VelocityStepper(grid, mu, dt, theta=theta)
-    nsteps = int(round(T / dt))
 
     def q_of(t):
         if frame is None:
             return ScalarField.zeros(grid)
         return solve_harmonic_q(sample_a(t), mu, frame)
 
-    # q(0) before the histories: allocated after its Neumann factorization, they
-    # reuse the heap that factorization freed (192^2 annulus: peak RSS 320 -> 311 MB)
     w, q = u0, q_of(0.0)
-    w_hist = FieldHistory.zeros(grid, dt, nsteps + 1)
-    q_hist = FieldHistory.zeros(grid, dt, nsteps + 1, scalar=True)
-    w_hist[0], q_hist[0] = w, q
+    yield w, q
     for n in range(nsteps):
         t_new = (n + 1) * dt
         q_new = q if static_a else q_of(t_new)
@@ -128,20 +127,43 @@ def solve_stokes(u0: VectorField, a, mu: float, T: float, dt: float,
             forcing = grad(q) * (-1.0)
         w = stepper.step(w, forcing, sample_a(t_new))
         q = q_new
-        w_hist[n + 1], q_hist[n + 1] = w, q
+        yield w, q
+
+
+def solve_stokes(u0: VectorField, a, mu: float, T: float, dt: float,
+                 scheme: str = "backward-euler"):
+    """The (w, q) histories of stokes_rows, allocated before the first step."""
+    nt = step_count(T, dt) + 1
+    w_hist = FieldHistory.zeros(u0.grid, dt, nt)
+    q_hist = FieldHistory.zeros(u0.grid, dt, nt, scalar=True)
+    for n, (w, q) in enumerate(stokes_rows(u0, a, mu, T, dt, scheme)):
+        w_hist[n], q_hist[n] = w, q
     return w_hist, q_hist
+
+
+def stokes_row(t: float, w: VectorField, q: ScalarField, a_t,
+               frame: BoundaryFrame | None) -> tuple:
+    """The STOKES_COLUMNS row of one snapshot: norms of w and div(w), the
+    kinematic and vorticity boundary residuals against a(t) = a_t, and
+    ||q||_2.  The partials of w are taken once, for the norms, div(w) and
+    curl(w) alike; every value equals its single-purpose operator bit for
+    bit."""
+    g = w.grid
+    partials = _dx_dy(g, _block(w))
+    dx, dy = partials
+    vort = 0.0 if frame is None else max_trace_defect(ScalarField(g, dx[1] - dy[0]), frame, a_t)
+    return (t, l2(w), h1(w, partials), h2(w, partials),
+            l2(ScalarField(g, dx[0] + dy[1])), max_normal_trace(w, frame), vort, l2(q))
 
 
 def stokes_diagnostics(w_hist: FieldHistory, q_hist: FieldHistory, a,
                        frame: BoundaryFrame | None) -> DiagnosticsRecord:
-    """One STOKES_COLUMNS row per snapshot of a Stokes solve: norms of w and
-    div(w), the kinematic and vorticity boundary residuals, and ||q||_2."""
+    """One stokes_row per snapshot of a Stokes solve."""
     sample_a, _ = normalize_boundary_data(a, frame)
     rec = DiagnosticsRecord(STOKES_COLUMNS)
     for k, (w, q) in enumerate(zip(w_hist, q_hist)):
         t = k * w_hist.dt
-        rec.add(t, l2(w), h1(w), h2(w), l2(div(w)), max_normal_trace(w, frame),
-                max_vorticity_defect(w, frame, sample_a(t)), l2(q))
+        rec.add(*stokes_row(t, w, q, sample_a(t), frame))
     return rec
 
 

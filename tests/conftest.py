@@ -95,13 +95,13 @@ def fail_march_at(monkeypatch, mu_fail):
     from vortibc import fixedpoint
     from vortibc.errors import SolverDiverged
 
-    march = fixedpoint.march_solve
+    march = fixedpoint.march_rows
 
     def failing(u0, a, mu, *args, **kwargs):
         if mu == mu_fail:
             raise SolverDiverged(f"injected failure at mu={mu}")
         return march(u0, a, mu, *args, **kwargs)
-    monkeypatch.setattr(fixedpoint, "march_solve", failing)
+    monkeypatch.setattr(fixedpoint, "march_rows", failing)
 
 
 def zero_mean(grid, values):

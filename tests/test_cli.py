@@ -379,7 +379,7 @@ def _traced_metrics(tmp_path, command, cfg_text):
 def test_perfbench_tracer_installs(tmp_path):
     # the benchmark's layer tracer wraps functions of the package by name;
     # it must still install, and see stencil and Picard-norm calls on ns and
-    # the one Stokes solve on stokes
+    # the Stokes steps on stokes
     ns = _traced_metrics(tmp_path, "ns",
                          "domain.kind = torus\ndomain.n1 = 16\ndomain.n2 = 16\n"
                          "physics.mu = 0.05\nphysics.T = 0.04\nphysics.dt = 0.005\n"
@@ -392,7 +392,9 @@ def test_perfbench_tracer_installs(tmp_path):
     snapshots = 9
     assert ns["fields.norms.calls"] < 2 * snapshots * ns["fixedpoint.wt_norm.calls"]
     stokes = _traced_metrics(tmp_path, "stokes", BASE_CFG)
-    assert stokes["stokes.solve_stokes.calls"] == 1
+    # stokes streams its rows: no solve_stokes call, and each of its 10 steps
+    assert stokes["stokes.solve_stokes.calls"] == 0
+    assert stokes["stepping.step.calls"] == 10
     # the velocity mode blocks are factored through stepping's splu, the
     # Neumann ones through elliptic's; a 2-D LU of the 2 x 16 x 16 velocity
     # system would hold well over 20 nonzeros per unknown
@@ -425,3 +427,180 @@ def test_ns_diagnostics_deterministic(tmp_path):
     a = open(tmp_path / "d1" / "ns_diagnostics.csv", "rb").read()
     b = open(tmp_path / "d2" / "ns_diagnostics.csv", "rb").read()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# streamed commands against the history path
+
+_STREAM_DOMAINS = {
+    "annulus": "domain.kind = annulus\ndomain.n1 = 12\ndomain.n2 = 16\n"
+               "physics.initial_condition = modulated_shear\n"
+               "physics.boundary_data = from_initial\n",
+    "channel": "domain.kind = channel\ndomain.n1 = 12\ndomain.n2 = 12\n"
+               "physics.initial_condition = random_smooth\nphysics.boundary_data = random\n",
+    "torus": "domain.kind = torus\ndomain.n1 = 12\ndomain.n2 = 12\n"
+             "physics.initial_condition = random_smooth\n",
+}
+
+
+def _stream_cfg(tmp_path, domain, stride, scheme="backward-euler"):
+    text = (_STREAM_DOMAINS[domain] + "physics.mu = 0.05\nphysics.T = 0.035\n"
+            "physics.dt = 0.005\nsolver.seed = 4\n"
+            f"solver.scheme = {scheme}\noutput.checkpoint_stride = {stride}\n"
+            f"output.directory = {tmp_path}/out\n")
+    return _write(tmp_path, text), parse_config(text)
+
+
+def _history_outputs(cfg, out, csv_name, rec, hists):
+    """Write what the history path writes: the diagnostics CSV, then the
+    checkpoints of each (tag, history): every stride-th snapshot, or only
+    the last one at stride 0."""
+    from vortibc.io import scalar_checkpoint, vector_checkpoint
+
+    rec.write_csv(os.path.join(out, csv_name))
+    for tag, hist in hists:
+        nt, stride = len(hist), cfg.checkpoint_stride
+        for k in ([nt - 1] if stride <= 0 else range(0, nt, stride)):
+            path = os.path.join(out, f"{tag}_{k:06d}.vbf")
+            if hist.data.ndim == 4:
+                vector_checkpoint(path, hist[k])
+            else:
+                scalar_checkpoint(path, hist[k])
+
+
+def _assert_same_files(got, want):
+    names = sorted(os.listdir(want))
+    assert sorted(os.listdir(got)) == names
+    for name in names:
+        with open(os.path.join(got, name), "rb") as f, \
+                open(os.path.join(want, name), "rb") as g:
+            assert f.read() == g.read(), name
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "crank-nicolson"])
+@pytest.mark.parametrize("stride", [0, 1, 3])
+@pytest.mark.parametrize("domain", sorted(_STREAM_DOMAINS))
+def test_stokes_stream_matches_history_path(tmp_path, domain, stride, scheme):
+    import warnings
+
+    from vortibc.cli import _setup_run
+    from vortibc.diagnostics import DiagnosticsRecord
+    from vortibc.fields import (div, h1, h2, l2, max_normal_trace,
+                                max_vorticity_defect)
+    from vortibc.stokes import STOKES_COLUMNS, normalize_boundary_data, solve_stokes
+
+    path, cfg = _stream_cfg(tmp_path, domain, stride, scheme)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["stokes", "--config", path]) == 0
+        grid, frame, u0, a = _setup_run(cfg)
+        w, q = solve_stokes(u0, a, cfg.mu, cfg.T, cfg.dt, scheme)
+    # each column from its own operator, as the history path computed them
+    sample_a, _ = normalize_boundary_data(a, frame)
+    rec = DiagnosticsRecord(STOKES_COLUMNS)
+    for k, (wk, qk) in enumerate(zip(w, q)):
+        t = k * cfg.dt
+        rec.add(t, l2(wk), h1(wk), h2(wk), l2(div(wk)), max_normal_trace(wk, frame),
+                max_vorticity_defect(wk, frame, sample_a(t)), l2(qk))
+    want = str(tmp_path / "want")
+    _history_outputs(cfg, want, "stokes_diagnostics.csv", rec, [("w", w), ("q", q)])
+    _assert_same_files(str(tmp_path / "out"), want)
+
+
+@pytest.mark.parametrize("stride", [0, 1, 3])
+@pytest.mark.parametrize("domain", sorted(_STREAM_DOMAINS))
+def test_euler_stream_matches_history_path(tmp_path, domain, stride):
+    from vortibc.cli import _setup_run
+    from vortibc.diagnostics import DiagnosticsRecord
+    from vortibc.euler import kinetic_energy, solve_euler
+    from vortibc.fields import l2
+
+    path, cfg = _stream_cfg(tmp_path, domain, stride)
+    assert main(["euler", "--config", path]) == 0
+    grid, frame, u0, a = _setup_run(cfg)
+    hist = solve_euler(u0, cfg.T, cfg.dt, grid)
+    rec = DiagnosticsRecord(("t", "l2_u", "energy"))
+    for k, u in enumerate(hist):
+        rec.add(k * cfg.dt, l2(u), kinetic_energy(u))
+    want = str(tmp_path / "want")
+    _history_outputs(cfg, want, "euler_diagnostics.csv", rec, [("u", hist)])
+    _assert_same_files(str(tmp_path / "out"), want)
+
+
+def test_history_requests_per_command(tmp_path, monkeypatch):
+    """stokes and euler stream and request no history; sweep requests one,
+    Euler's shared reference of nt rows."""
+    import warnings
+
+    from vortibc.fields import FieldHistory
+
+    requests = []
+    zeros = FieldHistory.zeros.__func__
+
+    def counted(cls, grid, dt, nt, scalar=False):
+        requests.append(nt)
+        return zeros(cls, grid, dt, nt, scalar)
+
+    monkeypatch.setattr(FieldHistory, "zeros", classmethod(counted))
+    cfg = _write(tmp_path, BASE_CFG.replace("physics.initial_condition = zero",
+                                            "physics.initial_condition = shear_layer")
+                 + "physics.mu_list = 0.1, 0.03\noutput.checkpoint_stride = 2\n"
+                 + f"output.directory = {tmp_path}/out\n")
+    nt = 11   # T / dt + 1
+    for command, want in (("stokes", []), ("euler", []), ("sweep", [nt])):
+        requests.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, "--config", cfg]) == 0
+        assert requests == want, command
+
+
+# ---------------------------------------------------------------------------
+# exit codes of failures outside the configuration
+
+def test_history_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch):
+    # a Picard run whose histories cannot fit fails before its first step
+    import vortibc.fields
+    from vortibc.stepping import VelocityStepper
+
+    def no_step(*args):
+        raise AssertionError("stepped past the memory check")
+
+    monkeypatch.setattr(vortibc.fields, "physical_memory_bytes", lambda: 1024)
+    monkeypatch.setattr(VelocityStepper, "step", no_step)
+    cfg = _write(tmp_path, BASE_CFG + f"output.directory = {tmp_path}/out\n")
+    assert main(["ns", "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith("solver failure: MemoryBudgetExceeded: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    # exit 1 is reserved for a failed verify suite, so an exception outside
+    # the package's own errors is an internal error with exit 4
+    import vortibc.stokes
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(vortibc.stokes, "stokes_rows", broken)
+    cfg = _write(tmp_path, BASE_CFG + f"output.directory = {tmp_path}/out\n")
+    assert main(["stokes", "--config", cfg]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: injected\n"
+
+
+def test_torus_run_never_loads_sparse_lu(tmp_path):
+    # doubly periodic grids solve by FFT: the sparse LU is imported on first use
+    cfg = _write(tmp_path, "domain.kind = torus\ndomain.n1 = 16\ndomain.n2 = 16\n"
+                 "physics.mu = 0.05\nphysics.T = 0.02\nphysics.dt = 0.005\n"
+                 "physics.initial_condition = taylor_green\n"
+                 f"output.directory = {tmp_path}/out\n")
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = ("import sys\n"
+              f"sys.path.insert(0, {os.path.join(repo, 'src')!r})\n"
+              "from vortibc.cli import main\n"
+              f"assert main(['ns', '--config', {cfg!r}]) == 0\n"
+              "print('scipy.sparse.linalg' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

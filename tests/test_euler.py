@@ -81,6 +81,53 @@ def test_cfl_violation_raises(annulus_grid):
         solve_euler(u0, T=1.0, dt=0.2, grid=annulus_grid)
 
 
+def test_cfl_error_names_first_violating_step(annulus_spec, monkeypatch):
+    # the check reads the state before each step: with the limit between
+    # the CFL numbers of steps k - 1 and k of a run whose speed grows, the
+    # error names step k
+    import vortibc.euler as euler
+    from conftest import streamfunction_shear
+    from vortibc.fields import max_speed
+
+    grid = build_grid(annulus_spec, 16, 32)
+    u0 = streamfunction_shear(grid, amp=1.0)
+    T, dt, k = 0.2, 0.01, 10
+    cfl = dt * max_speed(solve_euler(u0, T, dt, grid).data) / grid.min_spacing()
+    assert cfl[:k].max() < cfl[k]
+    monkeypatch.setattr(euler, "CFL_LIMIT", 0.5 * (cfl[:k].max() + cfl[k]))
+    with pytest.raises(CFLViolation, match=f"at step {k}$"):
+        solve_euler(u0, T, dt, grid)
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["threads_unset", "threads_2"])
+def test_sweep_rows_match_history_path(annulus_spec, monkeypatch, threads):
+    # the sweep reads each march as it passes; its rows equal those built
+    # from the whole march and Euler histories bit for bit
+    from conftest import streamfunction_shear
+    from vortibc.fields import boundary_scalar_values, grad_l2
+    from vortibc.fixedpoint import march_solve
+
+    if threads is None:
+        monkeypatch.delenv("VORTIBC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("VORTIBC_THREADS", threads)
+    grid = build_grid(annulus_spec, 16, 32)
+    u0 = streamfunction_shear(grid, amp=0.6)
+    a = boundary_scalar_values(curl2d(u0), boundary_frame(grid))
+    cfg = SweepConfig(mu_list=[1e-1, 3e-2, 1e-2], u0=u0, a=a, T=0.05, dt=2e-3,
+                      grid=grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = sweep_mu(cfg).csv_rows()
+        ref = solve_euler(u0, cfg.T, cfg.dt, grid)
+        want = []
+        for mu in cfg.mu_list:
+            diff = march_solve(u0, a, mu, cfg.T, cfg.dt) - ref
+            e_grad = np.trapezoid([grad_l2(d) ** 2 for d in diff], dx=cfg.dt)
+            want.append((mu, max(l2(d) for d in diff), float(e_grad), 1))
+    assert [(mu, e_sup, e_grad, ok) for mu, e_sup, e_grad, _, ok in rows] == want
+
+
 def test_sweep_deterministic(annulus_spec):
     grid = build_grid(annulus_spec, 24, 48)
     u0 = shear_field(grid, amp=0.8)

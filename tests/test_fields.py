@@ -264,3 +264,13 @@ def test_div_curl_equal_partials_form(family, torus_grid, channel_grid, annulus_
     (dxux, dyux), (dxuy, dyuy) = _dx_dy(g, u.ux), _dx_dy(g, u.uy)
     assert np.array_equal(div(u).values, dxux + dyuy)
     assert np.array_equal(curl2d(u).values, dxuy - dyux)
+
+
+def test_history_beyond_physical_memory_raises(annulus_grid):
+    # a 1 PB request fails with the typed error before any allocation (and
+    # without the check it would fail fast in numpy, not swap)
+    from vortibc.errors import MemoryBudgetExceeded
+
+    row_bytes = 8 * 2 * annulus_grid.shape[0] * annulus_grid.shape[1]
+    with pytest.raises(MemoryBudgetExceeded, match="physical memory"):
+        FieldHistory.zeros(annulus_grid, 0.01, 10**15 // row_bytes + 1)
