@@ -28,26 +28,4 @@ from .fields import (
 )
 
 
-def __getattr__(name):
-    # Solver entry points re-exported lazily to keep import cost low.
-    lazy = {
-        "solve_stokes": ("vortibc.stokes", "solve_stokes"),
-        "picard_solve": ("vortibc.fixedpoint", "picard_solve"),
-        "PicardConfig": ("vortibc.fixedpoint", "PicardConfig"),
-        "solve_euler": ("vortibc.euler", "solve_euler"),
-        "sweep_mu": ("vortibc.euler", "sweep_mu"),
-        "SweepConfig": ("vortibc.euler", "SweepConfig"),
-        "apply_velocity_map": ("vortibc.linearized", "apply_velocity_map"),
-        "VelocityMapInput": ("vortibc.linearized", "VelocityMapInput"),
-        "solve_neumann": ("vortibc.elliptic", "solve_neumann"),
-        "NeumannProblem": ("vortibc.elliptic", "NeumannProblem"),
-    }
-    if name in lazy:
-        import importlib
-
-        module, attr = lazy[name]
-        return getattr(importlib.import_module(module), attr)
-    raise AttributeError(f"module 'vortibc' has no attribute {name!r}")
-
-
 __version__ = "0.1.0"

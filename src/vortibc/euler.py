@@ -12,13 +12,12 @@ noise floor.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import solve_dirichlet, solve_neumann_fd
-from .errors import CFLViolation, CirculationSystemSingular, ConfigError, SolverDiverged
+from .errors import CFLViolation, CirculationSystemSingular, SolverDiverged
 from .fields import (
     FieldHistory,
     ScalarField,
@@ -187,69 +186,47 @@ class SweepReport:
 SWEEP_COLUMNS = ("mu", "e_sup", "e_grad", "noise_floor", "converged")
 
 
-def _run_single_mu(cfg, mu, euler_hist):
-    """(e_sup, e_grad) of one viscosity, read off the march as it passes:
-    a running max, and a trapezoid over the per-step series."""
+def sweep_mu(cfg: SweepConfig) -> SweepReport:
+    """Compare every viscosity's march with the shared Euler reference in
+    lockstep, a snapshot at a time: e_sup is a running max and e_grad a
+    trapezoid over the per-step series, so no history is held.
+
+    A march that raises is dropped, its row is marked failed and the report
+    partial; an Euler failure raises.  Rows are in mu order.
+    """
     from .fixedpoint import march_rows
 
-    e_sup = 0.0
-    e_grad_series = np.zeros(len(euler_hist))
-    for k, u in enumerate(march_rows(cfg.u0, cfg.a, mu, cfg.T, cfg.dt)):
-        diff = u - euler_hist[k]
-        e_sup = max(e_sup, l2(diff))
-        e_grad_series[k] = grad_l2(diff) ** 2
-    e_grad = float(np.trapezoid(e_grad_series, dx=cfg.dt))
-    return e_sup, e_grad
-
-
-def sweep_mu(cfg: SweepConfig) -> SweepReport:
-    """Run the viscous runs against the shared Euler reference.
-
-    Per-viscosity failures are tolerated: completed rows are reported and
-    the report is marked partial.  The row table is assembled in mu order
-    regardless of execution order, so output is deterministic.
-    """
-    raw_threads = os.environ.get("VORTIBC_THREADS", "1") or "1"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise ConfigError(f"VORTIBC_THREADS = {raw_threads!r} is not an integer")
     grid = cfg.grid
-    euler_hist = solve_euler(cfg.u0, cfg.T, cfg.dt, grid)
     noise_floor = 10.0 * (grid.min_spacing() ** 2 + cfg.dt)
-
-    results = {}
     mus = list(cfg.mu_list)
-    if threads > 1 and len(mus) > 1:
-        from concurrent.futures import ThreadPoolExecutor
 
-        def job(mu):
+    marches, failed = {}, {}
+    for mu in mus:
+        try:
+            marches[mu] = march_rows(cfg.u0, cfg.a, mu, cfg.T, cfg.dt)
+        except Exception as exc:  # noqa: BLE001 - report per-mu failures
+            failed[mu] = exc
+    e_sup = dict.fromkeys(marches, 0.0)
+    e_grad_series = {mu: [] for mu in marches}
+    for u_euler in euler_rows(cfg.u0, cfg.T, cfg.dt, grid):
+        for mu in list(marches):
             try:
-                return mu, _run_single_mu(cfg, mu, euler_hist), None
-            except Exception as exc:  # noqa: BLE001 - report per-mu failures
-                return mu, None, exc
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for mu, res, exc in ex.map(job, mus):
-                results[mu] = (res, exc)
-    else:
-        for mu in mus:
-            try:
-                results[mu] = (_run_single_mu(cfg, mu, euler_hist), None)
+                diff = next(marches[mu]) - u_euler
             except Exception as exc:  # noqa: BLE001
-                results[mu] = (None, exc)
+                failed[mu] = exc
+                del marches[mu]
+                continue
+            e_sup[mu] = max(e_sup[mu], l2(diff))
+            e_grad_series[mu].append(grad_l2(diff) ** 2)
 
     rows = []
-    failures = 0
     for mu in mus:
-        res, exc = results[mu]
-        if exc is not None:
-            log.warning("sweep mu=%.3e failed: %s", mu, exc)
+        if mu in failed:
+            log.warning("sweep mu=%.3e failed: %s", mu, failed[mu])
             rows.append(SweepRow(mu, float("nan"), float("nan"), noise_floor, False))
-            failures += 1
         else:
-            e_sup, e_grad = res
-            rows.append(SweepRow(mu, e_sup, e_grad, noise_floor, True))
+            e_grad = float(np.trapezoid(e_grad_series[mu], dx=cfg.dt))
+            rows.append(SweepRow(mu, e_sup[mu], e_grad, noise_floor, True))
 
     good = [r for r in rows if r.converged]
     slope = None
@@ -266,7 +243,7 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
         if vals:
             e_grad_ratio = float(max(vals) / min(vals))
     return SweepReport(rows=rows, slope=slope, slope_note=slope_note,
-                       e_grad_ratio=e_grad_ratio, partial=failures > 0)
+                       e_grad_ratio=e_grad_ratio, partial=bool(failed))
 
 
 # ---------------------------------------------------------------------------

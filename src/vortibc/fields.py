@@ -457,8 +457,19 @@ def step_count(T: float, dt: float) -> int:
 
 
 def physical_memory_bytes() -> int:
-    """The machine's physical memory, the budget of one history."""
+    """The machine's physical memory, the budget of the histories a run holds."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_history_budget(shape, count: int = 1) -> None:
+    """Raise MemoryBudgetExceeded, before anything is allocated, when count
+    histories of the given array shape would not fit in physical memory."""
+    nbytes = count * 8 * math.prod(shape)
+    budget = physical_memory_bytes()
+    if nbytes > budget:
+        raise MemoryBudgetExceeded(
+            f"{count} history(s) of {shape[0]} snapshots need {nbytes / 2**30:.4g} GiB, "
+            f"more than the {budget / 2**30:.4g} GiB of physical memory")
 
 
 class FieldHistory:
@@ -484,12 +495,7 @@ class FieldHistory:
         """An nt-snapshot history of zeros.  Raises MemoryBudgetExceeded,
         before allocating, when it would not fit in physical memory."""
         shape = (nt, *(() if scalar else (2,)), *grid.shape)
-        nbytes = 8 * math.prod(shape)
-        budget = physical_memory_bytes()
-        if nbytes > budget:
-            raise MemoryBudgetExceeded(
-                f"a {nt}-snapshot history needs {nbytes / 2**30:.4g} GiB, "
-                f"more than the {budget / 2**30:.4g} GiB of physical memory")
+        check_history_budget(shape)
         return cls(grid, dt, np.zeros(shape))
 
     def __len__(self):

@@ -20,6 +20,7 @@ from .fields import (
     ScalarField,
     VectorField,
     advect,
+    check_history_budget,
     grad,
     history_div,
     history_n_norm_sq,
@@ -29,8 +30,17 @@ from .fields import (
     max_vorticity_defect,
     step_count,
 )
-from .linearized import VelocityMap, VelocityMapInput, apply_velocity_map
+from .linearized import VelocityMap, apply_velocity_map
 from .stokes import normalize_boundary_data, solve_stokes, stokes_rows
+
+
+# Vector-history equivalents (a scalar history counts half) alive at the peak
+# of an `ns` run, counted from the code: the solution's v, w, u, q and p, div v,
+# and compute_F's v_t, w_t, curl v, d_t and om_t are 5 vector and 6 scalar
+# histories.  Within Picard the peak is lower: v_prev, v_next, w, q, the
+# increment and its time derivative.  A weakref count on ns_torus_tg found 11
+# histories and 52.9 MB live at the peak, 8 times one 6.6 MB vector history.
+_NS_PEAK_HISTORIES = 8
 
 
 @dataclass
@@ -103,17 +113,17 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     and MaxIterExceeded at the iteration cap.
     """
     grid = u0.grid
-    v_prev = FieldHistory.zeros(grid, dt, step_count(T, dt) + 1)
+    nt = step_count(T, dt) + 1
+    check_history_budget((nt, 2, *grid.shape), _NS_PEAK_HISTORIES)
+    v_prev = FieldHistory.zeros(grid, dt, nt)
     w_hist, q_hist = solve_stokes(u0, a, mu, T, dt, scheme)
-    nt = len(w_hist)
 
     trace = []
     delta_prev = None
     bad_streak = 0
     for it in range(1, cfg.max_iter + 1):
         # iterate it - 1 is final on rows 0..it - 1, so sweep it steps from there
-        v_next = apply_velocity_map(VelocityMapInput(
-            beta=v_prev, w=w_hist, mu=mu, dt=dt, known_rows=min(it - 1, nt - 1)))
+        v_next = apply_velocity_map(v_prev, w_hist, mu, dt, known_rows=min(it - 1, nt - 1))
         delta = wt_norm(v_next - v_prev)
         ratio = float("nan") if delta_prev is None else (
             delta / delta_prev if delta_prev > 0 else 0.0)

@@ -40,36 +40,6 @@ from .geometry import boundary_frame, boundary_zeros
 CFL_LIMIT = 0.9
 
 
-@dataclass
-class VelocityMapInput:
-    """Inputs for one application of the velocity map.
-
-    beta and w share grid, dt, and snapshot count; beta[0] must vanish.
-    v_init is the initial value of the evolving unknown (kept zero for the
-    fixed-point iteration; exposed for superposition tests).  known_rows = j
-    states that beta is iterate j of the Picard iteration from v = v_init on
-    the same w, which is final on rows 0..j: rows 1..j of the result are
-    copied from beta instead of stepped.
-    """
-
-    beta: FieldHistory
-    w: FieldHistory
-    mu: float
-    dt: float
-    v_init: VectorField | None = None
-    known_rows: int = 0
-
-    def __post_init__(self):
-        if len(self.beta) != len(self.w):
-            raise ValueError("beta and w must have the same snapshot count")
-        if abs(self.beta.dt - self.w.dt) > 1e-14:
-            raise ValueError("beta and w must share dt")
-        if l2(self.beta[0]) > 1e-12 * max(1.0, l2(self.w[0])):
-            raise ValueError("beta(0) must vanish")
-        if not 0 <= self.known_rows < len(self.w):
-            raise ValueError("known_rows must index a snapshot")
-
-
 class VelocityMap:
     """The velocity map's time stepping on one grid and (mu, dt).
 
@@ -117,7 +87,7 @@ class VelocityMap:
     def run(self, w: FieldHistory, beta: FieldHistory, v_init: VectorField | None = None,
             known_rows: int = 0) -> FieldHistory:
         """The v history over the snapshots of w transported by beta.  Rows
-        1..known_rows are copied from beta (see VelocityMapInput)."""
+        1..known_rows are copied from beta (see apply_velocity_map)."""
         g, nt = w.grid, len(w)
         v_hist = FieldHistory.zeros(g, self.dt, nt)
         if v_init is not None:
@@ -154,10 +124,27 @@ class VelocityMap:
             yield u
 
 
-def apply_velocity_map(inp: VelocityMapInput) -> FieldHistory:
-    """Advance the linearized problem; returns the v history."""
-    return VelocityMap(inp.w.grid, inp.mu, inp.dt).run(inp.w, inp.beta, inp.v_init,
-                                                       inp.known_rows)
+def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float, dt: float,
+                       v_init: VectorField | None = None,
+                       known_rows: int = 0) -> FieldHistory:
+    """Advance the linearized problem; returns the v history.
+
+    beta and w share grid, dt, and snapshot count; beta[0] must vanish.
+    v_init is the initial value of the evolving unknown (kept zero for the
+    fixed-point iteration; exposed for superposition tests).  known_rows = j
+    states that beta is iterate j of the Picard iteration from v = v_init on
+    the same w, which is final on rows 0..j: rows 1..j of the result are
+    copied from beta instead of stepped.
+    """
+    if len(beta) != len(w):
+        raise ValueError("beta and w must have the same snapshot count")
+    if abs(beta.dt - w.dt) > 1e-14:
+        raise ValueError("beta and w must share dt")
+    if l2(beta[0]) > 1e-12 * max(1.0, l2(w[0])):
+        raise ValueError("beta(0) must vanish")
+    if not 0 <= known_rows < len(w):
+        raise ValueError("known_rows must index a snapshot")
+    return VelocityMap(w.grid, mu, dt).run(w, beta, v_init, known_rows)
 
 
 @dataclass

@@ -89,19 +89,32 @@ def analytic_streamfunction_shear(r0, r1, amp=1.0, moduln=0.3):
     return fn
 
 
-def fail_march_at(monkeypatch, mu_fail):
+def fail_march_at(monkeypatch, mu_fail, snapshot=None):
     """Fault injection: the march raises a typed solver error for one
-    viscosity and runs normally for every other."""
+    viscosity and runs normally for every other.  With snapshot None it
+    raises when called; otherwise its generator yields the true rows before
+    that snapshot and raises in place of it."""
     from vortibc import fixedpoint
     from vortibc.errors import SolverDiverged
 
     march = fixedpoint.march_rows
 
     def failing(u0, a, mu, *args, **kwargs):
-        if mu == mu_fail:
+        if mu != mu_fail:
+            return march(u0, a, mu, *args, **kwargs)
+        if snapshot is None:
             raise SolverDiverged(f"injected failure at mu={mu}")
-        return march(u0, a, mu, *args, **kwargs)
+        return raise_at(march(u0, a, mu, *args, **kwargs), snapshot,
+                        SolverDiverged(f"injected failure at mu={mu}, snapshot {snapshot}"))
     monkeypatch.setattr(fixedpoint, "march_rows", failing)
+
+
+def raise_at(rows, snapshot, exc):
+    """Yield the rows before the given snapshot, then raise exc in its place."""
+    for k, u in enumerate(rows):
+        if k == snapshot:
+            raise exc
+        yield u
 
 
 def zero_mean(grid, values):

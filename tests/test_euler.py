@@ -99,18 +99,14 @@ def test_cfl_error_names_first_violating_step(annulus_spec, monkeypatch):
         solve_euler(u0, T, dt, grid)
 
 
-@pytest.mark.parametrize("threads", [None, "2"], ids=["threads_unset", "threads_2"])
-def test_sweep_rows_match_history_path(annulus_spec, monkeypatch, threads):
-    # the sweep reads each march as it passes; its rows equal those built
-    # from the whole march and Euler histories bit for bit
+def test_sweep_rows_match_history_path(annulus_spec):
+    # the sweep reads each march and the Euler reference as they pass; its
+    # rows equal those built from the whole march and Euler histories bit
+    # for bit
     from conftest import streamfunction_shear
     from vortibc.fields import boundary_scalar_values, grad_l2
     from vortibc.fixedpoint import march_solve
 
-    if threads is None:
-        monkeypatch.delenv("VORTIBC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("VORTIBC_THREADS", threads)
     grid = build_grid(annulus_spec, 16, 32)
     u0 = streamfunction_shear(grid, amp=0.6)
     a = boundary_scalar_values(curl2d(u0), boundary_frame(grid))
@@ -156,9 +152,11 @@ def test_sweep_noise_floor_flag(annulus_spec):
     assert all(r.e_sup < r.noise_floor for r in rep.rows)
 
 
-def test_sweep_partial_on_failure(annulus_spec, monkeypatch):
-    # fault injection: the smallest viscosity's march raises, so the report
-    # is marked partial while the completed row survives
+def test_sweep_partial_on_failure(annulus_spec):
+    # fault injection: the smallest viscosity's march raises, when it is
+    # created or mid-run inside the lockstep loop.  Either way its row is
+    # NaN, the report is marked partial, and the completed row equals the
+    # row of a sweep without the failing viscosity bit for bit
     from conftest import streamfunction_shear
     grid = build_grid(annulus_spec, 16, 32)
     u0 = streamfunction_shear(grid, amp=2.0)
@@ -167,13 +165,37 @@ def test_sweep_partial_on_failure(annulus_spec, monkeypatch):
     a = boundary_scalar_values(curl2d(u0), frame)
     bad = SweepConfig(mu_list=[2e-1, 1e-3], u0=u0, a=a, T=0.3, dt=1e-3,
                       grid=grid)
-    fail_march_at(monkeypatch, 1e-3)
+    good = SweepConfig(mu_list=[2e-1], u0=u0, a=a, T=0.3, dt=1e-3, grid=grid)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rep = sweep_mu(bad)
-    assert rep.partial
-    assert rep.rows[0].converged and not rep.rows[1].converged
-    assert math.isnan(rep.rows[1].e_sup)
+        want = sweep_mu(good).rows[0]
+        for snapshot in (None, 150):
+            with pytest.MonkeyPatch.context() as mp:
+                fail_march_at(mp, 1e-3, snapshot)
+                rep = sweep_mu(bad)
+            assert rep.partial
+            assert rep.rows[0] == want
+            failed = rep.rows[1]
+            assert (failed.mu, failed.converged) == (1e-3, False)
+            assert math.isnan(failed.e_sup) and math.isnan(failed.e_grad)
+            assert failed.noise_floor == want.noise_floor
+
+
+def test_sweep_euler_failure_raises(annulus_spec, monkeypatch):
+    # the Euler reference fails mid-run, after the marches have advanced in
+    # lockstep with it: the sweep has no reference, so the failure raises
+    # (the CLI exits 4) instead of marking rows
+    from conftest import raise_at
+    from vortibc import euler
+
+    rows = euler.euler_rows
+    monkeypatch.setattr(euler, "euler_rows", lambda *args: raise_at(
+        rows(*args), 3, CFLViolation("injected Euler failure at step 3")))
+    grid = build_grid(annulus_spec, 16, 32)
+    cfg = SweepConfig(mu_list=[1e-1, 1e-2], u0=circulation_field(grid, c=0.3),
+                      a=[np.zeros(32), np.zeros(32)], T=0.02, dt=2e-3, grid=grid)
+    with pytest.raises(CFLViolation, match="injected"):
+        sweep_mu(cfg)
 
 
 def test_single_mu_slope_na(annulus_spec):

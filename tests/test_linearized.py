@@ -11,10 +11,9 @@ from vortibc import (DomainKind, DomainSpec, FieldHistory, ScalarField,
 from vortibc.elliptic import solve_pressure_linearized
 from vortibc.errors import CFLViolation
 from vortibc.fields import boundary_scalar_values, l2
-from vortibc.linearized import (EnergyDiagnostics, VelocityMapInput,
-                                apply_velocity_map, check_gronwall_regression,
-                                compute_F, gronwall_envelope,
-                                initial_energy_direct)
+from vortibc.linearized import (EnergyDiagnostics, apply_velocity_map,
+                                check_gronwall_regression, compute_F,
+                                gronwall_envelope, initial_energy_direct)
 from vortibc.stepping import VelocityStepper, _polar_operator
 from vortibc.stokes import solve_stokes
 
@@ -29,9 +28,9 @@ def _const_hist(field, dt, count):
 
 def test_zero_inputs_give_zero(annulus_grid):
     dt, n = 0.01, 6
-    v = apply_velocity_map(VelocityMapInput(
+    v = apply_velocity_map(
         beta=_zero_hist(annulus_grid, dt, n), w=_zero_hist(annulus_grid, dt, n),
-        mu=0.1, dt=dt))
+        mu=0.1, dt=dt)
     assert max(l2(vk) for vk in v) == 0.0
 
 
@@ -43,7 +42,7 @@ def test_one_step_matches_hand_assembly(annulus_grid, annulus_frame):
     w0 = circulation_field(grid, c=0.8)
     w = _const_hist(w0, dt, 2)
     beta = _zero_hist(grid, dt, 2)
-    v = apply_velocity_map(VelocityMapInput(beta=beta, w=w, mu=mu, dt=dt))
+    v = apply_velocity_map(beta=beta, w=w, mu=mu, dt=dt)
     p0 = solve_pressure_linearized(VectorField.zeros(grid), w0, annulus_frame)
     rhs = (advect(w0, w0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
@@ -57,8 +56,7 @@ def test_one_step_taylor_green(torus_grid):
     dt, mu = 0.005, 0.01
     u0 = taylor_green(grid)
     w = _const_hist(u0, dt, 2)
-    v = apply_velocity_map(VelocityMapInput(
-        beta=_zero_hist(grid, dt, 2), w=w, mu=mu, dt=dt))
+    v = apply_velocity_map(beta=_zero_hist(grid, dt, 2), w=w, mu=mu, dt=dt)
     p0 = solve_pressure_linearized(VectorField.zeros(grid), u0, None)
     rhs = (advect(u0, u0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
@@ -74,17 +72,17 @@ def test_cfl_guard(annulus_grid):
     # every step violates; the first one is named, though its pressure is
     # solved in a chunk with the next ones
     with pytest.raises(CFLViolation, match="at step 0$"):
-        apply_velocity_map(VelocityMapInput(
+        apply_velocity_map(
             beta=_zero_hist(annulus_grid, dt, 3), w=_const_hist(w0, dt, 3),
-            mu=0.1, dt=dt))
+            mu=0.1, dt=dt)
 
 
 def test_beta_zero_invariant_enforced(annulus_grid):
     dt = 0.01
     bad = _const_hist(circulation_field(annulus_grid, c=1.0), dt, 3)
     with pytest.raises(ValueError):
-        VelocityMapInput(beta=bad, w=_zero_hist(annulus_grid, dt, 3),
-                         mu=0.1, dt=dt)
+        apply_velocity_map(beta=bad, w=_zero_hist(annulus_grid, dt, 3),
+                           mu=0.1, dt=dt)
 
 
 def test_absolute_bc_preserved(annulus_spec):
@@ -94,8 +92,7 @@ def test_absolute_bc_preserved(annulus_spec):
     a = boundary_scalar_values(curl2d(u0), frame)
     w_hist, _ = solve_stokes(u0, a, 0.05, 0.1, 0.005)
     beta = _zero_hist(grid, 0.005, len(w_hist))
-    v = apply_velocity_map(VelocityMapInput(beta=beta, w=w_hist, mu=0.05,
-                                            dt=0.005))
+    v = apply_velocity_map(beta=beta, w=w_hist, mu=0.05, dt=0.005)
     v_t = v.time_derivative()
     for hist in (v, v_t):
         for snap in hist:
@@ -120,8 +117,7 @@ def test_map_affine_in_initial_data(annulus_grid):
     vb = random_absolute_bc_field(grid, rng, amplitude=0.2)
 
     def run(v_init):
-        return apply_velocity_map(VelocityMapInput(
-            beta=beta, w=w, mu=mu, dt=dt, v_init=v_init))
+        return apply_velocity_map(beta=beta, w=w, mu=mu, dt=dt, v_init=v_init)
 
     base = run(None)
     sa = run(va)
@@ -141,7 +137,7 @@ def _small_run(grid, frame, mu=0.05, T=0.1, dt=0.005, amp=0.6):
     a = boundary_scalar_values(curl2d(u0), frame)
     w_hist, _ = solve_stokes(u0, a, mu, T, dt)
     beta = _zero_hist(grid, dt, len(w_hist))
-    v = apply_velocity_map(VelocityMapInput(beta=beta, w=w_hist, mu=mu, dt=dt))
+    v = apply_velocity_map(beta=beta, w=w_hist, mu=mu, dt=dt)
     return v, beta, w_hist
 
 
