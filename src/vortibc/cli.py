@@ -136,8 +136,8 @@ NS_TRACE_COLUMNS = ("iter", "delta_WT", "ratio")
 
 
 def cmd_ns(cfg: RunConfig) -> int:
-    from .fixedpoint import PicardConfig, picard_solve, verify_incompressibility
-    from .linearized import F_COLUMNS, compute_F
+    from .fixedpoint import PicardConfig, ns_rows, picard_solve
+    from .linearized import F_COLUMNS, EnergyDiagnostics
 
     grid, frame, u0, a = _setup_run(cfg)
     dt = cfg.effective_dt(grid)
@@ -147,24 +147,29 @@ def cmd_ns(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "ns_trace.csv"), NS_TRACE_COLUMNS,
               [(it, d, r) for it, d, r in sol.trace])
-    # div v of every snapshot, computed once for all three outputs below
-    inc = verify_incompressibility(sol)
+    nt = len(sol.v)
+    energy = nt >= 3
+    div_l2, terms = [], []
+
+    def diag_row(k, u, p, div_v, *energy_terms):
+        div_l2.append(l2(div_v))
+        terms.append(energy_terms)
+        return k * dt, l2(u), l2(sol.v[k]), div_l2[-1]
+
     rec = DiagnosticsRecord(("t", "l2_u", "l2_v", "l2_div_v"))
-    _stream(cfg, zip(sol.u, sol.p), len(sol.u), ("u", "p"), rec,
-            lambda k, u, p: (k * dt, l2(u), l2(sol.v[k]), inc.div_l2[k]))
+    u, *_ = _stream(cfg, ns_rows(sol, energy), nt, ("u", "p"), rec, diag_row)
     rec.write_csv(os.path.join(cfg.out_dir, "ns_diagnostics.csv"))
-    if len(sol.v) >= 3:
-        diag = compute_F(sol.v, sol.v, sol.w, cfg.mu, frame, div_v=inc.div)
-        write_csv(os.path.join(cfg.out_dir, "ns_energy.csv"), F_COLUMNS,
-                  list(diag.rows()))
-    print(f"final ||u||_2 = {format_float(l2(sol.u[-1]))}")
-    print(f"max_t ||div v||_2 = {format_float(inc.max_div)}")
+    if energy:
+        diag = EnergyDiagnostics.from_terms(dt, *map(np.array, zip(*terms)))
+        write_csv(os.path.join(cfg.out_dir, "ns_energy.csv"), F_COLUMNS, list(diag.rows()))
+    print(f"final ||u||_2 = {format_float(l2(u))}")
+    print(f"max_t ||div v||_2 = {format_float(float(np.max(div_l2)))}")
     print(f"picard iterations = {len(sol.trace)}")
     if cfg.initial_condition == "taylor_green" and not grid.has_boundary():
         import math
 
-        decay = math.exp(-2.0 * cfg.mu * (len(sol.u) - 1) * dt)
-        err = l2(sol.u[-1] - decay * u0) / max(decay * l2(u0), 1e-300)
+        decay = math.exp(-2.0 * cfg.mu * (nt - 1) * dt)
+        err = l2(u - decay * u0) / max(decay * l2(u0), 1e-300)
         print(f"final L2 error vs analytic decay = {format_float(err)}")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +25,7 @@ __all__ = [
     "normal_component", "tangential_part", "boundary_vector_values",
     "surface_curl", "normal_derivative", "max_normal_trace", "max_vorticity_defect",
     "l2", "h1", "h2", "n_norm", "history_n_norm_sq", "history_div", "max_speed",
-    "step_count",
+    "step_count", "Chunk", "history_chunks", "time_derivative_rows", "rolling",
 ]
 
 
@@ -234,13 +235,18 @@ def _div(grid, ux, uy):
     return _partial(grid, ux, 0) + _partial(grid, uy, 1)
 
 
+def _curl(grid, ux, uy):
+    """Scalar curl values from the two component arrays, which may carry
+    leading batch axes."""
+    return _partial(grid, uy, 0) - _partial(grid, ux, 1)
+
+
 def div(u: VectorField) -> ScalarField:
     return ScalarField(u.grid, _div(u.grid, u.ux, u.uy))
 
 
 def curl2d(u: VectorField) -> ScalarField:
-    g = u.grid
-    return ScalarField(g, _partial(g, u.uy, 0) - _partial(g, u.ux, 1))
+    return ScalarField(u.grid, _curl(u.grid, u.ux, u.uy))
 
 
 def curl_scalar(w: ScalarField) -> VectorField:
@@ -356,48 +362,64 @@ def normal_derivative(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
 _NORM_ROWS = 4
 
 
-def _sobolev_sq(grid, a, lo: int, hi: int, partials=None):
-    """For each leading index of a (..., c, n1, n2) block: the sum over its
-    c components of the integrals of the squared partial derivatives of
-    orders lo..hi (at most 2).  Per component in turn, orders 0 and 1 add as
-    one term and order 2 as another; another grouping would move the last
-    bits of every norm the diagnostics CSVs print.  partials = _dx_dy(grid,
-    a) when the caller has them."""
+def _squared_integrals(grid, a, lo: int, hi: int, partials=None) -> list:
+    """For each derivative order m = lo..hi (at most 2) of a (..., c, n1, n2)
+    block: the integrals of the squares of its partial derivatives of that
+    order, one (..., c) array each, in the order x, y (xx, xy, yx, yy);
+    orders below lo are None.  partials = _dx_dy(grid, a) when the caller
+    has them."""
     def integral(d):
         sq = d**2
         return np.sum(np.multiply(sq, grid.weights, out=sq), axis=(-2, -1))
 
-    derivs = [a]
+    orders = [[integral(a)] if lo == 0 else None]
     if hi >= 1:
-        derivs += _dx_dy(grid, a) if partials is None else partials
+        first = _dx_dy(grid, a) if partials is None else partials
+        orders.append([integral(d) for d in first] if lo <= 1 else None)
+    if hi == 2:
+        orders.append([integral(s) for d in first for s in _dx_dy(grid, d)])
+    return orders
+
+
+def _sobolev_sum(orders, lo: int, hi: int):
+    """The squared Sobolev norm of orders lo..hi from _squared_integrals
+    (which reached hi or beyond), for each leading index.  Per component in
+    turn, orders 0 and 1 add as one term and order 2 as another; another
+    grouping would move the last bits of every norm the diagnostics CSVs
+    print."""
     terms = []
     if lo <= 1:
-        terms.append(sum(integral(d) for d in derivs[lo:]))
+        terms.append(sum(x for order in orders[lo:min(hi, 1) + 1] for x in order))
     if hi == 2:
-        terms.append(sum(integral(s) for d in derivs[1:] for s in _dx_dy(grid, d)))
+        terms.append(sum(orders[2]))
     total = 0.0
-    for c in range(a.shape[-3]):
+    for c in range(terms[0].shape[-1]):
         for t in terms:
             total = total + t[..., c]
     return total
 
 
-def _norm(field, lo: int, hi: int, partials=None) -> float:
-    return float(np.sqrt(_sobolev_sq(field.grid, _block(field), lo, hi, partials)))
+def _sobolev_sq(grid, a, lo: int, hi: int):
+    """For each leading index of a (..., c, n1, n2) block: the sum over its
+    c components of the integrals of the squared partial derivatives of
+    orders lo..hi (at most 2), grouped as _sobolev_sum groups them."""
+    return _sobolev_sum(_squared_integrals(grid, a, lo, hi), lo, hi)
+
+
+def _norm(field, lo: int, hi: int) -> float:
+    return float(np.sqrt(_sobolev_sq(field.grid, _block(field), lo, hi)))
 
 
 def l2(field) -> float:
     return _norm(field, 0, 0)
 
 
-def h1(field, partials=None) -> float:
-    """partials: _dx_dy of the field's components, when the caller has them."""
-    return _norm(field, 0, 1, partials)
+def h1(field) -> float:
+    return _norm(field, 0, 1)
 
 
-def h2(field, partials=None) -> float:
-    """partials: _dx_dy of the field's components, when the caller has them."""
-    return _norm(field, 0, 2, partials)
+def h2(field) -> float:
+    return _norm(field, 0, 2)
 
 
 def hessian_seminorm(field) -> float:
@@ -456,12 +478,83 @@ def step_count(T: float, dt: float) -> int:
     return int(round(T / dt))
 
 
+class Chunk(NamedTuple):
+    """Snapshots i..j-1 of an n-snapshot history, and the window lo..hi-1
+    of snapshots that their time derivative reads."""
+
+    i: int
+    j: int
+    lo: int
+    hi: int
+    n: int
+
+    def own(self, window):
+        """Rows i..j-1 of an array that holds the window's rows."""
+        return window[self.i - self.lo:self.j - self.lo]
+
+
+def history_chunks(n: int, rows: int):
+    """The chunks of `rows` snapshots that cover an n-snapshot history, in
+    order.  A window reaches one snapshot past its chunk on each side, and
+    two at either end of the history, where the difference is one-sided."""
+    if n < 2:
+        raise MissingTimeDerivative("need >= 2 snapshots for a time derivative")
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        lo, hi = max(i - 1, 0), min(j + 1, n)
+        if i == 0:
+            hi = max(hi, min(3, n))
+        if j == n:
+            lo = min(lo, max(n - 3, 0))
+        yield Chunk(i, j, lo, hi, n)
+
+
+def time_derivative_rows(s, chunk: Chunk, dt: float):
+    """The time derivative on a chunk's rows, from the array s of its
+    window's rows: centered differences in the interior, one-sided at the
+    ends of the history; with 2 snapshots, their one difference.  Each row
+    is computed as from the whole history, bit for bit."""
+    i, j, lo, _, n = chunk
+    out = np.empty((j - i, *s.shape[1:]))
+    if n == 2:
+        out[:] = (s[1] - s[0]) * (1.0 / dt)
+        return out
+    c = 1.0 / (2.0 * dt)
+    a, b = max(i, 1), min(j, n - 1)          # the chunk's interior snapshots
+    if a < b:
+        inner = out[a - i:b - i]
+        np.multiply(np.subtract(s[a + 1 - lo:b + 1 - lo], s[a - 1 - lo:b - 1 - lo], out=inner),
+                    c, out=inner)
+    # the window starts at the first snapshot or ends at the last one here
+    if i == 0:
+        out[0] = (s[0] * (-3.0) + s[1] * 4.0 - s[2]) * c
+    if j == n:
+        out[-1] = (s[-1] * 3.0 - s[-2] * 4.0 + s[-3]) * c
+    return out
+
+
+def rolling(fn, chunks):
+    """For each chunk in turn, the rows of its window of a derived history,
+    fn(lo, hi) being its rows lo..hi-1: windows of consecutive chunks
+    overlap, and each row is computed once and carried over."""
+    start, block = 0, None
+    for chunk in chunks:
+        if block is None:
+            block = fn(chunk.lo, chunk.hi)
+        else:
+            end = start + len(block)
+            kept = block[chunk.lo - start:]
+            block = kept if end >= chunk.hi else np.concatenate((kept, fn(end, chunk.hi)))
+        start = chunk.lo
+        yield block
+
+
 def physical_memory_bytes() -> int:
     """The machine's physical memory, the budget of the histories a run holds."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def check_history_budget(shape, count: int = 1) -> None:
+def check_history_budget(shape, count: float = 1) -> None:
     """Raise MemoryBudgetExceeded, before anything is allocated, when count
     histories of the given array shape would not fit in physical memory."""
     nbytes = count * 8 * math.prod(shape)
@@ -526,17 +619,5 @@ class FieldHistory:
 
     def time_derivative(self) -> "FieldHistory":
         """Centered differences in the interior, one-sided at the endpoints."""
-        s = self.data
-        n = len(s)
-        if n < 2:
-            raise MissingTimeDerivative("need >= 2 snapshots for a time derivative")
-        out = np.empty_like(s)
-        if n == 2:
-            out[:] = (s[1] - s[0]) * (1.0 / self.dt)
-        else:
-            c = 1.0 / (2.0 * self.dt)
-            # in place, so the only whole-history array is the result
-            np.multiply(np.subtract(s[2:], s[:-2], out=out[1:-1]), c, out=out[1:-1])
-            out[0] = (s[0] * (-3.0) + s[1] * 4.0 - s[2]) * c
-            out[-1] = (s[-1] * 3.0 - s[-2] * 4.0 + s[-3]) * c
-        return FieldHistory(self.grid, self.dt, out)
+        whole, = history_chunks(len(self), len(self))
+        return FieldHistory(self.grid, self.dt, time_derivative_rows(self.data, whole, self.dt))

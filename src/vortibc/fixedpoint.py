@@ -10,37 +10,43 @@ snapshots of sqrt(||dv||_H2^2 + ||dv_t||_H1^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .elliptic import solve_pressure_ns, solve_transport
+from .elliptic import _PRESSURE_ROWS, solve_pressure_ns, solve_transport
 from .errors import MaxIterExceeded, NoContraction
 from .fields import (
+    _NORM_ROWS,
     FieldHistory,
     ScalarField,
     VectorField,
+    _div,
+    _n_norm_sq,
     advect,
     check_history_budget,
     grad,
+    history_chunks,
     history_div,
-    history_n_norm_sq,
     l2,
     laplacian,
     max_normal_trace,
     max_vorticity_defect,
     step_count,
+    time_derivative_rows,
 )
-from .linearized import VelocityMap, apply_velocity_map
+from .linearized import VelocityMap, apply_velocity_map, energy_rows
 from .stokes import normalize_boundary_data, solve_stokes, stokes_rows
 
 
 # Vector-history equivalents (a scalar history counts half) alive at the peak
-# of an `ns` run, counted from the code: the solution's v, w, u, q and p, div v,
-# and compute_F's v_t, w_t, curl v, d_t and om_t are 5 vector and 6 scalar
-# histories.  Within Picard the peak is lower: v_prev, v_next, w, q, the
-# increment and its time derivative.  A weakref count on ns_torus_tg found 11
-# histories and 52.9 MB live at the peak, 8 times one 6.6 MB vector history.
-_NS_PEAK_HISTORIES = 8
+# of an `ns` run: v_prev, v_next, w and q while Picard sweeps.  The increment
+# norm and the pass over the converged solution (ns_rows) work on row chunks,
+# so after the loop only v, w and q remain.  A weakref count of live
+# FieldHistory bytes on ns_torus_tg found 23.2 MB at the peak, 3.5 times one
+# 6.6 MB vector history.  A caller that reads NSSolution.u and .p holds 1.5
+# more.
+_NS_PEAK_HISTORIES = 3.5
 
 
 @dataclass
@@ -60,25 +66,50 @@ class PicardConfig:
 
 @dataclass
 class NSSolution:
-    """Converged splitting u = v + w with pressure and convergence trace."""
+    """Converged splitting u = v + w with the Stokes scalar q and the
+    convergence trace.  u and the pressure p are whole histories made on
+    first use; ns_rows gives their snapshots without holding them."""
 
     v: FieldHistory
     w: FieldHistory
-    u: FieldHistory
     q: FieldHistory
-    p: FieldHistory
     trace: list          # rows (iter, delta_WT, ratio) with ratio NaN at k=1
     mu: float
     dt: float
     u0: VectorField
     converged: bool = True
 
+    @cached_property
+    def u(self) -> FieldHistory:
+        return self.v + self.w
 
-def wt_norm(diff: FieldHistory) -> float:
-    """sup over snapshots of the N-norm of a history; like a running max
-    from 0, it skips NaN rows."""
-    n_sq = history_n_norm_sq(diff, diff.time_derivative())
-    return float(np.fmax.reduce(np.sqrt(n_sq), initial=0.0))
+    @cached_property
+    def p(self) -> FieldHistory:
+        """The pressures ns_rows yields, collected."""
+        p = FieldHistory.zeros(self.v.grid, self.dt, len(self.v), scalar=True)
+        for k, (_, p_k, _) in enumerate(ns_rows(self)):
+            p[k] = p_k
+        return p
+
+
+def wt_norm(a: FieldHistory, b: FieldHistory | None = None) -> float:
+    """sup over snapshots of the N-norm of the history a - b (of a itself
+    when b is None); like a running max from 0, it skips NaN rows.
+
+    It runs over chunks of _NORM_ROWS snapshots, each differenced on the
+    window its time derivative reads, so neither a - b nor its time
+    derivative is ever a whole history.  A chunk whose difference vanishes
+    on its whole window adds exactly 0 and is skipped: in Picard sweep k,
+    iterates k - 1 and k agree on snapshots 0..k - 1.
+    """
+    worst = 0.0
+    for c in history_chunks(len(a), _NORM_ROWS):
+        diff = a.data[c.lo:c.hi] if b is None else a.data[c.lo:c.hi] - b.data[c.lo:c.hi]
+        if not diff.any():
+            continue
+        n_sq = _n_norm_sq(a.grid, c.own(diff), time_derivative_rows(diff, c, a.dt))
+        worst = np.fmax.reduce(np.sqrt(n_sq), initial=worst)
+    return float(worst)
 
 
 def march_rows(u0: VectorField, a, mu: float, T: float, dt: float,
@@ -124,7 +155,7 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     for it in range(1, cfg.max_iter + 1):
         # iterate it - 1 is final on rows 0..it - 1, so sweep it steps from there
         v_next = apply_velocity_map(v_prev, w_hist, mu, dt, known_rows=min(it - 1, nt - 1))
-        delta = wt_norm(v_next - v_prev)
+        delta = wt_norm(v_next, v_prev)
         ratio = float("nan") if delta_prev is None else (
             delta / delta_prev if delta_prev > 0 else 0.0)
         trace.append((it, delta, ratio))
@@ -145,19 +176,36 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
             f"no fixed point within {cfg.max_iter} iterations "
             f"(last delta {trace[-1][1]:.3e})")
 
-    v = v_prev
-    u = v + w_hist
-    # the linearized pressure of (v, w) is the pressure of the carrier u = v + w
-    p = FieldHistory(grid, dt, solve_transport(grid, u.data))
-    return NSSolution(v=v, w=w_hist, u=u, q=q_hist, p=p, trace=trace,
-                      mu=mu, dt=dt, u0=u0)
+    return NSSolution(v=v_prev, w=w_hist, q=q_hist, trace=trace, mu=mu, dt=dt, u0=u0)
+
+
+def ns_rows(sol: NSSolution, energy: bool = False):
+    """The snapshots of a converged splitting, in one pass over chunks of
+    _PRESSURE_ROWS snapshots of v and w: yields (u, p, div v) for each
+    snapshot.  With energy (3 snapshots or more), each tuple goes on with
+    the snapshot's four compute_F terms from linearized.energy_rows, which
+    then also supplies div v.  The pressures of a chunk are one stacked
+    solve.
+    """
+    grid, v, w = sol.v.grid, sol.v.data, sol.w.data
+    terms = energy_rows(sol.v, sol.v, sol.w) if energy else None
+    for c in history_chunks(len(v), _PRESSURE_ROWS):
+        u = v[c.i:c.j] + w[c.i:c.j]
+        # the linearized pressure of (v, w) is the pressure of the carrier u = v + w
+        p = solve_transport(grid, u)
+        if terms is None:
+            d, extra = _div(grid, v[c.i:c.j, 0], v[c.i:c.j, 1]), ()
+        else:
+            d, *extra = next(terms)
+        for k in range(c.j - c.i):
+            yield (VectorField(grid, *u[k]), ScalarField(grid, p[k]), ScalarField(grid, d[k]),
+                   *(e[k] for e in extra))
 
 
 @dataclass
 class IncompressibilityReport:
     times: np.ndarray
     div_l2: np.ndarray
-    div: FieldHistory    # div v at every snapshot
 
     @property
     def max_div(self) -> float:
@@ -166,8 +214,7 @@ class IncompressibilityReport:
 
 def verify_incompressibility(sol: NSSolution) -> IncompressibilityReport:
     """max_t ||div v(t)||_2: the divergence the fixed point recovered."""
-    d = history_div(sol.v)
-    return IncompressibilityReport(sol.v.times, np.array([l2(dk) for dk in d]), d)
+    return IncompressibilityReport(sol.v.times, np.array([l2(d) for d in history_div(sol.v)]))
 
 
 @dataclass

@@ -23,16 +23,20 @@ from .fields import (
     FieldHistory,
     ScalarField,
     VectorField,
+    _curl,
+    _div,
     _dx_dy,
+    _n_norm_sq,
     advect,
     curl2d,
     curl_scalar,
     grad,
     grad_l2,
-    history_div,
-    history_n_norm_sq,
+    history_chunks,
     l2,
     max_speed,
+    rolling,
+    time_derivative_rows,
 )
 from .geometry import boundary_frame, boundary_zeros
 
@@ -164,6 +168,15 @@ class EnergyDiagnostics:
     comp_time_derivs: np.ndarray
     load: np.ndarray  # 1 + ||(beta, w)(t)||_N^2
 
+    @classmethod
+    def from_terms(cls, dt: float, comp_v_psi, comp_grad_gq, comp_td, load):
+        """F and Q from the per-snapshot terms of energy_rows."""
+        F = comp_v_psi + comp_grad_gq + comp_td
+        Q = np.zeros(len(F))
+        Q[1:] = np.cumsum(0.5 * dt * (load[1:] + load[:-1]))
+        times = dt * np.arange(len(F))
+        return cls(times, F, Q, comp_v_psi, comp_grad_gq, comp_td, load)
+
     def rows(self):
         for k in range(len(self.times)):
             yield (self.times[k], self.F[k], self.Q[k], self.comp_v_psi[k],
@@ -173,9 +186,51 @@ class EnergyDiagnostics:
 F_COLUMNS = ("t", "F", "Q", "l2sq_v_psi", "l2sq_gradg_gradq", "l2sq_vt_dt_wt")
 
 
+def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
+                div_v: FieldHistory | None = None):
+    """compute_F's per-snapshot terms, _PRESSURE_ROWS snapshots at a time:
+    yields (div v, ||(v, psi)||^2, ||(grad g, grad q)||^2,
+    ||(v_t, d_t, omega_t)||^2, load) on the rows of each chunk.
+
+    Time derivatives are taken on the chunk's window (fields.history_chunks),
+    and div v and curl v of each row once; every value equals its
+    whole-history evaluation bit for bit.  div_v is the divergence history
+    of v_hist when the caller has it.
+    """
+    grid, dt = v_hist.grid, v_hist.dt
+    v, beta, w = v_hist.data, beta_hist.data, w_hist.data
+    chunks = list(history_chunks(len(v), _PRESSURE_ROWS))
+    if div_v is None:
+        d_windows = rolling(lambda lo, hi: _div(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
+    else:
+        d_windows = (div_v.data[c.lo:c.hi] for c in chunks)
+    om_windows = rolling(lambda lo, hi: _curl(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
+    for c, d_win, om_win in zip(chunks, d_windows, om_windows):
+        window, rows = slice(c.lo, c.hi), slice(c.i, c.j)
+        v_t = time_derivative_rows(v[window], c, dt)
+        # at the fixed point beta is v itself: difference that history once
+        beta_t = v_t if beta_hist is v_hist else time_derivative_rows(beta[window], c, dt)
+        w_t = time_derivative_rows(w[window], c, dt)
+        d, om = c.own(d_win), c.own(om_win)
+        d_t, om_t = time_derivative_rows(d_win, c, dt), time_derivative_rows(om_win, c, dt)
+        # the divergence coupling q for s = beta + w, e = beta - v
+        q_rows = solve_transport(grid, beta[rows] + w[rows], beta[rows] - v[rows])
+        comp_v_psi, comp_grad_gq, comp_td = (np.empty(c.j - c.i) for _ in range(3))
+        for k, q_values in enumerate(q_rows):
+            psi = curl_scalar(ScalarField(grid, om[k]))
+            q = ScalarField(grid, q_values)
+            gfield = ScalarField(grid, d[k]) - q
+            comp_v_psi[k] = l2(VectorField(grid, *v[c.i + k])) ** 2 + l2(psi) ** 2
+            comp_grad_gq[k] = grad_l2(gfield) ** 2 + grad_l2(q) ** 2
+            comp_td[k] = (l2(VectorField(grid, *v_t[k])) ** 2 + l2(ScalarField(grid, d_t[k])) ** 2
+                          + l2(ScalarField(grid, om_t[k])) ** 2)
+        load = 1.0 + _n_norm_sq(grid, beta[rows], beta_t) + _n_norm_sq(grid, w[rows], w_t)
+        yield d, comp_v_psi, comp_grad_gq, comp_td, load
+
+
 def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
               mu: float, frame, div_v: FieldHistory | None = None) -> EnergyDiagnostics:
-    """Assemble F(t) and Q(t) from the computed histories.
+    """Assemble F(t) and Q(t) from the computed histories (energy_rows).
 
     Needs at least 3 snapshots for interior-centered time derivatives.  The
     auxiliary scalar q couples the current v explicitly (same-step values).
@@ -184,47 +239,8 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
     """
     if len(v_hist) < 3:
         raise ValueError("compute_F needs at least 3 snapshots")
-    dt = v_hist.dt
-    nt = len(v_hist)
-
-    v_t = v_hist.time_derivative()
-    # at the fixed point beta is v itself: difference that history once
-    beta_t = v_t if beta_hist is v_hist else beta_hist.time_derivative()
-    w_t = w_hist.time_derivative()
-
-    grid = v_hist.grid
-    d_hist = history_div(v_hist) if div_v is None else div_v
-    om_hist = FieldHistory.zeros(grid, dt, nt, scalar=True)
-    for k, v in enumerate(v_hist):
-        om_hist[k] = curl2d(v)
-    d_t = d_hist.time_derivative()
-    om_t = om_hist.time_derivative()
-
-    comp_v_psi = np.zeros(nt)
-    comp_grad_gq = np.zeros(nt)
-    comp_td = np.zeros(nt)
-    for i in range(0, nt, _PRESSURE_ROWS):
-        rows = slice(i, i + _PRESSURE_ROWS)
-        # the divergence coupling q for s = beta + w, e = beta - v, one chunk
-        # of rows per solve: whole-history s and e blocks would add two
-        # history-sized temporaries to the peak memory of a run
-        q_rows = solve_transport(grid, beta_hist.data[rows] + w_hist.data[rows],
-                                 beta_hist.data[rows] - v_hist.data[rows])
-        for k, q_values in enumerate(q_rows, start=i):
-            v = v_hist[k]
-            psi = curl_scalar(om_hist[k])
-            q = ScalarField(grid, q_values)
-            gfield = d_hist[k] - q
-            comp_v_psi[k] = l2(v) ** 2 + l2(psi) ** 2
-            comp_grad_gq[k] = grad_l2(gfield) ** 2 + grad_l2(q) ** 2
-            comp_td[k] = l2(v_t[k]) ** 2 + l2(d_t[k]) ** 2 + l2(om_t[k]) ** 2
-    load = 1.0 + history_n_norm_sq(beta_hist, beta_t) + history_n_norm_sq(w_hist, w_t)
-
-    F = comp_v_psi + comp_grad_gq + comp_td
-    Q = np.zeros(nt)
-    Q[1:] = np.cumsum(0.5 * dt * (load[1:] + load[:-1]))
-    times = dt * np.arange(nt)
-    return EnergyDiagnostics(times, F, Q, comp_v_psi, comp_grad_gq, comp_td, load)
+    _, *terms = zip(*energy_rows(v_hist, beta_hist, w_hist, div_v))
+    return EnergyDiagnostics.from_terms(v_hist.dt, *map(np.concatenate, terms))
 
 
 def initial_energy_direct(u0: VectorField, frame) -> float:

@@ -23,12 +23,13 @@ from .fields import (
     VectorField,
     _block,
     _dx_dy,
+    _sobolev_sum,
+    _squared_integrals,
     curl2d,
     curl_scalar,
     div,
     grad,
     grad_l2,
-    h1,
     h2,
     l2,
     max_normal_trace,
@@ -146,13 +147,16 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t,
     """The STOKES_COLUMNS row of one snapshot: norms of w and div(w), the
     kinematic and vorticity boundary residuals against a(t) = a_t, and
     ||q||_2.  The partials of w are taken once, for the norms, div(w) and
-    curl(w) alike; every value equals its single-purpose operator bit for
+    curl(w) alike, and the integral of each squared derivative once for the
+    three norms; every value equals its single-purpose operator bit for
     bit."""
     g = w.grid
     partials = _dx_dy(g, _block(w))
     dx, dy = partials
     vort = 0.0 if frame is None else max_trace_defect(ScalarField(g, dx[1] - dy[0]), frame, a_t)
-    return (t, l2(w), h1(w, partials), h2(w, partials),
+    orders = _squared_integrals(g, _block(w), 0, 2, partials)
+    l2_w, h1_w, h2_w = (float(np.sqrt(_sobolev_sum(orders, 0, hi))) for hi in (0, 1, 2))
+    return (t, l2_w, h1_w, h2_w,
             l2(ScalarField(g, dx[0] + dy[1])), max_normal_trace(w, frame), vort, l2(q))
 
 

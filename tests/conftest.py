@@ -117,6 +117,33 @@ def raise_at(rows, snapshot, exc):
         yield u
 
 
+def energy_rows_from_histories(v, beta, w):
+    """The F_COLUMNS rows of linearized.compute_F, assembled from whole
+    histories: the time derivatives of v, beta, w, div v and curl v as
+    histories, the divergence coupling of every snapshot in one solve, and
+    one row per snapshot from the public operators."""
+    from vortibc import FieldHistory, ScalarField, curl2d, curl_scalar, div
+    from vortibc.elliptic import solve_transport
+    from vortibc.fields import grad_l2, history_n_norm_sq, l2
+
+    grid, dt, nt = v.grid, v.dt, len(v)
+    d = FieldHistory(grid, dt, np.array([div(vk).values for vk in v]))
+    om = FieldHistory(grid, dt, np.array([curl2d(vk).values for vk in v]))
+    v_t, beta_t, w_t, d_t, om_t = (h.time_derivative() for h in (v, beta, w, d, om))
+    q_all = solve_transport(grid, (beta + w).data, (beta - v).data)
+    comps = np.zeros((3, nt))
+    for k in range(nt):
+        q = ScalarField(grid, q_all[k])
+        comps[0, k] = l2(v[k]) ** 2 + l2(curl_scalar(om[k])) ** 2
+        comps[1, k] = grad_l2(d[k] - q) ** 2 + grad_l2(q) ** 2
+        comps[2, k] = l2(v_t[k]) ** 2 + l2(d_t[k]) ** 2 + l2(om_t[k]) ** 2
+    load = 1.0 + history_n_norm_sq(beta, beta_t) + history_n_norm_sq(w, w_t)
+    F = comps[0] + comps[1] + comps[2]
+    Q = np.zeros(nt)
+    Q[1:] = np.cumsum(0.5 * dt * (load[1:] + load[:-1]))
+    return [(dt * k, F[k], Q[k], *comps[:, k]) for k in range(nt)]
+
+
 def zero_mean(grid, values):
     return values - grid.integrate(values) / float(np.sum(grid.weights))
 

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from conftest import energy_rows_from_histories
 from vortibc import ScalarField, VectorField, build_grid, DomainKind, DomainSpec
 from vortibc.cli import main
 from vortibc.config import RunConfig, parse_config, serialize_config
@@ -439,8 +441,8 @@ _STREAM_DOMAINS = {
 }
 
 
-def _stream_cfg(tmp_path, domain, stride, scheme="backward-euler"):
-    text = (_STREAM_DOMAINS[domain] + "physics.mu = 0.05\nphysics.T = 0.035\n"
+def _stream_cfg(tmp_path, domain, stride, scheme="backward-euler", T="0.035"):
+    text = (_STREAM_DOMAINS[domain] + f"physics.mu = 0.05\nphysics.T = {T}\n"
             "physics.dt = 0.005\nsolver.seed = 4\n"
             f"solver.scheme = {scheme}\noutput.checkpoint_stride = {stride}\n"
             f"output.directory = {tmp_path}/out\n")
@@ -523,6 +525,45 @@ def test_euler_stream_matches_history_path(tmp_path, domain, stride):
     _assert_same_files(str(tmp_path / "out"), want)
 
 
+@pytest.mark.parametrize("scheme", ["backward-euler", "crank-nicolson"])
+@pytest.mark.parametrize("stride", [0, 1, 3])
+@pytest.mark.parametrize("domain", sorted(_STREAM_DOMAINS))
+def test_ns_stream_matches_history_path(tmp_path, domain, stride, scheme):
+    # 8 snapshots (one pressure chunk) at T = 0.035; 17 at T = 0.08 leave
+    # a last chunk of one snapshot
+    import warnings
+
+    from vortibc.cli import NS_TRACE_COLUMNS, _setup_run
+    from vortibc.diagnostics import DiagnosticsRecord
+    from vortibc.elliptic import solve_transport
+    from vortibc.fields import FieldHistory, div, l2
+    from vortibc.fixedpoint import PicardConfig, picard_solve
+    from vortibc.linearized import F_COLUMNS
+
+    for T in ("0.035", "0.08"):
+        path, cfg = _stream_cfg(tmp_path, domain, stride, scheme, T)
+        out, want = tmp_path / "out", str(tmp_path / "want")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["ns", "--config", path]) == 0
+            grid, frame, u0, a = _setup_run(cfg)
+            sol = picard_solve(u0, a, cfg.mu, cfg.T, cfg.dt,
+                               PicardConfig(cfg.tol_fix, cfg.max_iter, cfg.contraction_window),
+                               cfg.scheme)
+        u = sol.v + sol.w
+        p = FieldHistory(grid, cfg.dt, solve_transport(grid, u.data))
+        rec = DiagnosticsRecord(("t", "l2_u", "l2_v", "l2_div_v"))
+        for k, (uk, vk) in enumerate(zip(u, sol.v)):
+            rec.add(k * cfg.dt, l2(uk), l2(vk), l2(div(vk)))
+        _history_outputs(cfg, want, "ns_diagnostics.csv", rec, [("u", u), ("p", p)])
+        write_csv(os.path.join(want, "ns_trace.csv"), NS_TRACE_COLUMNS, sol.trace)
+        write_csv(os.path.join(want, "ns_energy.csv"), F_COLUMNS,
+                  energy_rows_from_histories(sol.v, sol.v, sol.w))
+        _assert_same_files(str(out), want)
+        shutil.rmtree(out)
+        shutil.rmtree(want)
+
+
 def test_history_requests_per_command(tmp_path, monkeypatch):
     """stokes, euler and sweep stream and request no history."""
     import warnings
@@ -575,6 +616,33 @@ def test_history_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, budge
     assert not (tmp_path / "out").exists()
 
 
+def test_ns_peak_memory_in_histories(tmp_path):
+    # Picard holds v_prev, v_next, w and q (3.5 vector histories); the
+    # increment norm and every output after the loop go a row chunk at a
+    # time.  Holding u, p, div v or a time derivative whole as well would
+    # take the peak to 8.  numpy reports its allocations to tracemalloc.
+    import tracemalloc
+
+    def cfg(T):
+        return _write(tmp_path, "domain.kind = torus\ndomain.n1 = 24\ndomain.n2 = 24\n"
+                      f"physics.mu = 0.05\nphysics.T = {T}\nphysics.dt = 0.005\n"
+                      "physics.initial_condition = taylor_green\nsolver.tol_fix = 1e-3\n"
+                      f"solver.max_iter = 40\noutput.directory = {tmp_path}/out\n",
+                      name=f"T{T}.cfg")
+
+    # a short run first, so the imports and caches of a first run stay out of the count
+    assert main(["ns", "--config", cfg(0.01)]) == 0
+    history_bytes = 201 * 2 * 24 * 24 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["ns", "--config", cfg(1.0)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * history_bytes, peak / history_bytes
+
+
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     # exit 1 is reserved for a failed verify suite, so an exception outside
     # the package's own errors is an internal error with exit 4
@@ -587,6 +655,68 @@ def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, BASE_CFG + f"output.directory = {tmp_path}/out\n")
     assert main(["stokes", "--config", cfg]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: injected\n"
+
+
+# Config values for the exit-code property: each key draws from valid values
+# and from invalid ones (out of range, non-finite, text, fractional for an
+# int).  Grids stay at most 16 x 16 and runs at most 20 steps, so no draw can
+# exhaust the machine.
+_BAD_NUMBERS = ["-1", "abc", "nan", "inf", "1e400"]
+_DRAWN_KEYS = {
+    "physics.mu": (["0.1", "0.02", "0.0"], _BAD_NUMBERS),
+    "solver.tol_fix": (["1e-6", "1e-9", "0.5"], ["0", *_BAD_NUMBERS]),
+    "solver.max_iter": (["2", "5"], ["1", "2.5", *_BAD_NUMBERS]),
+    "domain.n1": (["4", "8", "12", "16"], ["0", "8.5", *_BAD_NUMBERS]),
+    "domain.n2": (["4", "8", "12", "16"], ["0", "8.5", *_BAD_NUMBERS]),
+    "solver.seed": (["0", "7"], ["1.5", *_BAD_NUMBERS]),
+    "output.checkpoint_stride": (["0", "1", "3"], ["0.5", *_BAD_NUMBERS]),
+    "solver.contraction_window": (["1", "3"], ["0", "1.5", *_BAD_NUMBERS]),
+    "physics.mu_list": (["0.1, 0.03", "0.1, 0.03, 0.01", "0.05"],
+                        ["0.1, -0.1", "0.1, 0.0", "0.03, 0.1", "0.1, abc", "0.1, nan"]),
+    "solver.scheme": (["backward-euler", "crank-nicolson"], ["leapfrog"]),
+    "physics.initial_condition": (["zero", "circulation", "rigid_rotation", "taylor_green",
+                                   "shear_layer", "modulated_shear", "random_smooth"],
+                                  ["bogus"]),
+    "physics.boundary_data": (["zero", "constant", "sin_theta", "from_initial", "random"],
+                              ["bogus"]),
+    "physics.ic.amplitude": (["0.5", "1.0", "60.0"], ["abc", "nan"]),
+}
+
+
+@st.composite
+def _exit_code_case(draw):
+    lines = [f"domain.kind = {draw(st.sampled_from(['annulus', 'disk', 'channel', 'torus']))}"]
+    for key, (good, bad) in _DRAWN_KEYS.items():
+        if draw(st.booleans()):     # absent keys take their defaults
+            pool = bad if draw(st.integers(0, 9)) == 0 else good
+            lines.append(f"{key} = {draw(st.sampled_from(pool))}")
+    # T and dt: at most 20 steps when valid; otherwise dt above T, a dt that
+    # does not divide T, or a value out of range
+    dt = draw(st.sampled_from([0.0025, 0.005, 0.01]))
+    steps = draw(st.integers(1, 20))
+    valid = (f"{steps * dt:.10g}", f"{dt}")
+    T, dt_text = draw(st.sampled_from([
+        *[valid] * 5, (f"{dt / 2}", f"{dt}"), (f"{(steps + 0.5) * dt:.10g}", f"{dt}"),
+        ("-0.1", f"{dt}"), (valid[0], "-0.005"), ("nan", f"{dt}")]))
+    lines += [f"physics.T = {T}", f"physics.dt = {dt_text}"]
+    return draw(st.sampled_from(["stokes", "ns", "euler", "sweep"])), "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_exit_code_case())
+def test_exit_code_contract(tmp_path_factory, case):
+    # whatever the config, main returns a documented exit code and lets no
+    # exception escape
+    import warnings
+
+    command, text = case
+    tmp = tmp_path_factory.mktemp("exit")
+    cfg = _write(tmp, text + f"output.directory = {tmp}/out\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main([command, "--config", cfg])
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4, 5)
 
 
 def test_torus_run_never_loads_sparse_lu(tmp_path):

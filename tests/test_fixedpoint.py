@@ -104,7 +104,7 @@ def test_verify_incompressibility_flags_corruption(annulus_spec):
     clean = verify_incompressibility(sol).max_div
     noise = grad(ScalarField(grid, 0.05 * (grid.x**2 + grid.y**2)))
     corrupted = FieldHistory(grid, sol.dt, sol.v.data + [noise.ux, noise.uy])
-    dirty_sol = NSSolution(v=corrupted, w=sol.w, u=sol.u, q=sol.q, p=sol.p,
+    dirty_sol = NSSolution(v=corrupted, w=sol.w, q=sol.q,
                            trace=sol.trace, mu=sol.mu, dt=sol.dt, u0=sol.u0)
     dirty = verify_incompressibility(dirty_sol).max_div
     assert dirty > 10 * max(clean, 1e-10)
@@ -320,3 +320,41 @@ def test_wt_norm_is_max_of_snapshot_n_norms(kind):
         assert l2(field) == math.sqrt(_sobolev_sq_per_component(field, 0, 0))
         assert h1(field) == math.sqrt(_sobolev_sq_per_component(field, 0, 1))
         assert h2(field) == math.sqrt(_sobolev_sq_per_component(field, 0, 2))
+
+
+@pytest.mark.parametrize("kind", ["annulus", "torus"])
+def test_wt_norm_of_increment_matches_whole_history(kind):
+    # wt_norm(a, b) differences a and b a chunk at a time on the window each
+    # chunk's time derivative reads, and skips chunks whose difference
+    # vanishes there; it must equal the norm of the whole difference
+    # history, and keep fmax's "skip NaN rows" across chunks
+    from vortibc.fields import _NORM_ROWS, history_n_norm_sq
+    grid = _family_grid(kind)
+    rng = np.random.default_rng(8)
+
+    def whole(diff):
+        n_sq = history_n_norm_sq(diff, diff.time_derivative())
+        return float(np.fmax.reduce(np.sqrt(n_sq), initial=0.0))
+
+    def smooth(nt):
+        c = rng.normal(size=(nt, 2, 4, 1, 1))
+        return (c[:, :, 0] * np.sin(grid.x + c[:, :, 1]) + c[:, :, 2] * np.cos(grid.y + c[:, :, 3]))
+
+    for nt in sorted({2, 3, _NORM_ROWS - 1, _NORM_ROWS + 1, 4 * _NORM_ROWS + 1}):
+        b = FieldHistory(grid, 0.01, rng.normal(size=(nt, 2, *grid.shape)))
+        for zero_rows, nan_row in ((0, None), (nt // 2, None), (nt - 1, None),
+                                   (_NORM_ROWS, None), (0, nt // 2), (nt // 3, nt - 1)):
+            # the increment vanishes on rows 0..zero_rows - 1 and peaks on
+            # the next row, so the largest norm sits on the last zero row,
+            # whose time derivative reads that peak across a chunk edge
+            amp = np.where(np.arange(nt) == zero_rows, 1.0, 0.01)
+            amp[:zero_rows] = 0.0
+            a = FieldHistory(grid, 0.01, b.data + amp[:, None, None, None] * smooth(nt))
+            if nan_row is not None:
+                a.data[nan_row] = np.nan
+            want = whole(a - b)
+            assert np.isfinite(want)
+            assert wt_norm(a, b) == want
+            assert wt_norm(a - b) == want
+    # an increment that vanishes everywhere skips every chunk
+    assert wt_norm(b, b) == 0.0

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circulation_field, streamfunction_shear, taylor_green
+from conftest import (circulation_field, energy_rows_from_histories,
+                      streamfunction_shear, taylor_green)
 from frozen import GRONWALL_C1, GRONWALL_C2, GRONWALL_SLACK
 from vortibc import (DomainKind, DomainSpec, FieldHistory, ScalarField,
                      VectorField, advect, boundary_frame, build_grid, curl2d,
@@ -156,6 +157,22 @@ def test_Q_nondecreasing_and_F_nonnegative(annulus_spec):
     diag = compute_F(v, beta, w, 0.05, frame)
     assert np.all(np.diff(diag.Q) >= 0)
     assert np.all(diag.F >= 0)
+
+
+@pytest.mark.parametrize("nt", [3, 9, 17])
+def test_compute_F_matches_whole_history_assembly(annulus_spec, nt):
+    # compute_F takes its time derivatives, div and curl a chunk of rows at
+    # a time; every row must equal the whole-history assembly, with beta
+    # apart from v (a second map application) and with div v passed in
+    from vortibc.fields import history_div
+    grid = build_grid(annulus_spec, 12, 16)
+    frame = boundary_frame(grid)
+    dt = 0.005
+    v1, _, w = _small_run(grid, frame, T=(nt - 1) * dt, dt=dt)
+    v2 = apply_velocity_map(beta=v1, w=w, mu=0.05, dt=dt)
+    want = energy_rows_from_histories(v2, v1, w)
+    assert list(compute_F(v2, v1, w, 0.05, frame).rows()) == want
+    assert list(compute_F(v2, v1, w, 0.05, frame, div_v=history_div(v2)).rows()) == want
 
 
 def test_F0_dual_path(annulus_spec):
