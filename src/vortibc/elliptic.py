@@ -95,15 +95,17 @@ def kron_sum(A1, A2, scale2=None):
     return (sparse.kron(A1, sparse.identity(n2)) + sparse.kron(S, A2)).tocsr()
 
 
-def pin_rows(A, rows, value: float = 1.0):
-    """Copy of A as CSR with `rows` replaced by value times the identity
-    rows; value 0 empties them.  Stores no explicit zeros."""
+def pin_rows(A, rows, value: float = 1.0, cols=None):
+    """Copy of A as CSR with `rows` replaced by value times unit rows whose
+    one entry sits in `cols` (default `rows`: the identity rows); value 0
+    empties them.  Stores no explicit zeros."""
     A = A.tocoo()
     keep = ~np.isin(A.row, rows)
     diag = np.asarray(rows if value else [], dtype=int)
+    cols = diag if cols is None else np.asarray(cols if value else [], dtype=int)
     return sparse.csr_matrix(
         (np.concatenate([A.data[keep], np.full(diag.size, value)]),
-         (np.concatenate([A.row[keep], diag]), np.concatenate([A.col[keep], diag]))),
+         (np.concatenate([A.row[keep], diag]), np.concatenate([A.col[keep], cols]))),
         shape=A.shape)
 
 
@@ -132,13 +134,14 @@ class PeriodicSolve:
     """Solver for an operator K that is circulant along both axes of a doubly
     periodic grid, as every constant-coefficient stencil with wrap is.  Such
     a K is diagonal in the 2-D DFT with eigenvalues the rfft2 of its column
-    0, so the assembled matrix stays the one source of the coefficients.  A
-    zero eigenvalue (the constants of the Neumann operator) maps its mode to
-    zero, which gives the zero-sum solution."""
+    0, which is all the solver takes, so the assembled matrix stays the one
+    source of the coefficients.  A zero eigenvalue (the constants of the
+    Neumann operator) maps its mode to zero, which gives the zero-sum
+    solution."""
 
-    def __init__(self, K, shape):
+    def __init__(self, column, shape):
         self.shape = tuple(shape)
-        symbol = np.fft.rfft2(K[:, [0]].toarray().reshape(self.shape))
+        symbol = np.fft.rfft2(np.reshape(column, self.shape))
         nonzero = np.abs(symbol) > 1e-12 * np.abs(symbol).max()
         self.inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=nonzero)
 
@@ -148,37 +151,50 @@ class PeriodicSolve:
         return np.fft.irfft2(bhat * self.inverse, s=self.shape).reshape(b.shape)
 
 
+def generator_rows(grid: Grid, ncomp: int = 1) -> np.ndarray:
+    """Flat indices of the rows at periodic index 0 of an operator on ncomp
+    fields of a bounded grid stacked component-major, ordered by component,
+    then by the index along the non-periodic axis.  These rows of an
+    operator circulant along the periodic axis (check_circulant) determine
+    it: they are what ModeBlockSolve takes."""
+    axis = 1 if grid.periodic1 else 2
+    flat = np.arange(ncomp * grid.nnodes).reshape(ncomp, *grid.shape)
+    return np.take(flat, 0, axis=axis).ravel()
+
+
 class ModeBlockSolve:
     """Solver for an operator M that is circulant along the one periodic axis
     of a bounded grid (theta on polar grids, x on the channel) and acts on
     ncomp fields stacked component-major.  The rfft along that axis splits M
     into one banded (ncomp * n_radial)^2 block per mode; `factor`, the
     caller's sparse LU, factors their complex block-diagonal matrix once.
-    Block k is M's rows at periodic index 0, each entry phased by the
-    periodic index of its column, so the assembled matrix stays the one
-    source of the coefficients.  `pin` gives radial node 0 of the k = 0 block
-    an identity row and a zero rhs, which selects one solution of a Neumann
-    operator (kernel: the constants).  Raises LinearSolveFailed when M does
-    not commute with a one-node shift along the axis."""
+    The solver takes only M0 = M[generator_rows(grid, ncomp)], the rows at
+    periodic index 0, and the caller vouches for the circulance of M
+    (check_circulant, once per assembled operator).  Block k is M0 with each
+    entry phased by the periodic index of its column, so the assembled matrix
+    stays the one source of the coefficients.  `pin` gives radial node 0 of
+    the k = 0 block an identity row and a zero rhs, which selects one
+    solution of a Neumann operator (kernel: the constants)."""
 
-    def __init__(self, M, grid: Grid, factor, pin: bool = False):
+    def __init__(self, M0, grid: Grid, factor, pin: bool = False):
         axis = 0 if grid.periodic1 else 1
-        self.layout = (M.shape[0] // grid.nnodes, *grid.shape)
+        self.layout = (M0.shape[1] // grid.nnodes, *grid.shape)
         self.axis = axis + 1           # the periodic axis of `layout`
         self.n = grid.shape[axis]
         self.pin = pin
-        _check_circulant(M, self.layout, self.axis)
 
-        ncomp, nr = self.layout[0], grid.shape[1 - axis]
+        nr = grid.shape[1 - axis]
         modes = np.arange(self.n // 2 + 1)[:, None]
-        size = ncomp * nr
-        rows0 = np.take(np.arange(M.shape[0]).reshape(self.layout), 0, axis=self.axis)
-        sub = M[rows0.ravel()].tocoo()   # row = c * nr + r
+        size = M0.shape[0]
+        sub = M0.tocoo()                # row = c * nr + r
         c, i1, i2 = np.unravel_index(sub.col, self.layout)
         p, r = (i1, i2) if axis == 0 else (i2, i1)
-        phase = np.exp(2j * np.pi * ((modes * p) % self.n) / self.n)
+        # the phases of the few distinct periodic indices, gathered per entry
+        ps, which = np.unique(p, return_inverse=True)
+        data = np.exp(2j * np.pi * ((modes * ps) % self.n) / self.n)[:, which]
+        data *= sub.data
         B = sparse.csr_matrix(
-            ((sub.data * phase).ravel(),
+            (data.ravel(),
              ((modes * size + sub.row).ravel(), (modes * size + c * nr + r).ravel())),
             shape=(modes.size * size,) * 2)
         if pin:
@@ -197,9 +213,12 @@ class ModeBlockSolve:
         return np.fft.irfft(xhat, n=self.n, axis=axis).reshape(b.shape)
 
 
-def _check_circulant(M, layout, axis):
-    """Raise LinearSolveFailed unless M commutes with a one-node shift along
-    `axis` of `layout`, to 1e-12 relative to |M| |x| for a fixed x."""
+def check_circulant(M, grid: Grid):
+    """Raise LinearSolveFailed unless M, an operator on fields of the bounded
+    grid stacked component-major, commutes with a one-node shift along the
+    periodic axis, to 1e-12 relative to |M| |x| for a fixed x."""
+    layout = (M.shape[0] // grid.nnodes, *grid.shape)
+    axis = 1 if grid.periodic1 else 2
     x = np.random.default_rng(0).standard_normal(M.shape[0])
 
     def shift(v):
@@ -220,8 +239,10 @@ def _assemble_neumann(grid: Grid):
     def build():
         A = _fv_laplacian(grid)
         if not grid.has_boundary():
-            return A, PeriodicSolve(A, grid.shape), None
-        return A, ModeBlockSolve(A, grid, splu, pin=True), boundary_frame(grid)
+            return A, PeriodicSolve(A[:, [0]].toarray(), grid.shape), None
+        check_circulant(A, grid)
+        return (A, ModeBlockSolve(A[generator_rows(grid)], grid, splu, pin=True),
+                boundary_frame(grid))
     return grid.cached("neumann", build)
 
 
@@ -465,23 +486,30 @@ def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> floa
 # ---------------------------------------------------------------------------
 # Dirichlet helper shared with the streamfunction solver
 
+def _dirichlet_laplacian(grid: Grid):
+    """FD Laplacian of a bounded grid, before its wall rows are pinned."""
+    h1, h2 = grid.h1, grid.h2
+    if grid.polar:
+        r = grid.c1
+        R = stencil(grid.n1, {-1: 1.0 / h1**2 - 1.0 / (2.0 * h1 * r), 0: -2.0 / h1**2,
+                              1: 1.0 / h1**2 + 1.0 / (2.0 * h1 * r)}, False)
+        return kron_sum(R, second_difference(grid.n2, 1.0, True), 1.0 / (r * h2) ** 2)
+    return kron_sum(second_difference(grid.n1, h1, grid.periodic1),
+                    second_difference(grid.n2, h2, grid.periodic2))
+
+
 def _assemble_dirichlet(grid: Grid):
-    """FD Laplacian A with identity rows at the non-periodic boundary nodes,
-    its mode-block solver, and the wall nodes in frame order."""
+    """The mode-block solver of the FD Laplacian with identity rows at the
+    wall nodes, and the wall nodes in frame order.  The walls are whole
+    periodic orbits, so the Laplacian is checked circulant before pinning
+    and only its generator rows are pinned."""
     def build():
-        walls = [c.nodes for c in boundary_frame(grid)]
-        n1, n2 = grid.shape
-        h1, h2 = grid.h1, grid.h2
-        if grid.polar:
-            r = grid.c1
-            R = stencil(n1, {-1: 1.0 / h1**2 - 1.0 / (2.0 * h1 * r), 0: -2.0 / h1**2,
-                             1: 1.0 / h1**2 + 1.0 / (2.0 * h1 * r)}, False)
-            A = kron_sum(R, second_difference(n2, 1.0, True), 1.0 / (r * h2) ** 2)
-        else:
-            A = kron_sum(second_difference(n1, h1, grid.periodic1),
-                         second_difference(n2, h2, grid.periodic2))
-        A = pin_rows(A, np.flatnonzero(grid.wall_mask))
-        return A, ModeBlockSolve(A, grid, splu), walls
+        A = _dirichlet_laplacian(grid)
+        check_circulant(A, grid)
+        rows = generator_rows(grid)
+        walls = np.flatnonzero(grid.wall_mask.ravel()[rows])
+        A0 = pin_rows(A[rows], walls, cols=rows[walls])
+        return ModeBlockSolve(A0, grid, splu), [c.nodes for c in boundary_frame(grid)]
     return grid.cached("dirichlet", build)
 
 
@@ -493,7 +521,7 @@ def solve_dirichlet(grid: Grid, source: np.ndarray, bc_low, bc_high) -> np.ndarr
     LinearSolveFailed when the solution is not finite, which non-finite data
     makes it.
     """
-    _, solver, walls = _assemble_dirichlet(grid)
+    solver, walls = _assemble_dirichlet(grid)
     vals = np.array(source, dtype=float)
     for nodes, bc in zip(walls, (bc_low, bc_high)):
         vals.flat[nodes] = bc

@@ -213,8 +213,12 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
         w_t = time_derivative_rows(w[window], c, dt)
         d, om = c.own(d_win), c.own(om_win)
         d_t, om_t = time_derivative_rows(d_win, c, dt), time_derivative_rows(om_win, c, dt)
-        # the divergence coupling q for s = beta + w, e = beta - v
-        q_rows = solve_transport(grid, beta[rows] + w[rows], beta[rows] - v[rows])
+        # the divergence coupling q for s = beta + w, e = beta - v, which
+        # vanishes with its data at the fixed point beta = v
+        if beta_hist is v_hist:
+            q_rows = np.zeros((c.j - c.i, *grid.shape))
+        else:
+            q_rows = solve_transport(grid, beta[rows] + w[rows], beta[rows] - v[rows])
         comp_v_psi, comp_grad_gq, comp_td = (np.empty(c.j - c.i) for _ in range(3))
         for k, q_values in enumerate(q_rows):
             psi = curl_scalar(ScalarField(grid, om[k]))

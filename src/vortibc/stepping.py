@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .elliptic import (ModeBlockSolve, PeriodicSolve, kron_sum, pin_rows, second_difference,
-                       splu, stencil)
+from .elliptic import (ModeBlockSolve, PeriodicSolve, check_circulant, generator_rows, kron_sum,
+                       pin_rows, second_difference, splu, stencil)
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame
@@ -93,6 +93,15 @@ def _cartesian_operator(grid: Grid):
     return L, grid.nnodes + nodes, nodes, a_coef
 
 
+def _operator(grid: Grid):
+    """The grid's velocity operator (_polar_operator or _cartesian_operator),
+    checked circulant along the periodic axis on bounded grids."""
+    op = (_polar_operator if grid.polar else _cartesian_operator)(grid)
+    if grid.has_boundary():
+        check_circulant(op[0], grid)
+    return op
+
+
 class VelocityStepper:
     """Cached implicit solver for one grid and one (mu, dt, theta) setting.
 
@@ -110,20 +119,28 @@ class VelocityStepper:
         self.theta = float(theta)
         self.frame = boundary_frame(grid) if grid.has_boundary() else None
 
-        build = _polar_operator if grid.polar else _cartesian_operator
         self.L, self.normal_dofs, self.aterm_idx, self.aterm_coef = grid.cached(
-            "vel_op", lambda: build(grid))
+            "vel_op", lambda: _operator(grid))
         self.solver = grid.cached(("vel_lu", self.mu * self.dt, self.theta), self._factor)
 
     def _factor(self):
-        M = sparse.identity(self.L.shape[0], format="csr") \
-            - (self.theta * self.mu * self.dt) * self.L
-        if not self.grid.has_boundary():
+        """The solver of M = I - theta mu dt L with the normal-dof rows
+        pinned, formed on the part of M its solver reads: column 0 of the
+        first component's block on the torus, the generator rows elsewhere."""
+        g, c = self.grid, self.theta * self.mu * self.dt
+        if not g.has_boundary():
             # torus: M = block_diag(K, K) with K circulant along both axes
-            n = self.grid.nnodes
-            return PeriodicSolve(M[:n, :n], self.grid.shape)
+            column = np.zeros((g.nnodes, 1))
+            column[0] = 1.0
+            column -= (c * self.L[:g.nnodes, [0]]).toarray()
+            return PeriodicSolve(column, g.shape)
+        rows = generator_rows(g, 2)
+        identity = sparse.csr_matrix((np.ones(rows.size), rows, np.arange(rows.size + 1)),
+                                     shape=(rows.size, self.L.shape[1]))   # its `rows`
+        pinned = np.flatnonzero(np.isin(rows, self.normal_dofs))
+        M0 = pin_rows(identity - c * self.L[rows], pinned, cols=rows[pinned])
         try:
-            return ModeBlockSolve(pin_rows(M, self.normal_dofs), self.grid, splu)
+            return ModeBlockSolve(M0, g, splu)
         except RuntimeError as exc:
             raise BCEnforcementFailed(f"implicit boundary system singular: {exc}")
 

@@ -11,8 +11,10 @@ from scipy.sparse.linalg import splu
 from conftest import circulation_field, ls_order, zero_mean
 from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField,
                      boundary_frame, build_grid, grad)
+from vortibc import elliptic, stepping
 from vortibc.elliptic import (_PRESSURE_ROWS, ModeBlockSolve, NeumannProblem,
-                              _assemble_dirichlet, _assemble_neumann, _solve_neumann_rows,
+                              _assemble_dirichlet, _assemble_neumann, _dirichlet_laplacian,
+                              _solve_neumann_rows, check_circulant, generator_rows,
                               pin_rows, solonnikov_ratio, solve_divergence_coupling,
                               solve_harmonic_q, solve_neumann, solve_pressure_euler,
                               solve_pressure_linearized, solve_pressure_ns, solve_transport)
@@ -264,11 +266,15 @@ def test_neumann_operator_symmetric_with_constant_kernel(spec):
 
 
 @pytest.mark.parametrize("spec", SPECS[:3], ids=lambda s: s.kind.value)
-def test_dirichlet_identity_rows_exactly_on_walls(spec):
+def test_dirichlet_identity_rows_exactly_on_walls(spec, monkeypatch):
+    # the wall rows are pinned on the generator rows, so every mode block
+    # the solver factors has identity rows at the two wall nodes and nowhere else
     grid = build_grid(spec, 12, 20)
-    A = _assemble_dirichlet(grid)[0].tocsr()
-    identity_row = (np.diff(A.indptr) == 1) & (A.diagonal() == 1.0)
-    np.testing.assert_array_equal(identity_row, grid.wall_mask.ravel())
+    B = _recorded_block(monkeypatch, elliptic, lambda: _assemble_dirichlet(grid)).tocsr()
+    nr = grid.n2 if grid.periodic1 else grid.n1
+    wall = np.isin(np.arange(nr), [0, nr - 1])
+    identity_row = (np.diff(B.indptr) == 1) & (B.diagonal() == 1.0)
+    np.testing.assert_array_equal(identity_row, np.tile(wall, B.shape[0] // nr))
 
 
 def test_non_finite_data_raises_typed_errors(annulus_grid, annulus_frame):
@@ -387,18 +393,95 @@ def test_bounded_dirichlet_mode_blocks_match_refined_lu(spec, n1, n2):
     # raw splu drifts from its own refined solution as the grid grows (6.6e-12
     # on the 192^2 annulus for random data), so it is refined once first
     grid = build_grid(spec, n1, n2)
-    A, solver, _ = _assemble_dirichlet(grid)
+    solver, _ = _assemble_dirichlet(grid)
     assert isinstance(solver, ModeBlockSolve)
+    A = pin_rows(_dirichlet_laplacian(grid), np.flatnonzero(grid.wall_mask))
     b = np.random.default_rng(7).normal(size=grid.nnodes)
     assert _rel_diff(solver.solve(b), _refined_splu(A, b)) <= 1e-12
 
 
+def _recorded_block(monkeypatch, module, build):
+    """The one block matrix that build() hands to `module.splu`."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(module, "splu", seen.append)
+        build()
+    (B,) = seen
+    return B
+
+
+def _block_of(M, grid, pin=False):
+    """The block matrix ModeBlockSolve factors for the full operator M."""
+    seen = []
+    ModeBlockSolve(M[generator_rows(grid, M.shape[0] // grid.nnodes)], grid, seen.append, pin)
+    return seen[0]
+
+
+def _assert_same_csc(B, ref):
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(B, name), getattr(ref, name), err_msg=name)
+
+
+@pytest.mark.parametrize("spec, n1, n2", BOUNDED_GRIDS, ids=BOUNDED_IDS)
+def test_mode_blocks_built_from_generator_rows_match_full_operator(spec, n1, n2, monkeypatch):
+    # each solver forms and pins only its operator's generator rows; the
+    # block matrix it factors equals the one built from the full pinned matrix
+    grid = build_grid(spec, n1, n2)
+    mu, dt = 1.0, 0.1
+    for theta in (1.0, 0.5):
+        B = _recorded_block(monkeypatch, stepping, lambda: VelocityStepper(grid, mu, dt, theta))
+        stepper = VelocityStepper(grid, mu, dt, theta)   # cached: factors nothing
+        M = pin_rows(sparse.identity(2 * grid.nnodes, format="csr")
+                     - (theta * mu * dt) * stepper.L, stepper.normal_dofs)
+        _assert_same_csc(B, _block_of(M, grid))
+    B = _recorded_block(monkeypatch, elliptic, lambda: _assemble_neumann(grid))
+    _assert_same_csc(B, _block_of(_assemble_neumann(grid)[0], grid, pin=True))
+    B = _recorded_block(monkeypatch, elliptic, lambda: _assemble_dirichlet(grid))
+    A = pin_rows(_dirichlet_laplacian(grid), np.flatnonzero(grid.wall_mask))
+    _assert_same_csc(B, _block_of(A, grid))
+
+
 def test_mode_blocks_reject_non_circulant_operator(annulus_grid):
-    A = _assemble_dirichlet(annulus_grid)[0].tolil()
+    A = _dirichlet_laplacian(annulus_grid).tolil()
     row = annulus_grid.n2 + 3          # an interior node at periodic index 3
     A[row, row] *= 1.5
     with pytest.raises(LinearSolveFailed):
-        ModeBlockSolve(A.tocsr(), annulus_grid, splu)
+        check_circulant(A.tocsr(), annulus_grid)
+
+
+def test_velocity_stepper_rejects_non_circulant_operator(annulus_spec, monkeypatch):
+    # the velocity operator is checked once, when the grid first builds it
+    polar_operator = stepping._polar_operator
+
+    def perturbed(grid):
+        L, *bc = polar_operator(grid)
+        L = L.tolil()
+        row = grid.n2 + 3              # u_r at an interior node, periodic index 3
+        L[row, row] *= 1.5
+        return (L.tocsr(), *bc)
+
+    monkeypatch.setattr(stepping, "_polar_operator", perturbed)
+    with pytest.raises(LinearSolveFailed):
+        VelocityStepper(build_grid(annulus_spec, 12, 16), 1.0, 0.1)
+
+
+def test_velocity_factorization_memory(annulus_spec):
+    # one more factorization on a cached operator forms I - theta mu dt L and
+    # its pins on the generator rows only: no full-size copy of L
+    import tracemalloc
+
+    grid = build_grid(annulus_spec, 96, 96)
+    stepper = VelocityStepper(grid, 0.01, 1e-3)
+    L = stepper.L
+    L_bytes = L.data.nbytes + L.indices.nbytes + L.indptr.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        VelocityStepper(grid, 0.02, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * L_bytes, peak / L_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -160,10 +160,13 @@ def test_Q_nondecreasing_and_F_nonnegative(annulus_spec):
 
 
 @pytest.mark.parametrize("nt", [3, 9, 17])
-def test_compute_F_matches_whole_history_assembly(annulus_spec, nt):
+def test_compute_F_matches_whole_history_assembly(annulus_spec, nt, monkeypatch):
     # compute_F takes its time derivatives, div and curl a chunk of rows at
     # a time; every row must equal the whole-history assembly, with beta
-    # apart from v (a second map application) and with div v passed in
+    # apart from v (a second map application) and with div v passed in.  At
+    # the fixed point beta = v the divergence coupling has zero data, and
+    # compute_F skips its solve
+    import vortibc.linearized
     from vortibc.fields import history_div
     grid = build_grid(annulus_spec, 12, 16)
     frame = boundary_frame(grid)
@@ -173,6 +176,9 @@ def test_compute_F_matches_whole_history_assembly(annulus_spec, nt):
     want = energy_rows_from_histories(v2, v1, w)
     assert list(compute_F(v2, v1, w, 0.05, frame).rows()) == want
     assert list(compute_F(v2, v1, w, 0.05, frame, div_v=history_div(v2)).rows()) == want
+    want = energy_rows_from_histories(v1, v1, w)
+    monkeypatch.setattr(vortibc.linearized, "solve_transport", None)
+    assert list(compute_F(v1, v1, w, 0.05, frame).rows()) == want
 
 
 def test_F0_dual_path(annulus_spec):
