@@ -58,7 +58,7 @@ def gronwall_constants():
     a = [np.full(64, amp * math.pi), np.full(64, -amp * math.pi)]
     mu, T, dt = 0.05, 0.2, 2e-3
     sol = picard_solve(u0, a, mu, T, dt, PicardConfig(tol_fix=1e-8, max_iter=20))
-    diag = compute_F(sol.v, sol.v, sol.w, mu, boundary_frame(grid))
+    diag = compute_F(sol.v, sol.v, sol.w)
     C2 = 2.0 / max(diag.Q[-1], 1e-30)
     env1 = gronwall_envelope(diag, 1.0, C2)
     C1 = MARGIN * float(np.max(diag.F / env1))

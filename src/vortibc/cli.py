@@ -15,7 +15,6 @@ import numpy as np
 
 from . import errors
 from .config import RunConfig, check_ranges, load_config
-from .diagnostics import DiagnosticsRecord
 from .fields import div, l2, step_count
 from .generators import make_boundary_data, make_initial_condition
 from .geometry import boundary_frame, build_grid
@@ -72,14 +71,15 @@ def _setup_run(cfg: RunConfig):
     return grid, frame, u0, a
 
 
-def _stream(cfg, rows, nt, tags, rec, diag_row):
-    """Consume nt snapshots of fields as they pass: add diag_row(k, *fields)
-    to rec, and checkpoint each field under its tag at every
-    checkpoint_stride-th snapshot (stride 0: the last one only).  Returns
-    the fields of the last snapshot."""
+def _stream(cfg, rows, nt, tags, csv_name, columns, diag_row):
+    """Consume nt snapshots of fields as they pass: checkpoint each field
+    under its tag at every checkpoint_stride-th snapshot (stride 0: the last
+    one only), then write the rows diag_row(k, *fields) under `columns` to
+    the CSV csv_name.  Returns the fields of the last snapshot."""
     stride = cfg.checkpoint_stride
+    table = []
     for k, fields in enumerate(rows):
-        rec.add(*diag_row(k, *fields))
+        table.append(diag_row(k, *fields))
         if k == nt - 1 if stride <= 0 else k % stride == 0:
             for tag, snap in zip(tags, fields):
                 path = os.path.join(cfg.out_dir, f"{tag}_{k:06d}.vbf")
@@ -87,6 +87,7 @@ def _stream(cfg, rows, nt, tags, rec, diag_row):
                     vector_checkpoint(path, snap)
                 else:
                     scalar_checkpoint(path, snap)
+    write_csv(os.path.join(cfg.out_dir, csv_name), columns, table)
     return fields
 
 
@@ -123,10 +124,9 @@ def cmd_stokes(cfg: RunConfig) -> int:
     dt = cfg.effective_dt(grid)
     sample_a, _ = normalize_boundary_data(a, frame)
     rows = stokes_rows(u0, a, cfg.mu, cfg.T, dt, cfg.scheme)
-    rec = DiagnosticsRecord(STOKES_COLUMNS)
-    w, _ = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("w", "q"), rec,
+    w, _ = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("w", "q"),
+                   "stokes_diagnostics.csv", STOKES_COLUMNS,
                    lambda k, w, q: stokes_row(k * dt, w, q, sample_a(k * dt), frame))
-    rec.write_csv(os.path.join(cfg.out_dir, "stokes_diagnostics.csv"))
     print(f"final ||w||_2 = {format_float(l2(w))}")
     print(f"final ||div w||_2 = {format_float(l2(div(w)))}")
     return EXIT_OK
@@ -156,9 +156,8 @@ def cmd_ns(cfg: RunConfig) -> int:
         terms.append(energy_terms)
         return k * dt, l2(u), l2(sol.v[k]), div_l2[-1]
 
-    rec = DiagnosticsRecord(("t", "l2_u", "l2_v", "l2_div_v"))
-    u, *_ = _stream(cfg, ns_rows(sol, energy), nt, ("u", "p"), rec, diag_row)
-    rec.write_csv(os.path.join(cfg.out_dir, "ns_diagnostics.csv"))
+    u, *_ = _stream(cfg, ns_rows(sol, energy), nt, ("u", "p"), "ns_diagnostics.csv",
+                    ("t", "l2_u", "l2_v", "l2_div_v"), diag_row)
     if energy:
         diag = EnergyDiagnostics.from_terms(dt, *map(np.array, zip(*terms)))
         write_csv(os.path.join(cfg.out_dir, "ns_energy.csv"), F_COLUMNS, list(diag.rows()))
@@ -180,10 +179,8 @@ def cmd_euler(cfg: RunConfig) -> int:
     grid, frame, u0, a = _setup_run(cfg)
     dt = cfg.effective_dt(grid)
     rows = ((u,) for u in euler_rows(u0, cfg.T, dt, grid))
-    rec = DiagnosticsRecord(("t", "l2_u", "energy"))
-    u, = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("u",), rec,
-                 lambda k, u: (k * dt, l2(u), kinetic_energy(u)))
-    rec.write_csv(os.path.join(cfg.out_dir, "euler_diagnostics.csv"))
+    u, = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("u",), "euler_diagnostics.csv",
+                 ("t", "l2_u", "energy"), lambda k, u: (k * dt, l2(u), kinetic_energy(u)))
     print(f"final ||u||_2 = {format_float(l2(u))}")
     return EXIT_OK
 

@@ -99,10 +99,13 @@ class RunConfig:
                           length_x=self.length_x, length_y=self.length_y)
 
     def effective_dt(self, grid) -> float:
-        # dt = 0 selects the default desk-scale step min(h^2, T/100)
+        # dt = 0 selects the default desk-scale step: the largest step of at
+        # most min(h^2, T/100) that divides T, as an explicit dt must
         if self.dt > 0:
             return self.dt
-        return min(grid.min_spacing() ** 2, self.T / 100.0)
+        cap = min(grid.min_spacing() ** 2, self.T / 100.0)
+        # the slack keeps a rounded T / (T/100) at 100 steps, not 101
+        return self.T / math.ceil(self.T / cap * (1.0 - 1e-9))
 
 
 _KEYMAP = {

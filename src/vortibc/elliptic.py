@@ -47,13 +47,22 @@ class NeumannProblem:
 
     `flux` is a list of per-boundary-component arrays (None or [] when the
     domain has no boundary).  `tol_compat` bounds the allowed compatibility
-    defect |int(source) - oint(flux)|; None selects 1e-8 * data scale.
+    defect |int(source) - oint(flux)| relative to the data size; the default
+    1e-8 suits data given in closed form.
     """
 
     grid: Grid
     source: ScalarField
     flux: list | None = None
-    tol_compat: float | None = None
+    tol_compat: float = 1e-8
+
+
+def fd_tolerance(grid: Grid) -> float:
+    """tol_compat for data assembled from finite differences (advection,
+    divergence, transported vorticity): such data is compatible only to
+    O(h^2), and well-posed runs must not crash on that mismatch."""
+    h = max(grid.h1, grid.h2)
+    return max(1e-8, 100.0 * h * h)
 
 
 def splu(A):
@@ -246,42 +255,38 @@ def _assemble_neumann(grid: Grid):
     return grid.cached("neumann", build)
 
 
-def _data_scale(grid, frame, source, flux):
-    """Per row of a (rows, n1, n2) source: the weighted L1 size of the
-    source plus the arc-length L1 size of the flux."""
-    a = np.abs(source)
-    s = np.sum(np.multiply(a, grid.weights, out=a), axis=(-2, -1))
-    if frame is not None and flux:
-        s = s + sum(np.sum(c.ds * np.abs(f), axis=-1) for c, f in zip(frame, flux))
-    return s
-
-
-def _solve_neumann_rows(grid: Grid, source, flux: list, tol) -> np.ndarray:
+def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarray:
     """The zero-mean solution of lap(phi) = source, d_nu phi = flux for
     each row of a (rows, n1, n2) source, as one stacked solve.
 
     `flux` holds one array per boundary component: (rows, m), or one (m,)
-    row shared by all; it is ignored on the torus.  `tol` bounds each row's
-    compatibility defect.  Each row gets its own finiteness and
-    compatibility test, flux repair (one log record per repaired row),
-    residual test and zero-mean shift; the first row that fails a test
-    raises.  Row i of the result equals the one-row solve of row i bit for
-    bit.
+    row shared by all; it is ignored on the torus.  Each row's compatibility
+    defect may reach rtol times its data size: the weighted L1 size of the
+    source plus the arc-length L1 size of the flux, floored at 1e-14.  Each
+    row gets its own finiteness and compatibility test, flux repair (one log
+    record per repaired row), residual test and zero-mean shift; the first
+    row that fails a test raises.  Row i of the result equals the one-row
+    solve of row i bit for bit.
     """
     A, solver, frame = _assemble_neumann(grid)
+    # |source| is summed in place and freed before b is allocated
+    size = np.abs(source)
+    size = np.sum(np.multiply(size, grid.weights, out=size), axis=(-2, -1))
     b = (grid.weights * source).reshape(len(source), -1)
     if frame is not None:
         if len(flux) != len(frame.components):
             raise ValueError("flux must supply one array per boundary component")
         for comp, g in zip(frame, flux):
             b[:, comp.nodes] -= comp.ds * g
+            size = size + np.sum(comp.ds * np.abs(g), axis=-1)
+    tol = rtol * np.maximum(size, 1e-14)
     defect = np.sum(b, axis=1)
     bad = np.flatnonzero(~np.isfinite(b).all(axis=1) | (np.abs(defect) > tol))
     if bad.size:
         i = bad[0]
         require_finite(SolverDiverged, "solve_neumann data", b[i])
         raise IncompatibleData(f"compatibility defect {defect[i]:.3e} exceeds "
-                               f"tolerance {np.broadcast_to(tol, defect.shape)[i]:.3e}")
+                               f"tolerance {tol[i]:.3e}")
     repaired = np.flatnonzero(defect)
     if frame is not None and repaired.size:
         per = frame.perimeter()
@@ -316,32 +321,9 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
     misses 1e-10 relative.
     """
     grid = prob.grid
-    frame = _assemble_neumann(grid)[2]
-    source = prob.source.values[np.newaxis]
     flux = prob.flux if prob.flux is not None else []
-    tol = prob.tol_compat
-    if tol is None:
-        tol = 1e-8 * np.maximum(_data_scale(grid, frame, source, flux), 1e-14)
-    return ScalarField(grid, _solve_neumann_rows(grid, source, flux, tol)[0])
-
-
-def _solve_neumann_fd_rows(grid: Grid, source, flux: list, frame) -> np.ndarray:
-    # Discrete data from FD advection/divergence is compatible only to O(h^2);
-    # well-posed runs must not crash on that mismatch.
-    h = max(grid.h1, grid.h2)
-    scale = np.maximum(_data_scale(grid, frame, source, flux), 1e-14)
-    return _solve_neumann_rows(grid, source, flux, max(1e-8, 100.0 * h * h) * scale)
-
-
-def solve_neumann_fd(grid: Grid, source: np.ndarray, flux: list,
-                     frame: BoundaryFrame | None) -> ScalarField:
-    """Solve lap(phi) = source, d_nu phi = flux for data assembled from finite
-    differences, allowing its O(h^2) compatibility defect.
-
-    The one-row case of the stacked solve behind the pressures, used for the
-    Solonnikov ratio and the torus streamfunction (frame None, flux []).
-    """
-    return ScalarField(grid, _solve_neumann_fd_rows(grid, source[np.newaxis], flux, frame)[0])
+    return ScalarField(grid, _solve_neumann_rows(grid, prob.source.values[np.newaxis], flux,
+                                                 prob.tol_compat)[0])
 
 
 # carrier rows per stacked transport solve.  The inviscid pressure and its
@@ -386,13 +368,14 @@ def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None) -> np.ndarra
         lap(q) = -div(s . grad e),  d_nu q = pi(s, e) - mu * da/ds,
 
     with one boundary vorticity a for all rows, allowing the O(h^2)
-    compatibility defect of finite-difference data.  e = None solves for the
-    pressure of s (e = s), which requires s_perp ~ 0 on the boundary: each
-    row is checked first (BCViolation).  Returns the (rows, n1, n2)
+    compatibility defect of finite-difference data (fd_tolerance).  e = None
+    solves for the pressure of s (e = s), which requires s_perp ~ 0 on the
+    boundary: each row is checked first (BCViolation).  Returns the (rows, n1, n2)
     zero-mean solutions, solved _PRESSURE_ROWS rows at a time; each row
     equals its one-row solve bit for bit.
     """
     frame = _assemble_neumann(grid)[2]
+    rtol = fd_tolerance(grid)
     out = np.empty((len(s), *grid.shape))
     for i in range(0, len(s), _PRESSURE_ROWS):
         rows = slice(i, i + _PRESSURE_ROWS)
@@ -408,65 +391,54 @@ def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None) -> np.ndarra
             if mu != 0.0 and a is not None:
                 flux = [g - mu * sk for g, sk in zip(flux, surface_curl(a, frame))]
         adv = _advect(grid, si, ei)
-        out[rows] = _solve_neumann_fd_rows(grid, -_div(grid, adv[:, 0], adv[:, 1]), flux, frame)
+        out[rows] = _solve_neumann_rows(grid, -_div(grid, adv[:, 0], adv[:, 1]), flux, rtol)
     return out
 
 
-# The single-snapshot entries are the one-row case of solve_transport, which
-# takes the boundary from the grid; their `frame` argument is that same frame
-# (None on the torus).
+# The single-snapshot entries are the one-row case of solve_transport.
 
-def _solve_one(s: VectorField, e: VectorField | None = None, mu: float = 0.0,
-               a=None) -> ScalarField:
-    """solve_transport for one snapshot."""
-    rows = solve_transport(s.grid, _block(s)[np.newaxis],
-                           None if e is None else _block(e)[np.newaxis], mu, a)
-    return ScalarField(s.grid, rows[0])
-
-
-def solve_pressure_ns(u: VectorField, a, mu: float, frame: BoundaryFrame | None) -> ScalarField:
+def solve_pressure_ns(u: VectorField, a, mu: float) -> ScalarField:
     """Pressure for the viscous problem with a prescribed boundary vorticity.
 
     Solves lap(p) = -div(u . grad u) with d_nu p = pi(u, u) - mu * da/ds,
     normalized to zero mean.  Requires u_perp ~ 0 on the boundary.
     """
-    return _solve_one(u, None, mu, a)
+    return ScalarField(u.grid, solve_transport(u.grid, _block(u)[np.newaxis], None, mu, a)[0])
 
 
-def solve_pressure_euler(u: VectorField, frame: BoundaryFrame) -> ScalarField:
+def solve_pressure_euler(u: VectorField) -> ScalarField:
     """Pressure for the inviscid problem: the mu = 0 case."""
-    return solve_pressure_ns(u, None, 0.0, frame)
+    return solve_pressure_ns(u, None, 0.0)
 
 
-def solve_pressure_linearized(beta: VectorField, w: VectorField,
-                              frame: BoundaryFrame | None) -> ScalarField:
+def solve_pressure_linearized(beta: VectorField, w: VectorField) -> ScalarField:
     """Pressure driving the linearized parabolic step.
 
     Solves lap(p) = -div(s . grad s) with d_nu p = pi(s, s) for s = beta + w,
     zero mean; requires s_perp ~ 0 on the boundary.
     """
-    return _solve_one(beta + w)
+    return solve_pressure_euler(beta + w)
 
 
-def solve_divergence_coupling(beta: VectorField, w: VectorField, v: VectorField,
-                              frame: BoundaryFrame | None) -> ScalarField:
+def solve_divergence_coupling(beta: VectorField, w: VectorField, v: VectorField) -> ScalarField:
     """Auxiliary Neumann solve for the divergence diagnostics:
     lap(q) = -div(s . grad e), d_nu q = pi(s, e) with s = beta + w, e = beta - v."""
-    return _solve_one(beta + w, beta - v)
+    s, e = beta + w, beta - v
+    return ScalarField(s.grid, solve_transport(s.grid, _block(s)[np.newaxis],
+                                               _block(e)[np.newaxis])[0])
 
 
 def solve_harmonic_q(a, mu: float, frame: BoundaryFrame) -> ScalarField:
     """Harmonic part of the Stokes decoupling: lap(q) = 0 with
-    d_nu q = -mu * da/ds, zero mean.  Compatibility is automatic because the
-    closed-loop integral of da/ds telescopes to zero exactly."""
+    d_nu q = -mu * da/ds, zero mean."""
     grid = frame.grid
     src = ScalarField.zeros(grid)
     if mu == 0.0:
         return src
     g = [-mu * sk for sk in surface_curl(a, frame)]
-    scale = _data_scale(grid, frame, src.values, g)
-    prob = NeumannProblem(grid, src, g, tol_compat=max(1e-10 * max(scale, 1e-14), 1e-13))
-    return solve_neumann(prob)
+    # the closed-loop integral of da/ds telescopes to zero exactly, so the
+    # defect is roundoff and a tolerance tighter than for given data holds
+    return solve_neumann(NeumannProblem(grid, src, g, tol_compat=1e-10))
 
 
 def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> float:
@@ -479,7 +451,8 @@ def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> floa
     if frame is None and grid.has_boundary():
         frame = boundary_frame(grid)
     flux = normal_component(f, frame) if frame is not None else []
-    phi = solve_neumann_fd(grid, div(f).values, flux, frame)
+    # div f is a finite difference, compatible with <f, nu> only to O(h^2)
+    phi = solve_neumann(NeumannProblem(grid, div(f), flux, fd_tolerance(grid)))
     return l2(grad(phi)) / fnorm
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import solve_dirichlet, solve_neumann_fd
+from .elliptic import NeumannProblem, fd_tolerance, solve_dirichlet, solve_neumann
 from .errors import CFLViolation, CirculationSystemSingular, SolverDiverged
 from .fields import (
     FieldHistory,
@@ -83,7 +83,7 @@ class StreamfunctionSolver:
         if self.kind == DomainKind.TORUS:
             # curl fields sum to zero exactly; transported states pick up an
             # O(h^2) mean that the repair path absorbs.
-            s = solve_neumann_fd(g, -omega.values, [], None)
+            s = solve_neumann(NeumannProblem(g, omega * (-1.0), [], fd_tolerance(g)))
             u = curl_scalar(s)
             return VectorField(g, u.ux + self.mean_u[0], u.uy + self.mean_u[1])
         if self.kind == DomainKind.CHANNEL:

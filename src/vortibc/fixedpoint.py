@@ -243,7 +243,7 @@ def ns_residual(sol: NSSolution, a, mu: float, frame) -> ResidualReport:
     bc_vort = 0.0
     for k in range(len(sol.u)):
         u = sol.u[k]
-        p = solve_pressure_ns(u, sample_a(k * sol.dt), mu, frame)
+        p = solve_pressure_ns(u, sample_a(k * sol.dt), mu)
         resid = u_t[k] + advect(u, u) + grad(p) - mu * laplacian(u)
         interior[k] = float(np.sqrt(np.sum(w_int * (resid.ux**2 + resid.uy**2))))
         bc_perp = max(bc_perp, max_normal_trace(u, frame))
@@ -268,7 +268,7 @@ def compare_pressures(sol: NSSolution, a, mu: float, frame) -> float:
     total_w = float(np.sum(grid.weights))
     worst = 0.0
     for k in range(len(sol.u)):
-        p_direct = solve_pressure_ns(sol.u[k], sample_a(k * sol.dt), mu, frame)
+        p_direct = solve_pressure_ns(sol.u[k], sample_a(k * sol.dt), mu)
         combo = sol.p[k].values + sol.q[k].values
         combo = combo - grid.integrate(combo) / total_w
         worst = max(worst, l2(p_direct - ScalarField(grid, combo)))

@@ -233,13 +233,12 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
 
 
 def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
-              mu: float, frame, div_v: FieldHistory | None = None) -> EnergyDiagnostics:
+              div_v: FieldHistory | None = None) -> EnergyDiagnostics:
     """Assemble F(t) and Q(t) from the computed histories (energy_rows).
 
     Needs at least 3 snapshots for interior-centered time derivatives.  The
     auxiliary scalar q couples the current v explicitly (same-step values).
-    div_v is the divergence history of v_hist when the caller has it.  mu
-    and frame are not read: q's solve takes the boundary from the grid.
+    div_v is the divergence history of v_hist when the caller has it.
     """
     if len(v_hist) < 3:
         raise ValueError("compute_F needs at least 3 snapshots")
@@ -247,11 +246,11 @@ def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistor
     return EnergyDiagnostics.from_terms(v_hist.dt, *map(np.concatenate, terms))
 
 
-def initial_energy_direct(u0: VectorField, frame) -> float:
+def initial_energy_direct(u0: VectorField) -> float:
     """Direct assembly of F(0): the squared norms of the initial momentum
     residual u0.grad(u0) + grad(p0) and of curl(u0.grad(u0))."""
     adv = advect(u0, u0)
-    p0 = solve_pressure_linearized(VectorField.zeros(u0.grid), u0, frame)
+    p0 = solve_pressure_linearized(VectorField.zeros(u0.grid), u0)
     resid = adv + grad(p0)
     return l2(resid) ** 2 + l2(curl2d(adv)) ** 2
 

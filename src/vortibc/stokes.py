@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord
 from .elliptic import check_normal_trace, solve_harmonic_q
 from .errors import SolverDiverged
 from .fields import (
@@ -161,14 +160,13 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t,
 
 
 def stokes_diagnostics(w_hist: FieldHistory, q_hist: FieldHistory, a,
-                       frame: BoundaryFrame | None) -> DiagnosticsRecord:
-    """One stokes_row per snapshot of a Stokes solve."""
+                       frame: BoundaryFrame | None) -> dict:
+    """{column: array} of STOKES_COLUMNS, one stokes_row per snapshot of a
+    Stokes solve."""
     sample_a, _ = normalize_boundary_data(a, frame)
-    rec = DiagnosticsRecord(STOKES_COLUMNS)
-    for k, (w, q) in enumerate(zip(w_hist, q_hist)):
-        t = k * w_hist.dt
-        rec.add(*stokes_row(t, w, q, sample_a(t), frame))
-    return rec
+    rows = [stokes_row(t, w, q, sample_a(t), frame)
+            for t, w, q in zip(w_hist.times, w_hist, q_hist)]
+    return dict(zip(STOKES_COLUMNS, np.array(rows).T))
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +177,9 @@ ENERGY_COLUMNS = ("t", "g_sq", "h_sq", "diss_g_cum", "diss_h_cum",
 
 
 def stokes_energy_report(w_hist: FieldHistory, a, mu: float,
-                         frame: BoundaryFrame | None) -> DiagnosticsRecord:
-    """Discrete energy balances for g = curl(w) and h = curl(g).
+                         frame: BoundaryFrame | None) -> dict:
+    """Discrete energy balances for g = curl(w) and h = curl(g), as
+    {column: array} of ENERGY_COLUMNS.
 
     In the 2D reduction the boundary pairings become scalar products of
     normal-derivative traces:  d/dt ||g||^2 = -2 mu ||grad g||^2
@@ -222,13 +221,10 @@ def stokes_energy_report(w_hist: FieldHistory, a, mu: float,
     cg, ch = cumtrap(diss_g), cumtrap(diss_h)
     bg, bh = cumtrap(bnd_g), cumtrap(bnd_h)
 
-    rec = DiagnosticsRecord(ENERGY_COLUMNS)
-    for k in range(nt):
-        bal_g = g_sq[k] + 2.0 * mu * cg[k] - g_sq[0] - 2.0 * mu * bg[k]
-        bal_h = h_sq[k] + 2.0 * mu * ch[k] - h_sq[0] - 2.0 * bh[k]
-        rec.add(k * dt, g_sq[k], h_sq[k], cg[k], ch[k], bg[k], bh[k], bal_g, bal_h)
-    rec.notes["initial_enstrophy"] = float(g_sq[0])
-    return rec
+    bal_g = g_sq + 2.0 * mu * cg - g_sq[0] - 2.0 * mu * bg
+    bal_h = h_sq + 2.0 * mu * ch - h_sq[0] - 2.0 * bh
+    return dict(zip(ENERGY_COLUMNS,
+                    (w_hist.times, g_sq, h_sq, cg, ch, bg, bh, bal_g, bal_h)))
 
 
 @dataclass

@@ -61,6 +61,21 @@ def test_config_rejects_bad_scheme():
         parse_config(BASE_CFG + "solver.scheme = leapfrog\n")
 
 
+@pytest.mark.parametrize("T, steps", [(0.5, 481), (0.051, 100)])
+def test_default_dt_divides_T(T, steps):
+    # physics.dt = 0 takes the largest step <= min(h^2, T/100) that divides
+    # T: h^2 = 1.0406e-3 on this annulus, and 0.051 / (0.051 / 100) rounds
+    # above 100
+    from vortibc.fields import step_count
+
+    cfg = RunConfig(n1=32, n2=32, T=T)
+    grid = build_grid(cfg.domain_spec(), cfg.n1, cfg.n2)
+    dt = cfg.effective_dt(grid)
+    assert step_count(T, dt) == steps
+    assert dt <= min(grid.min_spacing() ** 2, T / 100.0) * (1.0 + 1e-9)
+    assert steps * dt == pytest.approx(T, rel=1e-14)
+
+
 def test_config_mu_list_and_params():
     cfg = parse_config(BASE_CFG + "physics.mu_list = 0.1, 0.03, 0.01\n"
                                   "physics.ic.amplitude = 0.5\n")
@@ -449,13 +464,13 @@ def _stream_cfg(tmp_path, domain, stride, scheme="backward-euler", T="0.035"):
     return _write(tmp_path, text), parse_config(text)
 
 
-def _history_outputs(cfg, out, csv_name, rec, hists):
+def _history_outputs(cfg, out, csv_name, columns, rows, hists):
     """Write what the history path writes: the diagnostics CSV, then the
     checkpoints of each (tag, history): every stride-th snapshot, or only
     the last one at stride 0."""
     from vortibc.io import scalar_checkpoint, vector_checkpoint
 
-    rec.write_csv(os.path.join(out, csv_name))
+    write_csv(os.path.join(out, csv_name), columns, rows)
     for tag, hist in hists:
         nt, stride = len(hist), cfg.checkpoint_stride
         for k in ([nt - 1] if stride <= 0 else range(0, nt, stride)):
@@ -482,7 +497,6 @@ def test_stokes_stream_matches_history_path(tmp_path, domain, stride, scheme):
     import warnings
 
     from vortibc.cli import _setup_run
-    from vortibc.diagnostics import DiagnosticsRecord
     from vortibc.fields import (div, h1, h2, l2, max_normal_trace,
                                 max_vorticity_defect)
     from vortibc.stokes import STOKES_COLUMNS, normalize_boundary_data, solve_stokes
@@ -495,13 +509,14 @@ def test_stokes_stream_matches_history_path(tmp_path, domain, stride, scheme):
         w, q = solve_stokes(u0, a, cfg.mu, cfg.T, cfg.dt, scheme)
     # each column from its own operator, as the history path computed them
     sample_a, _ = normalize_boundary_data(a, frame)
-    rec = DiagnosticsRecord(STOKES_COLUMNS)
+    rows = []
     for k, (wk, qk) in enumerate(zip(w, q)):
         t = k * cfg.dt
-        rec.add(t, l2(wk), h1(wk), h2(wk), l2(div(wk)), max_normal_trace(wk, frame),
-                max_vorticity_defect(wk, frame, sample_a(t)), l2(qk))
+        rows.append((t, l2(wk), h1(wk), h2(wk), l2(div(wk)), max_normal_trace(wk, frame),
+                     max_vorticity_defect(wk, frame, sample_a(t)), l2(qk)))
     want = str(tmp_path / "want")
-    _history_outputs(cfg, want, "stokes_diagnostics.csv", rec, [("w", w), ("q", q)])
+    _history_outputs(cfg, want, "stokes_diagnostics.csv", STOKES_COLUMNS, rows,
+                     [("w", w), ("q", q)])
     _assert_same_files(str(tmp_path / "out"), want)
 
 
@@ -509,7 +524,6 @@ def test_stokes_stream_matches_history_path(tmp_path, domain, stride, scheme):
 @pytest.mark.parametrize("domain", sorted(_STREAM_DOMAINS))
 def test_euler_stream_matches_history_path(tmp_path, domain, stride):
     from vortibc.cli import _setup_run
-    from vortibc.diagnostics import DiagnosticsRecord
     from vortibc.euler import kinetic_energy, solve_euler
     from vortibc.fields import l2
 
@@ -517,11 +531,10 @@ def test_euler_stream_matches_history_path(tmp_path, domain, stride):
     assert main(["euler", "--config", path]) == 0
     grid, frame, u0, a = _setup_run(cfg)
     hist = solve_euler(u0, cfg.T, cfg.dt, grid)
-    rec = DiagnosticsRecord(("t", "l2_u", "energy"))
-    for k, u in enumerate(hist):
-        rec.add(k * cfg.dt, l2(u), kinetic_energy(u))
+    rows = [(k * cfg.dt, l2(u), kinetic_energy(u)) for k, u in enumerate(hist)]
     want = str(tmp_path / "want")
-    _history_outputs(cfg, want, "euler_diagnostics.csv", rec, [("u", hist)])
+    _history_outputs(cfg, want, "euler_diagnostics.csv", ("t", "l2_u", "energy"), rows,
+                     [("u", hist)])
     _assert_same_files(str(tmp_path / "out"), want)
 
 
@@ -534,7 +547,6 @@ def test_ns_stream_matches_history_path(tmp_path, domain, stride, scheme):
     import warnings
 
     from vortibc.cli import NS_TRACE_COLUMNS, _setup_run
-    from vortibc.diagnostics import DiagnosticsRecord
     from vortibc.elliptic import solve_transport
     from vortibc.fields import FieldHistory, div, l2
     from vortibc.fixedpoint import PicardConfig, picard_solve
@@ -552,10 +564,10 @@ def test_ns_stream_matches_history_path(tmp_path, domain, stride, scheme):
                                cfg.scheme)
         u = sol.v + sol.w
         p = FieldHistory(grid, cfg.dt, solve_transport(grid, u.data))
-        rec = DiagnosticsRecord(("t", "l2_u", "l2_v", "l2_div_v"))
-        for k, (uk, vk) in enumerate(zip(u, sol.v)):
-            rec.add(k * cfg.dt, l2(uk), l2(vk), l2(div(vk)))
-        _history_outputs(cfg, want, "ns_diagnostics.csv", rec, [("u", u), ("p", p)])
+        rows = [(k * cfg.dt, l2(uk), l2(vk), l2(div(vk)))
+                for k, (uk, vk) in enumerate(zip(u, sol.v))]
+        _history_outputs(cfg, want, "ns_diagnostics.csv", ("t", "l2_u", "l2_v", "l2_div_v"),
+                         rows, [("u", u), ("p", p)])
         write_csv(os.path.join(want, "ns_trace.csv"), NS_TRACE_COLUMNS, sol.trace)
         write_csv(os.path.join(want, "ns_energy.csv"), F_COLUMNS,
                   energy_rows_from_histories(sol.v, sol.v, sol.w))

@@ -44,7 +44,7 @@ def test_one_step_matches_hand_assembly(annulus_grid, annulus_frame):
     w = _const_hist(w0, dt, 2)
     beta = _zero_hist(grid, dt, 2)
     v = apply_velocity_map(beta=beta, w=w, mu=mu, dt=dt)
-    p0 = solve_pressure_linearized(VectorField.zeros(grid), w0, annulus_frame)
+    p0 = solve_pressure_linearized(VectorField.zeros(grid), w0)
     rhs = (advect(w0, w0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
     a0 = [np.zeros(c.n_nodes) for c in annulus_frame]
@@ -58,7 +58,7 @@ def test_one_step_taylor_green(torus_grid):
     u0 = taylor_green(grid)
     w = _const_hist(u0, dt, 2)
     v = apply_velocity_map(beta=_zero_hist(grid, dt, 2), w=w, mu=mu, dt=dt)
-    p0 = solve_pressure_linearized(VectorField.zeros(grid), u0, None)
+    p0 = solve_pressure_linearized(VectorField.zeros(grid), u0)
     rhs = (advect(u0, u0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
     expected = stepper.step(VectorField.zeros(grid), rhs, None)
@@ -142,10 +142,10 @@ def _small_run(grid, frame, mu=0.05, T=0.1, dt=0.005, amp=0.6):
     return v, beta, w_hist
 
 
-def test_compute_F_zero_run(annulus_grid, annulus_frame):
+def test_compute_F_zero_run(annulus_grid):
     dt, n = 0.01, 5
     z = _zero_hist(annulus_grid, dt, n)
-    diag = compute_F(z, z, z, 0.1, annulus_frame)
+    diag = compute_F(z, z, z)
     assert np.allclose(diag.F, 0.0)
     assert np.allclose(diag.Q, dt * np.arange(n))   # integrand is exactly 1
 
@@ -154,7 +154,7 @@ def test_Q_nondecreasing_and_F_nonnegative(annulus_spec):
     grid = build_grid(annulus_spec, 24, 48)
     frame = boundary_frame(grid)
     v, beta, w = _small_run(grid, frame)
-    diag = compute_F(v, beta, w, 0.05, frame)
+    diag = compute_F(v, beta, w)
     assert np.all(np.diff(diag.Q) >= 0)
     assert np.all(diag.F >= 0)
 
@@ -174,11 +174,11 @@ def test_compute_F_matches_whole_history_assembly(annulus_spec, nt, monkeypatch)
     v1, _, w = _small_run(grid, frame, T=(nt - 1) * dt, dt=dt)
     v2 = apply_velocity_map(beta=v1, w=w, mu=0.05, dt=dt)
     want = energy_rows_from_histories(v2, v1, w)
-    assert list(compute_F(v2, v1, w, 0.05, frame).rows()) == want
-    assert list(compute_F(v2, v1, w, 0.05, frame, div_v=history_div(v2)).rows()) == want
+    assert list(compute_F(v2, v1, w).rows()) == want
+    assert list(compute_F(v2, v1, w, div_v=history_div(v2)).rows()) == want
     want = energy_rows_from_histories(v1, v1, w)
     monkeypatch.setattr(vortibc.linearized, "solve_transport", None)
-    assert list(compute_F(v1, v1, w, 0.05, frame).rows()) == want
+    assert list(compute_F(v1, v1, w).rows()) == want
 
 
 def test_F0_dual_path(annulus_spec):
@@ -189,15 +189,14 @@ def test_F0_dual_path(annulus_spec):
     frame = boundary_frame(grid)
     mu, T, dt = 0.05, 0.04, 0.002
     v, beta, w = _small_run(grid, frame, mu=mu, T=T, dt=dt)
-    diag = compute_F(v, beta, w, mu, frame)
-    direct = initial_energy_direct(w[0], frame)
+    diag = compute_F(v, beta, w)
+    direct = initial_energy_direct(w[0])
     assert diag.F[0] == pytest.approx(direct, rel=0.05)
 
 
 def test_gronwall_regression_frozen(annulus_spec):
     # calibration scenario of scripts/calibrate_constants.py
     grid = build_grid(annulus_spec, 32, 64)
-    frame = boundary_frame(grid)
     amp = 0.6
     prof = amp * np.sin(math.pi * (grid.r - 1.0))
     u0 = VectorField(grid, -prof * np.sin(grid.theta), prof * np.cos(grid.theta))
@@ -205,7 +204,7 @@ def test_gronwall_regression_frozen(annulus_spec):
     from vortibc.fixedpoint import PicardConfig, picard_solve
     sol = picard_solve(u0, a, 0.05, 0.2, 2e-3,
                        PicardConfig(tol_fix=1e-8, max_iter=20))
-    diag = compute_F(sol.v, sol.v, sol.w, 0.05, frame)
+    diag = compute_F(sol.v, sol.v, sol.w)
     ok, max_ratio = check_gronwall_regression(diag, GRONWALL_C1, GRONWALL_C2)
     assert ok
     # halving C1 must fail (the t = 0 envelope value is C1 F(0))
@@ -221,10 +220,10 @@ def test_gronwall_regression_frozen(annulus_spec):
     assert slack >= GRONWALL_SLACK / 10.0
 
 
-def test_gronwall_zero_run_trivial(annulus_grid, annulus_frame):
+def test_gronwall_zero_run_trivial(annulus_grid):
     dt, n = 0.01, 5
     z = _zero_hist(annulus_grid, dt, n)
-    diag = compute_F(z, z, z, 0.1, annulus_frame)
+    diag = compute_F(z, z, z)
     ok, ratio = check_gronwall_regression(diag, GRONWALL_C1, GRONWALL_C2)
     assert ok and ratio == 0.0
 

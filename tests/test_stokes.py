@@ -73,8 +73,8 @@ def test_bc_enforced_every_step(annulus_spec):
     a = boundary_scalar_values(curl2d(u0), frame)
     w_hist, q_hist = solve_stokes(u0, a, 0.05, 0.2, 0.005)
     diag = stokes_diagnostics(w_hist, q_hist, a, frame)
-    perp = diag.column("max_w_perp")
-    vort_err = diag.column("max_vort_bc_err")
+    perp = diag["max_w_perp"]
+    vort_err = diag["max_vort_bc_err"]
     assert max(perp) <= 1e-10
     assert max(vort_err) <= 100 * grid.h1**2
 
@@ -124,7 +124,7 @@ def test_time_dependent_boundary_data_as_history(annulus_spec):
     # the run must have tracked the sampled data, not the t = 0 slice;
     # the first steps carry the incompatible-start layer, later ones lag
     # the oscillation only at O(h^2 + dt)
-    errs = diag.column("max_vort_bc_err")
+    errs = diag["max_vort_bc_err"]
     assert errs[0] == pytest.approx(1.0)
     assert max(errs[3:]) < 0.05
     assert l2(w_hist[-1]) > 0.0
@@ -162,8 +162,8 @@ def test_energy_report_constant_curl(annulus_grid):
     w_hist, _ = solve_stokes(u0, a, 0.1, 0.05, 0.01)
     assert max(l2(w - u0) for w in w_hist) < 1e-10   # exactly steady
     rep = stokes_energy_report(w_hist, a, 0.1, frame)
-    assert max(abs(v) for v in rep.column("balance_g")) < 1e-8
-    assert max(abs(v) for v in rep.column("h_sq")) < 1e-12
+    assert max(abs(v) for v in rep["balance_g"]) < 1e-8
+    assert max(abs(v) for v in rep["h_sq"]) < 1e-12
 
 
 def test_energy_balance_taylor_green_refines(torus_spec):
@@ -174,8 +174,8 @@ def test_energy_balance_taylor_green_refines(torus_spec):
         mu = 0.01
         w_hist, _ = solve_stokes(u0, None, mu, 0.5, dt)
         rep = stokes_energy_report(w_hist, None, mu, None)
-        e0 = rep.notes["initial_enstrophy"]
-        bal = max(abs(v) for v in rep.column("balance_g"))
+        e0 = rep["g_sq"][0]
+        bal = max(abs(v) for v in rep["balance_g"])
         assert bal <= 5.0 * (dt + grid.h1**2) * e0
         residuals.append(bal)
     assert residuals[1] < residuals[0]
@@ -191,8 +191,8 @@ def test_energy_balance_boundary_driven(annulus_spec):
         a = boundary_scalar_values(curl2d(u0), frame)
         w_hist, _ = solve_stokes(u0, a, 0.1, 0.3, dt)
         rep = stokes_energy_report(w_hist, a, 0.1, frame)
-        residuals.append((max(abs(v) for v in rep.column("balance_g")),
-                          max(abs(v) for v in rep.column("balance_h"))))
+        residuals.append((max(abs(v) for v in rep["balance_g"]),
+                          max(abs(v) for v in rep["balance_h"])))
     assert residuals[1][0] < residuals[0][0]
     assert residuals[1][1] < residuals[0][1]
 
