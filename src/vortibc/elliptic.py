@@ -96,12 +96,63 @@ def second_difference(n: int, h: float, periodic: bool):
     return stencil(n, {-1: 1.0 / h**2, 0: -2.0 / h**2, 1: 1.0 / h**2}, periodic)
 
 
-def kron_sum(A1, A2, scale2=None):
-    """A1 along axis 0 plus A2 along axis 1, the latter weighted per axis-0
-    index by scale2 (the polar 1/r^2 metric; None means 1)."""
+def generator_index(grid: Grid) -> tuple:
+    """Per grid axis, [0] when the axis is periodic and every index when it
+    is not: the nodes at periodic index 0, whose rows (generator_rows)
+    determine an operator circulant along the periodic axes."""
+    return tuple([0] if p else slice(None) for p in (grid.periodic1, grid.periodic2))
+
+
+def generator_rows(grid: Grid, ncomp: int = 1) -> np.ndarray:
+    """Flat indices of the rows at index 0 along every periodic axis of an
+    operator on ncomp fields stacked component-major, ordered by component,
+    then by the index along a non-periodic axis: the radial rows at theta
+    index 0 on polar grids, the rows at x index 0 on the channel, and row 0
+    of each component on the torus.  Every grid operator is assembled as
+    these rows, from which expand_rows builds the full operator."""
+    flat = np.arange(ncomp * grid.nnodes).reshape(ncomp, *grid.shape)
+    return flat[(slice(None), *generator_index(grid))].ravel()
+
+
+def wall_rows(grid: Grid) -> np.ndarray:
+    """Positions within generator_rows(grid) of the wall nodes.  The walls
+    are whole periodic orbits, so pinning these rows of the generator rows
+    pins those of the operator."""
+    return np.flatnonzero(grid.wall_mask.ravel()[generator_rows(grid)])
+
+
+def kron_sum(A1, A2, grid: Grid, scale2=None):
+    """The generator rows (generator_rows) of A1 along axis 0 plus A2 along
+    axis 1, the latter weighted per axis-0 index by scale2 (the polar 1/r^2
+    metric; None means 1)."""
+    s1, s2 = generator_index(grid)
     n1, n2 = A1.shape[0], A2.shape[0]
-    S = sparse.identity(n1) if scale2 is None else sparse.diags(scale2)
-    return (sparse.kron(A1, sparse.identity(n2)) + sparse.kron(S, A2)).tocsr()
+    S = sparse.identity(n1, format="csr") if scale2 is None else sparse.diags(scale2, format="csr")
+    return (sparse.kron(A1[s1], sparse.identity(n2, format="csr")[s2])
+            + sparse.kron(S[s1], A2[s2])).tocsr()
+
+
+def expand_rows(M0, grid: Grid):
+    """The full operator, as CSR, that is circulant along the periodic axes
+    of the grid and has the generator rows (generator_rows) M0: each row is
+    the generator row at its non-periodic index, shifted with its columns by
+    its periodic indices."""
+    n1, n2 = grid.shape
+    size = M0.shape[1]
+    layout = (size // grid.nnodes, n1, n2)
+    sub = M0.tocoo()
+    rc, r1, r2 = np.unravel_index(generator_rows(grid, layout[0])[sub.row], layout)
+    c, c1, c2 = np.unravel_index(sub.col, layout)
+    # one shift per periodic index, on leading axes before the entries
+    d1 = np.arange(n1)[:, None, None] if grid.periodic1 else 0
+    d2 = np.arange(n2)[:, None] if grid.periodic2 else 0
+
+    def shifted(c, i1, i2):
+        return (c * n1 + (i1 + d1) % n1) * n2 + (i2 + d2) % n2
+
+    rows, cols = shifted(rc, r1, r2), shifted(c, c1, c2)
+    data = np.broadcast_to(sub.data, rows.shape)
+    return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
 
 
 def pin_rows(A, rows, value: float = 1.0, cols=None):
@@ -119,8 +170,9 @@ def pin_rows(A, rows, value: float = 1.0, cols=None):
 
 
 def _fv_laplacian(grid: Grid):
-    """Weighted FV Laplacian -(G1^T T1 G1 + G2^T T2 G2): G holds the face
-    differences along one axis, T the face transmissibilities."""
+    """Generator rows (generator_rows) of the weighted FV Laplacian
+    -(G1^T T1 G1 + G2^T T2 G2): G holds the face differences along one axis,
+    T the face transmissibilities."""
     n1, n2 = grid.shape
     h1, h2 = grid.h1, grid.h2
     D1 = stencil(n1, {0: -1.0, 1: 1.0}, grid.periodic1)[:n1 if grid.periodic1 else n1 - 1]
@@ -132,25 +184,32 @@ def _fv_laplacian(grid: Grid):
         r_face, r_node = np.ones(D1.shape[0]), np.ones(n1)
     T1 = sparse.diags((r_face[:, None] * grid.w2 / h1).ravel())
     T2 = sparse.diags(np.repeat(grid.w1 / (r_node * h2), D2.shape[0]))
-    G1 = sparse.kron(D1, sparse.identity(n2), format="csr")
-    G2 = sparse.kron(sparse.identity(n1), D2, format="csr")
-    A = -(G1.T @ T1 @ G1 + G2.T @ T2 @ G2).tocsc()
-    A.sort_indices()
-    return A
+    I1, I2 = sparse.identity(n1, format="csr"), sparse.identity(n2, format="csr")
+    G1 = sparse.kron(D1, I2, format="csr")
+    G2 = sparse.kron(I1, D2, format="csr")
+    # the generator rows of G^T = kron(D1^T, I) and kron(I, D2^T)
+    s1, s2 = generator_index(grid)
+    G1t = sparse.kron(D1.T.tocsr()[s1], I2[s2])
+    G2t = sparse.kron(I1[s1], D2.T.tocsr()[s2])
+    A0 = -(G1t @ T1 @ G1 + G2t @ T2 @ G2)
+    # in column order, as ModeBlockSolve sums a row's entries of one mode block
+    A0.sort_indices()
+    return A0
 
 
 class PeriodicSolve:
     """Solver for an operator K that is circulant along both axes of a doubly
     periodic grid, as every constant-coefficient stencil with wrap is.  Such
     a K is diagonal in the 2-D DFT with eigenvalues the rfft2 of its column
-    0, which is all the solver takes, so the assembled matrix stays the one
-    source of the coefficients.  A zero eigenvalue (the constants of the
-    Neumann operator) maps its mode to zero, which gives the zero-sum
-    solution."""
+    0, which is its row 0 (its generator row) at negated indices; that row
+    is all the solver takes, so the assembled row stays the one source of
+    the coefficients.  A zero eigenvalue (the constants of the Neumann
+    operator) maps its mode to zero, which gives the zero-sum solution."""
 
-    def __init__(self, column, shape):
+    def __init__(self, row, shape):
         self.shape = tuple(shape)
-        symbol = np.fft.rfft2(np.reshape(column, self.shape))
+        column = np.roll(np.flip(np.reshape(row, self.shape)), 1, axis=(0, 1))
+        symbol = np.fft.rfft2(column)
         nonzero = np.abs(symbol) > 1e-12 * np.abs(symbol).max()
         self.inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=nonzero)
 
@@ -160,17 +219,6 @@ class PeriodicSolve:
         return np.fft.irfft2(bhat * self.inverse, s=self.shape).reshape(b.shape)
 
 
-def generator_rows(grid: Grid, ncomp: int = 1) -> np.ndarray:
-    """Flat indices of the rows at periodic index 0 of an operator on ncomp
-    fields of a bounded grid stacked component-major, ordered by component,
-    then by the index along the non-periodic axis.  These rows of an
-    operator circulant along the periodic axis (check_circulant) determine
-    it: they are what ModeBlockSolve takes."""
-    axis = 1 if grid.periodic1 else 2
-    flat = np.arange(ncomp * grid.nnodes).reshape(ncomp, *grid.shape)
-    return np.take(flat, 0, axis=axis).ravel()
-
-
 class ModeBlockSolve:
     """Solver for an operator M that is circulant along the one periodic axis
     of a bounded grid (theta on polar grids, x on the channel) and acts on
@@ -178,12 +226,13 @@ class ModeBlockSolve:
     into one banded (ncomp * n_radial)^2 block per mode; `factor`, the
     caller's sparse LU, factors their complex block-diagonal matrix once.
     The solver takes only M0 = M[generator_rows(grid, ncomp)], the rows at
-    periodic index 0, and the caller vouches for the circulance of M
-    (check_circulant, once per assembled operator).  Block k is M0 with each
-    entry phased by the periodic index of its column, so the assembled matrix
-    stays the one source of the coefficients.  `pin` gives radial node 0 of
-    the k = 0 block an identity row and a zero rhs, which selects one
-    solution of a Neumann operator (kernel: the constants)."""
+    periodic index 0, as which every grid operator is assembled.  Block k is
+    M0 with each entry phased by the periodic index of its column, so the
+    assembled rows stay the one source of the coefficients; the entries of
+    a row that meet in one block column are summed in M0's column order.
+    `pin` gives radial node 0 of the k = 0 block an identity row and a zero
+    rhs, which selects one solution of a Neumann operator (kernel: the
+    constants)."""
 
     def __init__(self, M0, grid: Grid, factor, pin: bool = False):
         axis = 0 if grid.periodic1 else 1
@@ -202,13 +251,16 @@ class ModeBlockSolve:
         ps, which = np.unique(p, return_inverse=True)
         data = np.exp(2j * np.pi * ((modes * ps) % self.n) / self.n)[:, which]
         data *= sub.data
-        B = sparse.csr_matrix(
-            (data.ravel(),
-             ((modes * size + sub.row).ravel(), (modes * size + c * nr + r).ravel())),
-            shape=(modes.size * size,) * 2)
+        data = data.ravel()
+        rows = (modes * size + sub.row).ravel()
+        cols = (modes * size + c * nr + r).ravel()
         if pin:
-            B = pin_rows(B, [0])
-        self.lu = factor(B.tocsc())
+            keep = rows != 0
+            data, rows, cols = np.r_[1.0, data[keep]], np.r_[0, rows[keep]], np.r_[0, cols[keep]]
+        B = sparse.csc_matrix((data, (rows, cols)), shape=(modes.size * size,) * 2)
+        # the phased entries and their indices are freed before the LU runs
+        del data, rows, cols
+        self.lu = factor(B)
 
     def solve(self, b):
         """M^-1 b for one stacked vector, or for each row of a (rows, size)
@@ -222,37 +274,23 @@ class ModeBlockSolve:
         return np.fft.irfft(xhat, n=self.n, axis=axis).reshape(b.shape)
 
 
-def check_circulant(M, grid: Grid):
-    """Raise LinearSolveFailed unless M, an operator on fields of the bounded
-    grid stacked component-major, commutes with a one-node shift along the
-    periodic axis, to 1e-12 relative to |M| |x| for a fixed x."""
-    layout = (M.shape[0] // grid.nnodes, *grid.shape)
-    axis = 1 if grid.periodic1 else 2
-    x = np.random.default_rng(0).standard_normal(M.shape[0])
-
-    def shift(v):
-        return np.roll(v.reshape(layout), 1, axis=axis).ravel()
-
-    defect = float(np.max(np.abs(M @ shift(x) - shift(M @ x))))
-    scale = float(np.max(abs(M) @ np.abs(x)))
-    if not defect <= 1e-12 * scale:
-        raise LinearSolveFailed(
-            f"operator not circulant along the periodic axis: shift defect "
-            f"{defect:.3e} vs scale {scale:.3e}")
-
-
 def _assemble_neumann(grid: Grid):
-    """Weighted FV Laplacian A (symmetric, null space = constants), a solver
-    for compatible data (2-D FFT on the torus, else the mode blocks of A with
-    the k = 0 block pinned), and the boundary frame (None on the torus)."""
+    """Generator rows A0 of the weighted FV Laplacian A (symmetric, null
+    space = constants), a solver for compatible data (2-D FFT on the torus,
+    else the mode blocks of A with the k = 0 block pinned), and the boundary
+    frame (None on the torus)."""
     def build():
-        A = _fv_laplacian(grid)
+        A0 = _fv_laplacian(grid)
         if not grid.has_boundary():
-            return A, PeriodicSolve(A[:, [0]].toarray(), grid.shape), None
-        check_circulant(A, grid)
-        return (A, ModeBlockSolve(A[generator_rows(grid)], grid, splu, pin=True),
-                boundary_frame(grid))
+            return A0, PeriodicSolve(A0.toarray(), grid.shape), None
+        return A0, ModeBlockSolve(A0, grid, splu, pin=True), boundary_frame(grid)
     return grid.cached("neumann", build)
+
+
+def neumann_operator(grid: Grid):
+    """The full FV Laplacian, which only the residual test applies."""
+    return grid.cached("neumann_operator",
+                       lambda: expand_rows(_assemble_neumann(grid)[0], grid))
 
 
 def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarray:
@@ -268,7 +306,7 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarr
     row that fails a test raises.  Row i of the result equals the one-row
     solve of row i bit for bit.
     """
-    A, solver, frame = _assemble_neumann(grid)
+    solver, frame = _assemble_neumann(grid)[1:]
     # |source| is summed in place and freed before b is allocated
     size = np.abs(source)
     size = np.sum(np.multiply(size, grid.weights, out=size), axis=(-2, -1))
@@ -302,6 +340,7 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarr
             b[i] -= grid.weights.ravel() * (d / float(np.sum(grid.weights)))
 
     phi = solver.solve(b)
+    A = neumann_operator(grid)
     for x, rhs in zip(phi, b):
         rnorm, bnorm = float(np.linalg.norm(A @ x - rhs)), float(np.linalg.norm(rhs))
         # `not <=` so that a NaN residual fails as well
@@ -460,28 +499,24 @@ def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> floa
 # Dirichlet helper shared with the streamfunction solver
 
 def _dirichlet_laplacian(grid: Grid):
-    """FD Laplacian of a bounded grid, before its wall rows are pinned."""
+    """Generator rows (generator_rows) of the FD Laplacian of a bounded
+    grid, before its wall rows are pinned."""
     h1, h2 = grid.h1, grid.h2
     if grid.polar:
         r = grid.c1
         R = stencil(grid.n1, {-1: 1.0 / h1**2 - 1.0 / (2.0 * h1 * r), 0: -2.0 / h1**2,
                               1: 1.0 / h1**2 + 1.0 / (2.0 * h1 * r)}, False)
-        return kron_sum(R, second_difference(grid.n2, 1.0, True), 1.0 / (r * h2) ** 2)
+        return kron_sum(R, second_difference(grid.n2, 1.0, True), grid, 1.0 / (r * h2) ** 2)
     return kron_sum(second_difference(grid.n1, h1, grid.periodic1),
-                    second_difference(grid.n2, h2, grid.periodic2))
+                    second_difference(grid.n2, h2, grid.periodic2), grid)
 
 
 def _assemble_dirichlet(grid: Grid):
     """The mode-block solver of the FD Laplacian with identity rows at the
-    wall nodes, and the wall nodes in frame order.  The walls are whole
-    periodic orbits, so the Laplacian is checked circulant before pinning
-    and only its generator rows are pinned."""
+    wall nodes, and the wall nodes in frame order."""
     def build():
-        A = _dirichlet_laplacian(grid)
-        check_circulant(A, grid)
-        rows = generator_rows(grid)
-        walls = np.flatnonzero(grid.wall_mask.ravel()[rows])
-        A0 = pin_rows(A[rows], walls, cols=rows[walls])
+        walls = wall_rows(grid)
+        A0 = pin_rows(_dirichlet_laplacian(grid), walls, cols=generator_rows(grid)[walls])
         return ModeBlockSolve(A0, grid, splu), [c.nodes for c in boundary_frame(grid)]
     return grid.cached("dirichlet", build)
 

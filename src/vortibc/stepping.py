@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .elliptic import (ModeBlockSolve, PeriodicSolve, check_circulant, generator_rows, kron_sum,
-                       pin_rows, second_difference, splu, stencil)
+from .elliptic import (ModeBlockSolve, PeriodicSolve, expand_rows, generator_index,
+                       generator_rows, kron_sum, pin_rows, second_difference, splu, stencil,
+                       wall_rows)
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame
@@ -42,13 +43,15 @@ def from_native(grid: Grid, c1, c2) -> VectorField:
 
 
 def _polar_operator(grid: Grid):
-    """Vector Laplacian in (u_r, u_theta) components with ghost BC rows.
+    """Generator rows of the vector Laplacian in (u_r, u_theta) components
+    with ghost BC rows.
 
-    Returns (L, normal_dofs, aterm_idx, aterm_coef): L covers every node;
-    rows listed in normal_dofs (u_r at the boundary nodes) are zero (they
-    become identity rows of the implicit matrix), and the boundary-vorticity
-    data a enters the rhs as mu*dt * aterm_coef * a at the aterm_idx dofs
-    (u_theta at the boundary nodes, in frame order).
+    Returns (L0, normal_dofs, aterm_idx, aterm_coef): L0 holds the rows
+    generator_rows(grid, 2) of L, which covers every node; rows listed in
+    normal_dofs (u_r at the boundary nodes) are zero (they become identity
+    rows of the implicit matrix), and the boundary-vorticity data a enters
+    the rhs as mu*dt * aterm_coef * a at the aterm_idx dofs (u_theta at the
+    boundary nodes, in frame order).
     """
     n1, n2 = grid.shape
     r = grid.c1
@@ -62,20 +65,24 @@ def _polar_operator(grid: Grid):
     up[0] = r[1] * s[0] / (h * h)
     dn[-1] = r[-2] * s[-1] / (h * h)
     R = stencil(n1, {-1: np.r_[0.0, dn], 0: -r * s / (h * h), 1: np.r_[up, 0.0]}, False)
-    K = kron_sum(R, second_difference(n2, 1.0, True), 1.0 / (r * k) ** 2)
+    K = kron_sum(R, second_difference(n2, 1.0, True), grid, 1.0 / (r * k) ** 2)
     # u_theta rows carry +(2/r^2) d_theta u_r, u_r rows -(2/r^2) d_theta u_theta
     C = sparse.kron(sparse.diags(2.0 / (r * r) / (2.0 * k)),
-                    stencil(n2, {-1: -1.0, 1: 1.0}, True), format="csr")
+                    stencil(n2, {-1: -1.0, 1: 1.0}, True)[generator_index(grid)[1]],
+                    format="csr")
     nodes = boundary_frame(grid).nodes
-    L = sparse.bmat([[pin_rows(K, nodes, 0.0), -pin_rows(C, nodes, 0.0)], [C, K]], format="csr")
+    walls = wall_rows(grid)
+    L0 = sparse.bmat([[pin_rows(K, walls, 0.0), -pin_rows(C, walls, 0.0)], [C, K]],
+                     format="csr")
     a_coef = np.repeat([-2.0 * r[0] / (h * rm[0]), 2.0 * r[-1] / (h * rp[-1])], n2)
-    return L, nodes, grid.nnodes + nodes, a_coef
+    return L0, nodes, grid.nnodes + nodes, a_coef
 
 
 def _cartesian_operator(grid: Grid):
-    """Componentwise Laplacian with channel-wall ghost rows (empty BC data
-    structures on the torus).  On the channel the normal dofs are u_y and the
-    vorticity-data dofs u_x at the wall nodes, in frame order."""
+    """Generator rows of the componentwise Laplacian with channel-wall ghost
+    rows (empty BC data structures on the torus).  On the channel the normal
+    dofs are u_y and the vorticity-data dofs u_x at the wall nodes, in frame
+    order."""
     n1, n2 = grid.shape
     h, k = grid.h1, grid.h2
     if grid.has_boundary():
@@ -88,18 +95,9 @@ def _cartesian_operator(grid: Grid):
     else:
         D2 = second_difference(n2, k, True)
         nodes, a_coef = np.array([], dtype=int), np.array([])
-    K = kron_sum(second_difference(n1, h, True), D2)
-    L = sparse.block_diag([K, pin_rows(K, nodes, 0.0)], format="csr")
-    return L, grid.nnodes + nodes, nodes, a_coef
-
-
-def _operator(grid: Grid):
-    """The grid's velocity operator (_polar_operator or _cartesian_operator),
-    checked circulant along the periodic axis on bounded grids."""
-    op = (_polar_operator if grid.polar else _cartesian_operator)(grid)
-    if grid.has_boundary():
-        check_circulant(op[0], grid)
-    return op
+    K = kron_sum(second_difference(n1, h, True), D2, grid)
+    L0 = sparse.block_diag([K, pin_rows(K, wall_rows(grid), 0.0)], format="csr")
+    return L0, grid.nnodes + nodes, nodes, a_coef
 
 
 class VelocityStepper:
@@ -119,26 +117,28 @@ class VelocityStepper:
         self.theta = float(theta)
         self.frame = boundary_frame(grid) if grid.has_boundary() else None
 
-        self.L, self.normal_dofs, self.aterm_idx, self.aterm_coef = grid.cached(
-            "vel_op", lambda: _operator(grid))
+        self.L0, self.normal_dofs, self.aterm_idx, self.aterm_coef = grid.cached(
+            "vel_op", lambda: (_polar_operator if grid.polar else _cartesian_operator)(grid))
         self.solver = grid.cached(("vel_lu", self.mu * self.dt, self.theta), self._factor)
+
+    @property
+    def L(self):
+        """The full operator, built from L0 on first use, once per grid:
+        only the explicit half of Crank-Nicolson applies it."""
+        return self.grid.cached("vel_full_op", lambda: expand_rows(self.L0, self.grid))
 
     def _factor(self):
         """The solver of M = I - theta mu dt L with the normal-dof rows
-        pinned, formed on the part of M its solver reads: column 0 of the
-        first component's block on the torus, the generator rows elsewhere."""
+        pinned, formed on its generator rows, which are all its solver reads."""
         g, c = self.grid, self.theta * self.mu * self.dt
-        if not g.has_boundary():
-            # torus: M = block_diag(K, K) with K circulant along both axes
-            column = np.zeros((g.nnodes, 1))
-            column[0] = 1.0
-            column -= (c * self.L[:g.nnodes, [0]]).toarray()
-            return PeriodicSolve(column, g.shape)
         rows = generator_rows(g, 2)
         identity = sparse.csr_matrix((np.ones(rows.size), rows, np.arange(rows.size + 1)),
-                                     shape=(rows.size, self.L.shape[1]))   # its `rows`
+                                     shape=self.L0.shape)   # the rows `rows` of I
         pinned = np.flatnonzero(np.isin(rows, self.normal_dofs))
-        M0 = pin_rows(identity - c * self.L[rows], pinned, cols=rows[pinned])
+        M0 = pin_rows(identity - c * self.L0, pinned, cols=rows[pinned])
+        if not g.has_boundary():
+            # torus: M = block_diag(K, K) with K circulant along both axes
+            return PeriodicSolve(M0[0, :g.nnodes].toarray(), g.shape)
         try:
             return ModeBlockSolve(M0, g, splu)
         except RuntimeError as exc:

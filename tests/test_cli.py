@@ -350,12 +350,14 @@ def test_resolution_override(tmp_path):
     ("ns", "solver.contraction_window = 0\n", []),
     ("sweep", "physics.mu_list = 0.1, -0.1\n", []),
     ("sweep", "physics.mu_list = 0.1, 0.0\n", []),
+    ("stokes", "physics.T = 0\nphysics.dt = 0\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
         "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
         "dt_above_T_euler", "dt_not_dividing_T", "negative_seed_cfg", "negative_seed_arg",
         "fractional_seed", "text_float_field", "negative_dt", "negative_checkpoint_stride",
-        "zero_contraction_window", "nonpositive_mu_list_entry", "zero_mu_list_entry"])
+        "zero_contraction_window", "nonpositive_mu_list_entry", "zero_mu_list_entry",
+        "zero_T"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
