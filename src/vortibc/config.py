@@ -135,7 +135,7 @@ _KEYMAP = {
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 _NUMERIC_RANGES = {
-    "mu": (0.0, None), "tol_fix": (0.0, None),
+    "mu": (0.0, None),
     "max_iter": (2, None), "n1": (1, None), "n2": (1, None), "seed": (0, None),
     "dt": (0.0, None), "checkpoint_stride": (0, None), "contraction_window": (1, None),
 }
@@ -162,9 +162,11 @@ def check_ranges(cfg: RunConfig) -> None:
             raise ConfigError(f"{attr} = {v} below minimum {lo}")
         if hi is not None and v > hi:
             raise ConfigError(f"{attr} = {v} above maximum {hi}")
-    # every time loop and the default dt divide by T
-    if not cfg.T > 0:
-        raise ConfigError(f"T = {cfg.T} must be positive")
+    # every time loop and the default dt divide by T, and a Picard run stops
+    # only once an increment falls to tol_fix
+    for attr in ("T", "tol_fix"):
+        if not getattr(cfg, attr) > 0:
+            raise ConfigError(f"{attr} = {getattr(cfg, attr)} must be positive")
     # each sweep viscosity is a log-log fit abscissa, so it must be positive
     for m in cfg.mu_list:
         if not _number("physics.mu_list", m, "float") > 0:

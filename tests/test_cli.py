@@ -351,13 +351,14 @@ def test_resolution_override(tmp_path):
     ("sweep", "physics.mu_list = 0.1, -0.1\n", []),
     ("sweep", "physics.mu_list = 0.1, 0.0\n", []),
     ("stokes", "physics.T = 0\nphysics.dt = 0\n", []),
+    ("ns", "solver.tol_fix = 0\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
         "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
         "dt_above_T_euler", "dt_not_dividing_T", "negative_seed_cfg", "negative_seed_arg",
         "fractional_seed", "text_float_field", "negative_dt", "negative_checkpoint_stride",
         "zero_contraction_window", "nonpositive_mu_list_entry", "zero_mu_list_entry",
-        "zero_T"])
+        "zero_T", "zero_tol_fix"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -695,15 +696,23 @@ _DRAWN_KEYS = {
                               ["bogus"]),
     "physics.ic.amplitude": (["0.5", "1.0", "60.0"], ["abc", "nan"]),
 }
+# bad values that only one command rejects: the sweep alone needs its
+# viscosities decreasing
+_BAD_ONLY_FOR = {("physics.mu_list", "0.03, 0.1"): "sweep"}
 
 
 @st.composite
 def _exit_code_case(draw):
+    """(command, config text, whether the config is invalid for command)."""
+    command = draw(st.sampled_from(["stokes", "ns", "euler", "sweep"]))
     lines = [f"domain.kind = {draw(st.sampled_from(['annulus', 'disk', 'channel', 'torus']))}"]
+    invalid = False
     for key, (good, bad) in _DRAWN_KEYS.items():
         if draw(st.booleans()):     # absent keys take their defaults
-            pool = bad if draw(st.integers(0, 9)) == 0 else good
-            lines.append(f"{key} = {draw(st.sampled_from(pool))}")
+            is_bad = draw(st.integers(0, 9)) == 0
+            value = draw(st.sampled_from(bad if is_bad else good))
+            invalid |= is_bad and _BAD_ONLY_FOR.get((key, value), command) == command
+            lines.append(f"{key} = {value}")
     # T and dt: at most 20 steps when valid; otherwise dt above T, a dt that
     # does not divide T, or a value out of range
     dt = draw(st.sampled_from([0.0025, 0.005, 0.01]))
@@ -711,26 +720,27 @@ def _exit_code_case(draw):
     valid = (f"{steps * dt:.10g}", f"{dt}")
     T, dt_text = draw(st.sampled_from([
         *[valid] * 5, (f"{dt / 2}", f"{dt}"), (f"{(steps + 0.5) * dt:.10g}", f"{dt}"),
-        ("-0.1", f"{dt}"), (valid[0], "-0.005"), ("nan", f"{dt}")]))
+        ("-0.1", f"{dt}"), (valid[0], "-0.005"), ("nan", f"{dt}"), ("0", f"{dt}"), ("0", "0")]))
+    invalid |= (T, dt_text) != valid
     lines += [f"physics.T = {T}", f"physics.dt = {dt_text}"]
-    return draw(st.sampled_from(["stokes", "ns", "euler", "sweep"])), "\n".join(lines) + "\n"
+    return command, "\n".join(lines) + "\n", invalid
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_exit_code_case())
 def test_exit_code_contract(tmp_path_factory, case):
     # whatever the config, main returns a documented exit code and lets no
-    # exception escape
+    # exception escape; an invalid config exits 2 before anything runs
     import warnings
 
-    command, text = case
+    command, text, invalid = case
     tmp = tmp_path_factory.mktemp("exit")
     cfg = _write(tmp, text + f"output.directory = {tmp}/out\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = main([command, "--config", cfg])
     event(f"exit {code}")
-    assert code in (0, 2, 3, 4, 5)
+    assert code == 2 if invalid else code in (0, 2, 3, 4, 5)
 
 
 def test_torus_run_never_loads_sparse_lu(tmp_path):
