@@ -72,8 +72,9 @@ def splu(A):
 
     # one-column panels: the default of 10 makes SuperLU allocate a transient
     # panel_size x rows complex workspace, which set the stokes peak (a 192^2
-    # velocity factorization rose 22.4 MB above its entry RSS, 4.2 MB with
-    # panel_size=1) and factored slower; ordering, pivots and fill are the same
+    # velocity factorization lifted the process's high-water RSS by 18.5 MB,
+    # 0.2 MB with panel_size=1) and factored slower; ordering, pivots and
+    # fill are the same
     return sparse_lu(A, panel_size=1)
 
 

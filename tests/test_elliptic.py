@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import os
@@ -589,46 +590,24 @@ def test_first_velocity_factorization_memory(annulus_spec):
     assert _stepper_peak(build_grid(annulus_spec, 96, 96), 0.01) <= 3.4
 
 
-_FACTOR_RSS_SCRIPT = """\
-import sys
-sys.path.insert(0, {src!r})
-import scipy.sparse.linalg
-from vortibc import DomainKind, DomainSpec, build_grid, stepping
-
-def status_kb(field):
-    with open('/proc/self/status') as f:
-        return next(int(line.split()[1]) for line in f if line.startswith(field))
-
-seen = []
-def measured(A, splu=stepping.splu):
-    entry = status_kb('VmRSS:')
-    lu = splu(A)
-    seen.append((status_kb('VmHWM:') - entry, lu))
-    return lu
-
-stepping.splu = measured
-grid = build_grid(DomainSpec(DomainKind.ANNULUS, r_inner=1.0, r_outer=2.0), {n}, {n})
-stepping.VelocityStepper(grid, 0.01, 1e-3)
-(rise_kb, lu), = seen
-print(rise_kb * 1024 / ((lu.L.nnz + lu.U.nnz) * 20))
-"""
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_velocity_factorization_rss():
     # SuperLU allocates outside numpy, so tracemalloc cannot see the LU's
-    # workspace: a fresh process, with the sparse LU imported beforehand,
-    # reads its resident high-water mark across the one splu call of a
-    # backward-Euler stepper, in units of the complex LU's bytes (16-byte
-    # values and 4-byte indices).  VmHWM, not ru_maxrss: execve keeps the
-    # latter, which then holds the forking test process's own peak.
-    # One-column panels keep it near 1; the default panels of 10 columns
-    # took it above 5.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", _FACTOR_RSS_SCRIPT.format(src=src, n=128)],
-                          capture_output=True, text=True, timeout=120)
+    # workspace: scripts/factor_profile.py builds a backward-Euler stepper in
+    # a fresh process, with the sparse LU imported beforehand, and reads how
+    # far its one splu call lifts the resident high-water mark (VmHWM after
+    # less VmHWM at entry), here in units of the complex LU's bytes (16-byte
+    # values and 4-byte indices).  Growth in the mode-block build before the
+    # call raises the entry mark and cannot fail this.  One-column panels
+    # keep it below 1; the default panels of 10 columns took it above 4.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "factor_profile.py"),
+                           "--child", "velocity-be", "128"],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) <= 2.5
+    r = json.loads(proc.stdout)
+    assert r["hwm_rise_mb"] * 2**20 / (r["lu_nnz"] * 20) <= 2.5
 
 
 # ---------------------------------------------------------------------------
