@@ -35,7 +35,7 @@ from .fields import (
     step_count,
     time_derivative_rows,
 )
-from .linearized import VelocityMap, apply_velocity_map, energy_rows
+from .linearized import VelocityMap, apply_velocity_map, energy_rows, march
 from .stokes import normalize_boundary_data, solve_stokes, stokes_rows
 
 
@@ -112,25 +112,45 @@ def wt_norm(a: FieldHistory, b: FieldHistory | None = None) -> float:
     return float(worst)
 
 
-def march_rows(u0: VectorField, a, mu: float, T: float, dt: float,
-               scheme: str = "backward-euler"):
-    """The fixed point u = v + w of the velocity map in one forward sweep,
-    yielded a snapshot at a time, with the Stokes part advanced in step.
+def _lane(u0: VectorField, a, mu: float, T: float, dt: float, scheme: str):
+    """One viscosity of a march: its velocity map and its Stokes snapshots."""
+    w_rows = (w for w, _ in stokes_rows(u0, a, mu, T, dt, scheme))
+    return VelocityMap(u0.grid, mu, dt), w_rows
+
+
+def march_batch(u0: VectorField, a, mus, T: float, dt: float, failed: dict,
+                scheme: str = "backward-euler"):
+    """The fixed points u = v + w of the velocity map for each viscosity in
+    mus, in one forward sweep of all of them in lockstep, with each Stokes
+    part advanced in step: yields, per snapshot, the viscosities still
+    marching and the (k, 2, n1, n2) block of their snapshots
+    (linearized.march).
 
     Step n+1 of the map reads beta only at step n, so the fixed point obeys
     v_{n+1} = Step(v_n; beta_n = v_n) and is computed causally, with no
-    iteration: Picard iterate k equals this march on snapshots 0..k.
+    iteration: Picard iterate k equals this march on snapshots 0..k.  A
+    viscosity whose set-up or march raises is dropped, its exception stored
+    in failed[mu]; the others are unaffected.
     """
-    w_rows = (w for w, _ in stokes_rows(u0, a, mu, T, dt, scheme))
-    return VelocityMap(u0.grid, mu, dt).march(w_rows)
+    lanes = {}
+    for mu in mus:
+        try:
+            lanes[mu] = _lane(u0, a, mu, T, dt, scheme)
+        except Exception as exc:  # noqa: BLE001 - the viscosity fails alone
+            failed[mu] = exc
+    return march(u0.grid, dt, lanes, failed)
 
 
 def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
                 scheme: str = "backward-euler") -> FieldHistory:
-    """The u history of march_rows, allocated before the first step."""
+    """The u history of the march of the one viscosity mu, allocated before
+    the first step: the k = 1 case of march_batch, raising its failure."""
     u_hist = FieldHistory.zeros(u0.grid, dt, step_count(T, dt) + 1)
-    for n, u in enumerate(march_rows(u0, a, mu, T, dt, scheme)):
-        u_hist[n] = u
+    failed = {}
+    for n, (_, u) in enumerate(march_batch(u0, a, [mu], T, dt, failed, scheme)):
+        u_hist.data[n] = u[0]
+    if failed:
+        raise failed[mu]
     return u_hist
 
 

@@ -13,6 +13,7 @@ exponential envelope check used as a regression on calibration scenarios.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .fields import (
     FieldHistory,
     ScalarField,
     VectorField,
+    _advect,
     _curl,
     _div,
     _dx_dy,
@@ -44,15 +46,43 @@ from .geometry import boundary_frame, boundary_zeros
 CFL_LIMIT = 0.9
 
 
+def pressure_gradients(grid, dt: float, s, steps):
+    """grad p for each row of the (rows, 2, n1, n2) carrier block s, row i
+    being a carrier of step steps[i]; the linearized pressure of (beta, w)
+    is the inviscid pressure of s = beta + w.  Returns (gx, gy), each
+    (rows, n1, n2).
+
+    Raises CFLViolation when dt * max|s| exceeds 0.9 of the finest cell
+    spacing, naming the step of the first such row.
+    """
+    cfl = dt * max_speed(s) / grid.min_spacing()
+    bad = np.flatnonzero(cfl > CFL_LIMIT)
+    if bad.size:
+        raise CFLViolation(
+            f"advective CFL {cfl[bad[0]]:.3f} > {CFL_LIMIT} at step {steps[bad[0]]}")
+    return _dx_dy(grid, solve_transport(grid, s))
+
+
+def _forcing(grid, s, y, gx, gy):
+    """-(s . grad y + grad p) for each row of the (rows, 2, n1, n2) blocks s
+    and y, with grad p = (gx, gy): the explicit part of a velocity-map step."""
+    f = _advect(grid, s, y)
+    f[:, 0] += gx
+    f[:, 1] += gy
+    f *= -1.0
+    return f
+
+
 class VelocityMap:
     """The velocity map's time stepping on one grid and (mu, dt).
 
-    The Picard iteration (`run`) and the causal march (`march`) both go
-    through `step`, so they run the same floating-point operations: iterate
-    k of the iteration equals the march bit for bit on snapshots 0..k.  A
-    Picard sweep knows every carrier s = beta + w before it starts, so it
-    solves their pressures _PRESSURE_ROWS snapshots ahead; each row of that
-    solve equals the march's one-row solve bit for bit.
+    The Picard iteration (`run`) and the causal march (`march`) take the
+    same steps through `_forcing` and `step`, so they run the same
+    floating-point operations: iterate k of the iteration equals the march
+    bit for bit on snapshots 0..k.  A Picard sweep knows every carrier s =
+    beta + w before it starts, so it solves their pressures _PRESSURE_ROWS
+    snapshots ahead; each row of that solve equals its one-row solve bit
+    for bit.
     """
 
     def __init__(self, grid, mu: float, dt: float):
@@ -60,33 +90,14 @@ class VelocityMap:
 
         self.grid = grid
         self.dt = dt
-        self.frame = boundary_frame(grid) if grid.has_boundary() else None
-        self.a_zero = boundary_zeros(self.frame) if self.frame is not None else None
+        frame = boundary_frame(grid) if grid.has_boundary() else None
+        self.a_zero = boundary_zeros(frame) if frame is not None else None
         self.stepper = VelocityStepper(grid, mu, dt, theta=1.0)
-        self.hmin = grid.min_spacing()
 
-    def pressure_gradients(self, s, n0: int):
-        """grad p for each row of the (rows, 2, n1, n2) carrier block s, the
-        carriers of steps n0, n0 + 1, ...; the linearized pressure of (beta,
-        w) is the inviscid pressure of s = beta + w.  Returns (gx, gy), each
-        (rows, n1, n2).
-
-        Raises CFLViolation when dt * max|s| exceeds 0.9 of the finest cell
-        spacing, naming the first such step.
-        """
-        cfl = self.dt * max_speed(s) / self.hmin
-        bad = np.flatnonzero(cfl > CFL_LIMIT)
-        if bad.size:
-            raise CFLViolation(
-                f"advective CFL {cfl[bad[0]]:.3f} > {CFL_LIMIT} at step {n0 + bad[0]}")
-        return _dx_dy(self.grid, solve_transport(self.grid, s))
-
-    def step(self, v: VectorField, s: VectorField, w_n: VectorField,
-             grad_p: VectorField) -> VectorField:
-        """v at step n+1 from v, the carrier s = beta + w, w and grad p at
-        step n."""
-        forcing = (advect(s, v + w_n) + grad_p) * (-1.0)
-        return self.stepper.step(v, forcing, self.a_zero)
+    def step(self, v: VectorField, forcing) -> VectorField:
+        """v at step n+1 from v at step n and the (2, n1, n2) forcing row
+        of _forcing at step n."""
+        return self.stepper.step(v, VectorField(self.grid, *forcing), self.a_zero)
 
     def run(self, w: FieldHistory, beta: FieldHistory, v_init: VectorField | None = None,
             known_rows: int = 0) -> FieldHistory:
@@ -101,31 +112,81 @@ class VelocityMap:
         for n0 in range(known_rows, nt - 1, _PRESSURE_ROWS):
             n1 = min(n0 + _PRESSURE_ROWS, nt - 1)
             s = beta.data[n0:n1] + w.data[n0:n1]
-            gx, gy = self.pressure_gradients(s, n0)
+            gx, gy = pressure_gradients(g, self.dt, s, range(n0, n1))
             for i, n in enumerate(range(n0, n1)):
-                v_hist[n + 1] = self.step(v_hist[n], VectorField(g, *s[i]), w[n],
-                                          VectorField(g, gx[i], gy[i]))
+                y = v_hist.data[n] + w.data[n]
+                rows = slice(i, i + 1)
+                forcing = _forcing(g, s[rows], y[np.newaxis], gx[rows], gy[rows])
+                v_hist[n + 1] = self.step(v_hist[n], forcing[0])
         return v_hist
 
-    def march(self, w_rows):
-        """Yield u_n = v_n + w_n of the fixed point beta = v, reading the
-        Stokes snapshots w_0, w_1, ... from the iterable w_rows one at a time.
 
-        The carrier s_n = v_n + w_n is u_n itself and is known one step
-        ahead only, so each pressure is a one-row solve, made once w_{n+1}
-        has arrived (the last snapshot's pressure is never needed).
-        """
-        g = self.grid
-        v = VectorField.zeros(g)
-        for n, w in enumerate(w_rows):
-            if n:
-                gx, gy = self.pressure_gradients(s, n - 1)
-                v = self.step(v, u, w_prev, VectorField(g, gx[0], gy[0]))
-            s = np.empty((1, 2, *g.shape))
-            np.add(v.ux, w.ux, out=s[0, 0])
-            np.add(v.uy, w.uy, out=s[0, 1])
-            u, w_prev = VectorField(g, *s[0]), w
-            yield u
+def march(grid, dt: float, lanes: dict, failed: dict):
+    """The fixed point beta = v of the velocity map for several viscosities
+    in lockstep: lanes maps each mu to its VelocityMap and an iterator over
+    its Stokes snapshots w_0, w_1, ...  Yields, for each snapshot n, the
+    viscosities still marching and the (k, 2, n1, n2) block of their u_n =
+    v_n + w_n.
+
+    The carrier s_n = v_n + w_n is u_n itself and is known one step ahead
+    only, so step n makes one stacked pressure solve and one stacked
+    advection over the carriers of step n - 1, once every w_n has arrived;
+    each lane's implicit step uses its own LU.
+
+    A lane whose Stokes snapshot, pressure row or implicit step raises is
+    dropped, with its exception in failed[mu], which is what its one-lane
+    march raises.  Every row of a stacked call equals its one-row call bit
+    for bit, so the other lanes go on as if it had never marched.
+    """
+    v = {mu: VectorField.zeros(grid) for mu in lanes}
+    for n in itertools.count():
+        w = {}
+        for mu, (_, w_rows) in lanes.items():
+            try:
+                w[mu] = next(w_rows)
+            except StopIteration:
+                return
+            except Exception as exc:  # noqa: BLE001 - the lane fails alone
+                failed[mu] = exc
+        if n:
+            # the carriers of step n - 1 of the lanes whose w_n arrived
+            keep = [i for i, mu in enumerate(live) if mu in w]
+            live, s, gx, gy = _pressure_stage(grid, dt, [live[i] for i in keep], s[keep],
+                                              n - 1, failed)
+            for mu, f in zip(live, _forcing(grid, s, s, gx, gy)):
+                try:
+                    v[mu] = lanes[mu][0].step(v[mu], f)
+                except Exception as exc:  # noqa: BLE001
+                    failed[mu] = exc
+        live = [mu for mu in w if mu not in failed]
+        if not live:
+            return
+        lanes = {mu: lanes[mu] for mu in live}
+        s = np.empty((len(live), 2, *grid.shape))
+        for i, mu in enumerate(live):
+            np.add(v[mu].ux, w[mu].ux, out=s[i, 0])
+            np.add(v[mu].uy, w[mu].uy, out=s[i, 1])
+        yield live, s
+
+
+def _pressure_stage(grid, dt, live, s, step, failed):
+    """pressure_gradients of the carriers s of step `step`, one row per live
+    lane, as one stacked call.  The stacked kernels raise on the first bad
+    row, so when it raises each row is redone alone: a lane whose row raises
+    goes to failed and out of the returned (live, s, gx, gy)."""
+    try:
+        return (live, s, *pressure_gradients(grid, dt, s, [step] * len(live)))
+    except Exception:  # noqa: BLE001 - retried row by row below
+        pass
+    keep, gx, gy = [], np.empty_like(s[:, 0]), np.empty_like(s[:, 0])
+    for i, mu in enumerate(live):
+        try:
+            (gx[i],), (gy[i],) = pressure_gradients(grid, dt, s[i:i + 1], [step])
+        except Exception as exc:  # noqa: BLE001
+            failed[mu] = exc
+        else:
+            keep.append(i)
+    return [live[i] for i in keep], s[keep], gx[keep], gy[keep]
 
 
 def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float, dt: float,

@@ -117,16 +117,17 @@ def stokes_rows(u0: VectorField, a, mu: float, T: float, dt: float,
 
     w, q = u0, q_of(0.0)
     yield w, q
+    # static data: q never changes, and Crank-Nicolson's midpoint 0.5 (q + q)
+    # is q exactly, so one forcing serves every step
+    forcing = grad(q) * (-1.0) if static_a else None
     for n in range(nsteps):
         t_new = (n + 1) * dt
-        q_new = q if static_a else q_of(t_new)
-        if scheme == "crank-nicolson":
-            q_mid = ScalarField(grid, 0.5 * (q.values + q_new.values))
+        if not static_a:
+            q_new = q_of(t_new)
+            q_mid = q if theta == 1.0 else ScalarField(grid, 0.5 * (q.values + q_new.values))
             forcing = grad(q_mid) * (-1.0)
-        else:
-            forcing = grad(q) * (-1.0)
+            q = q_new
         w = stepper.step(w, forcing, sample_a(t_new))
-        q = q_new
         yield w, q
 
 

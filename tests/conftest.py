@@ -89,24 +89,42 @@ def analytic_streamfunction_shear(r0, r1, amp=1.0, moduln=0.3):
     return fn
 
 
-def fail_march_at(monkeypatch, mu_fail, snapshot=None):
-    """Fault injection: the march raises a typed solver error for one
-    viscosity and runs normally for every other.  With snapshot None it
-    raises when called; otherwise its generator yields the true rows before
-    that snapshot and raises in place of it."""
+def fail_march_at(monkeypatch, mu_fail, snapshot=None, nonfinite=False):
+    """Fault injection: the march of one viscosity fails and every other
+    runs normally, inside the batch that marches them all.  With snapshot
+    None its set-up raises a typed solver error.  Otherwise its Stokes
+    snapshots are true before that snapshot and, in its place, raise the
+    error or, with nonfinite, carry a NaN: the march then yields that
+    snapshot and its row fails the next step's stacked pressure solve."""
     from vortibc import fixedpoint
     from vortibc.errors import SolverDiverged
 
-    march = fixedpoint.march_rows
+    lane = fixedpoint._lane
 
-    def failing(u0, a, mu, *args, **kwargs):
+    def failing(u0, a, mu, *args):
         if mu != mu_fail:
-            return march(u0, a, mu, *args, **kwargs)
+            return lane(u0, a, mu, *args)
         if snapshot is None:
             raise SolverDiverged(f"injected failure at mu={mu}")
-        return raise_at(march(u0, a, mu, *args, **kwargs), snapshot,
-                        SolverDiverged(f"injected failure at mu={mu}, snapshot {snapshot}"))
-    monkeypatch.setattr(fixedpoint, "march_rows", failing)
+        vmap, w_rows = lane(u0, a, mu, *args)
+        if nonfinite:
+            return vmap, nan_at(w_rows, snapshot)
+        return vmap, raise_at(w_rows, snapshot, SolverDiverged(
+            f"injected failure at mu={mu}, snapshot {snapshot}"))
+    monkeypatch.setattr(fixedpoint, "_lane", failing)
+
+
+# the fault modes of fail_march_at, as (snapshot, nonfinite)
+MARCH_FAULTS = [(None, False), (150, False), (150, True)]
+
+
+def nan_at(rows, snapshot):
+    """Yield the rows, with a NaN in the one of the given snapshot."""
+    for k, u in enumerate(rows):
+        if k == snapshot:
+            u = VectorField(u.grid, u.ux.copy(), u.uy)
+            u.ux[0, 0] = np.nan
+        yield u
 
 
 def raise_at(rows, snapshot, exc):

@@ -294,23 +294,35 @@ solver.max_iter = 25
 """
     import warnings
 
-    from conftest import fail_march_at
-    outputs = []
-    # the smallest viscosity's march raises when created, then mid-run
-    for snapshot in (None, 150):
-        out = tmp_path / f"out_{snapshot}"
-        cfg = _write(tmp_path, text + f"output.directory = {out}\n")
+    from conftest import MARCH_FAULTS, fail_march_at
+
+    def sweep(name, mu_list, *fault):
+        out = tmp_path / name
+        cfg = _write(tmp_path, text.replace("0.2, 0.001", mu_list)
+                     + f"output.directory = {out}\n", f"{name}.cfg")
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            fail_march_at(mp, 0.001, snapshot)
+            if fault:
+                fail_march_at(mp, 0.001, *fault)
             warnings.simplefilter("ignore")
-            assert main(["sweep", "--config", cfg]) == 5
-        rows = open(out / "sweep.csv").read().splitlines()
+            code = main(["sweep", "--config", cfg])
+        return code, [(out / n).read_bytes().decode()
+                      for n in ("sweep.csv", "sweep_summary.txt")]
+
+    # one good row: its summary reads as the partial sweeps' summaries do
+    code, want = sweep("good", "0.2")
+    assert code == 0
+    # the smallest viscosity's march raises when created, mid-run, and
+    # through a non-finite carrier in the stacked pressure solve
+    for snapshot, nonfinite in MARCH_FAULTS:
+        code, (csv_text, summary) = sweep(f"out_{snapshot}_{nonfinite}", "0.2, 0.001",
+                                          snapshot, nonfinite)
+        assert code == 5
+        rows = csv_text.splitlines()
         assert len(rows) == 3   # header + both rows, the failed one marked
         assert rows[1].endswith(",1")
         assert rows[2].startswith("0.001,nan,nan,") and rows[2].endswith(",0")
-        outputs.append([(out / name).read_bytes()
-                        for name in ("sweep.csv", "sweep_summary.txt")])
-    assert outputs[0] == outputs[1]
+        # the surviving row and the summary equal the sweep without 0.001
+        assert [*rows[:2], summary] == [*want[0].splitlines(), want[1]]
 
 
 def test_cmd_euler_runs(tmp_path):

@@ -11,7 +11,7 @@ from vortibc import (DomainKind, DomainSpec, VectorField, boundary_frame,
 from vortibc.errors import CFLViolation
 from vortibc.euler import (SweepConfig, check_gronwall_viscous, circulation,
                            kinetic_energy, solve_euler, sweep_mu)
-from vortibc.fields import l2, normal_component
+from vortibc.fields import boundary_scalar_values, l2, normal_component
 from vortibc.fixedpoint import PicardConfig, picard_solve
 
 
@@ -153,11 +153,12 @@ def test_sweep_noise_floor_flag(annulus_spec):
 
 
 def test_sweep_partial_on_failure(annulus_spec):
-    # fault injection: the smallest viscosity's march raises, when it is
-    # created or mid-run inside the lockstep loop.  Either way its row is
-    # NaN, the report is marked partial, and the completed row equals the
-    # row of a sweep without the failing viscosity bit for bit
-    from conftest import streamfunction_shear
+    # fault injection: the smallest viscosity's march raises inside the
+    # batch, when it is created, mid-run at its Stokes step, or through a
+    # non-finite carrier row in the stacked pressure solve.  Each time its
+    # row is NaN, the report is marked partial, and the completed row equals
+    # the row of a sweep without the failing viscosity bit for bit
+    from conftest import MARCH_FAULTS, streamfunction_shear
     grid = build_grid(annulus_spec, 16, 32)
     u0 = streamfunction_shear(grid, amp=2.0)
     frame = boundary_frame(grid)
@@ -169,9 +170,9 @@ def test_sweep_partial_on_failure(annulus_spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = sweep_mu(good).rows[0]
-        for snapshot in (None, 150):
+        for snapshot, nonfinite in MARCH_FAULTS:
             with pytest.MonkeyPatch.context() as mp:
-                fail_march_at(mp, 1e-3, snapshot)
+                fail_march_at(mp, 1e-3, snapshot, nonfinite)
                 rep = sweep_mu(bad)
             assert rep.partial
             assert rep.rows[0] == want
@@ -179,6 +180,64 @@ def test_sweep_partial_on_failure(annulus_spec):
             assert (failed.mu, failed.converged) == (1e-3, False)
             assert math.isnan(failed.e_sup) and math.isnan(failed.e_grad)
             assert failed.noise_floor == want.noise_floor
+
+
+def test_sweep_stacks_pressure_solves(annulus_spec, monkeypatch):
+    # a sweep of k viscosities over n steps makes n stacked pressure solves
+    # with one row per viscosity still marching, not k n one-row solves
+    from vortibc import linearized
+
+    rows = []
+    solve = linearized.solve_transport
+    monkeypatch.setattr(linearized, "solve_transport",
+                        lambda grid, s, *args: rows.append(len(s)) or solve(grid, s, *args))
+    grid = build_grid(annulus_spec, 16, 32)
+    cfg = SweepConfig(mu_list=[1e-1, 3e-2, 1e-2], u0=circulation_field(grid, c=0.3),
+                      a=[np.zeros(32), np.zeros(32)], T=0.02, dt=2e-3, grid=grid)
+    sweep_mu(cfg)
+    assert rows == [3] * 10
+    # a viscosity whose Stokes snapshot 4 fails leaves the solves of steps 4..10
+    rows.clear()
+    fail_march_at(monkeypatch, 3e-2, 4)
+    assert sweep_mu(cfg).partial
+    assert rows == [3] * 3 + [2] * 7
+
+
+def test_march_batch_failures_are_per_viscosity(annulus_spec):
+    # each viscosity dropped from the batch carries the exception and
+    # message of its one-viscosity march, and a non-finite carrier fails
+    # only its own row of the stacked pressure solve
+    from conftest import streamfunction_shear
+    from vortibc.errors import SolverDiverged
+    from vortibc.fixedpoint import march_batch, march_solve
+
+    grid = build_grid(annulus_spec, 16, 32)
+    u0 = streamfunction_shear(grid, amp=2.0)
+    a = boundary_scalar_values(curl2d(u0), boundary_frame(grid))
+    mus, T, dt = [2e-1, 1e-2, 1e-3], 0.01, 1e-3
+
+    def run(*fault):
+        with pytest.MonkeyPatch.context() as mp:
+            fail_march_at(mp, 1e-2, *fault)
+            failed = {}
+            rows = [(live, u.copy()) for live, u in march_batch(u0, a, mus, T, dt, failed)]
+            with pytest.raises(SolverDiverged) as one:
+                march_solve(u0, a, 1e-2, T, dt)
+        return rows, failed, one.value
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        clean = [u for _, u in march_batch(u0, a, mus, T, dt, {})]
+        # (fault, first snapshot without the viscosity, words of its error)
+        for fault, n_fail, what in (((4,), 4, "snapshot 4"), ((4, True), 5, "non-finite")):
+            rows, failed, one = run(*fault)
+            assert list(failed) == [1e-2]
+            assert (type(failed[1e-2]), str(failed[1e-2])) == (type(one), str(one))
+            assert what in str(one)
+            assert len(rows) == len(clean)
+            for n, (live, u) in enumerate(rows):
+                assert live == (mus if n < n_fail else [2e-1, 1e-3])
+                assert np.array_equal(u[[0, -1]], clean[n][[0, -1]])
 
 
 def test_sweep_euler_failure_raises(annulus_spec, monkeypatch):

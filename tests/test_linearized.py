@@ -14,7 +14,8 @@ from vortibc.errors import CFLViolation
 from vortibc.fields import boundary_scalar_values, l2
 from vortibc.linearized import (EnergyDiagnostics, apply_velocity_map,
                                 check_gronwall_regression, compute_F,
-                                gronwall_envelope, initial_energy_direct)
+                                gronwall_envelope, initial_energy_direct,
+                                pressure_gradients)
 from vortibc.stepping import VelocityStepper
 from vortibc.stokes import solve_stokes
 
@@ -76,6 +77,18 @@ def test_cfl_guard(annulus_grid):
         apply_velocity_map(
             beta=_zero_hist(annulus_grid, dt, 3), w=_const_hist(w0, dt, 3),
             mu=0.1, dt=dt)
+
+
+def test_cfl_names_the_step_of_the_row(annulus_grid):
+    # the rows of one stacked pressure call are consecutive steps of a
+    # Picard sweep or the viscosities of a batched march at one step; the
+    # error names the step given for the first violating row
+    s = np.stack([[f.ux, f.uy] for f in (circulation_field(annulus_grid, c=0.01),
+                                         circulation_field(annulus_grid, c=1.0))])
+    with pytest.raises(CFLViolation, match="at step 4$"):
+        pressure_gradients(annulus_grid, 0.5, s, range(3, 5))
+    with pytest.raises(CFLViolation, match="at step 7$"):
+        pressure_gradients(annulus_grid, 0.5, s, [7, 7])
 
 
 def test_beta_zero_invariant_enforced(annulus_grid):

@@ -6,7 +6,7 @@ import pytest
 from conftest import circulation_field, shear_field, taylor_green
 from frozen import PROP43_BOUND
 from vortibc import (DomainKind, DomainSpec, VectorField,
-                     boundary_frame, build_grid, curl2d, div,
+                     boundary_frame, build_grid, curl2d, div, grad,
                      normal_component)
 from vortibc.errors import BCViolation
 from vortibc.fields import boundary_scalar_values, h2, l2
@@ -128,6 +128,26 @@ def test_time_dependent_boundary_data_as_history(annulus_spec):
     assert errs[0] == pytest.approx(1.0)
     assert max(errs[3:]) < 0.05
     assert l2(w_hist[-1]) > 0.0
+
+
+@pytest.mark.parametrize("scheme", ["backward-euler", "crank-nicolson"])
+def test_stokes_forcing_once_for_static_data(annulus_spec, monkeypatch, scheme):
+    # the forcing -grad q is built once for static a and once per step for
+    # a callable a; a callable returning the static data gives the same
+    # history bit for bit, Crank-Nicolson's midpoint 0.5 (q + q) being q
+    from vortibc import stokes
+
+    grid = build_grid(annulus_spec, 16, 32)
+    base = [np.full(c.n_nodes, 1.0) for c in boundary_frame(grid)]
+    calls = []
+    monkeypatch.setattr(stokes, "grad", lambda f: calls.append(f) or grad(f))
+    hists = []
+    for a, builds in ((base, 1), (lambda t: base, 5)):
+        calls.clear()
+        w_hist, _ = solve_stokes(VectorField.zeros(grid), a, 0.1, 0.05, 0.01, scheme)
+        assert len(calls) == builds
+        hists.append(w_hist.data)
+    assert np.array_equal(*hists)
 
 
 def test_disk_rigid_rotation_steady():
