@@ -21,9 +21,13 @@ from .errors import (BCViolation, DegenerateInput, IncompatibleData, LinearSolve
 from .fields import (
     ScalarField,
     VectorField,
+    Workspace,
     _advect,
     _block,
     _div,
+    _frame,
+    _pair,
+    _scratch,
     div,
     grad,
     l2,
@@ -218,10 +222,20 @@ class PeriodicSolve:
         nonzero = np.abs(symbol) > 1e-12 * np.abs(symbol).max()
         self.inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=nonzero)
 
-    def solve(self, b):
-        """K^-1 b for one flat field, or for several stacked into one vector."""
-        bhat = np.fft.rfft2(b.reshape(-1, *self.shape))
-        return np.fft.irfft2(bhat * self.inverse, s=self.shape).reshape(b.shape)
+    def solve(self, b, work: Workspace | None = None):
+        """K^-1 b for one flat field, or for several stacked into one vector;
+        work lends the transform and the result their blocks.  irfft2 is
+        spelled out as its two passes, the first in place, because numpy
+        2.4's irfft2 drops its out argument."""
+        fields = b.reshape(-1, *self.shape)
+        n1, n2 = self.shape
+        x = _scratch(work, fields.shape)
+        with _frame(work):
+            bhat = np.fft.rfft2(fields, out=_scratch(work, (len(fields), n1, n2 // 2 + 1), complex))
+            bhat *= self.inverse
+            np.fft.ifft(bhat, n1, axis=-2, out=bhat)
+            np.fft.irfft(bhat, n2, axis=-1, out=x)
+        return x.reshape(b.shape)
 
 
 class ModeBlockSolve:
@@ -267,16 +281,19 @@ class ModeBlockSolve:
         del data, rows, cols
         self.lu = factor(B)
 
-    def solve(self, b):
+    def solve(self, b, work: Workspace | None = None):
         """M^-1 b for one stacked vector, or for each row of a (rows, size)
-        array through one multi-column backsolve."""
+        array through one multi-column backsolve; work lends the result its
+        block."""
         axis = self.axis + 1           # behind the row axis
         bhat = np.moveaxis(np.fft.rfft(b.reshape(-1, *self.layout), axis=axis), axis, 1)
         rhs = bhat.reshape(len(bhat), -1).T   # one column per row, mode-major
         if self.pin:
             rhs[0] = 0.0
         xhat = np.moveaxis(self.lu.solve(rhs).T.reshape(bhat.shape), 1, axis)
-        return np.fft.irfft(xhat, n=self.n, axis=axis).reshape(b.shape)
+        x = np.fft.irfft(xhat, n=self.n, axis=axis,
+                         out=_scratch(work, (len(xhat), *self.layout)))
+        return x.reshape(b.shape)
 
 
 def _assemble_neumann(grid: Grid):
@@ -298,7 +315,8 @@ def neumann_operator(grid: Grid):
                        lambda: expand_rows(_assemble_neumann(grid)[0], grid))
 
 
-def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarray:
+def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float,
+                        work: Workspace | None = None) -> np.ndarray:
     """The zero-mean solution of lap(phi) = source, d_nu phi = flux for
     each row of a (rows, n1, n2) source, as one stacked solve.
 
@@ -309,13 +327,16 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarr
     row gets its own finiteness and compatibility test, flux repair (one log
     record per repaired row), residual test and zero-mean shift; the first
     row that fails a test raises.  Row i of the result equals the one-row
-    solve of row i bit for bit.
+    solve of row i bit for bit.  work lends the source-sized temporaries
+    and the result their blocks.
     """
     solver, frame = _assemble_neumann(grid)[1:]
     # |source| is summed in place and freed before b is allocated
-    size = np.abs(source)
-    size = np.sum(np.multiply(size, grid.weights, out=size), axis=(-2, -1))
-    b = (grid.weights * source).reshape(len(source), -1)
+    with _frame(work):
+        size = np.abs(source, out=_scratch(work, source.shape))
+        size = np.sum(np.multiply(size, grid.weights, out=size), axis=(-2, -1))
+    b = np.multiply(grid.weights, source, out=_scratch(work, source.shape))
+    b = b.reshape(len(source), -1)
     if frame is not None:
         if len(flux) != len(frame.components):
             raise ValueError("flux must supply one array per boundary component")
@@ -344,7 +365,7 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarr
             log.debug("repairing Neumann data: defect %.3e spread over volume", d)
             b[i] -= grid.weights.ravel() * (d / float(np.sum(grid.weights)))
 
-    phi = solver.solve(b)
+    phi = solver.solve(b, work)
     A = neumann_operator(grid)
     for x, rhs in zip(phi, b):
         rnorm, bnorm = float(np.linalg.norm(A @ x - rhs)), float(np.linalg.norm(rhs))
@@ -352,7 +373,9 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float) -> np.ndarr
         if bnorm > 0 and not rnorm <= _RESIDUAL_TOL * bnorm:
             raise SolverDiverged(f"Neumann residual {rnorm:.3e} vs rhs norm {bnorm:.3e}")
     phi = phi.reshape(source.shape)
-    mean = np.sum(grid.weights * phi, axis=(-2, -1)) / float(np.sum(grid.weights))
+    with _frame(work):
+        weighted = np.multiply(grid.weights, phi, out=_scratch(work, phi.shape))
+        mean = np.sum(weighted, axis=(-2, -1)) / float(np.sum(grid.weights))
     phi -= mean[:, np.newaxis, np.newaxis]
     return phi
 
@@ -405,7 +428,8 @@ def check_normal_trace(u: VectorField, frame, what):
         _check_normal_traces(block, _boundary_rows(block, frame), frame, what)
 
 
-def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None) -> np.ndarray:
+def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None,
+                    work: Workspace | None = None) -> np.ndarray:
     """The Neumann problem behind every pressure-like scalar, for each row
     of the (rows, 2, n1, n2) blocks s and e:
 
@@ -416,11 +440,12 @@ def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None) -> np.ndarra
     solves for the pressure of s (e = s), which requires s_perp ~ 0 on the
     boundary: each row is checked first (BCViolation).  Returns the (rows, n1, n2)
     zero-mean solutions, solved _PRESSURE_ROWS rows at a time; each row
-    equals its one-row solve bit for bit.
+    equals its one-row solve bit for bit.  work lends the result and the
+    block temporaries of each solve their blocks.
     """
     frame = _assemble_neumann(grid)[2]
     rtol = fd_tolerance(grid)
-    out = np.empty((len(s), *grid.shape))
+    out = _scratch(work, (len(s), *grid.shape))
     for i in range(0, len(s), _PRESSURE_ROWS):
         rows = slice(i, i + _PRESSURE_ROWS)
         si = s[rows]
@@ -434,8 +459,13 @@ def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None) -> np.ndarra
                 frame, s_bdry, s_bdry if e is None else _boundary_rows(ei, frame))
             if mu != 0.0 and a is not None:
                 flux = [g - mu * sk for g, sk in zip(flux, surface_curl(a, frame))]
-        adv = _advect(grid, si, ei)
-        out[rows] = _solve_neumann_rows(grid, -_div(grid, adv[:, 0], adv[:, 1]), flux, rtol)
+        with _frame(work):
+            source = None if work is None else work.block((len(si), *grid.shape))
+            with _frame(work):
+                adv = _advect(grid, si, ei, _pair(work, si.shape))
+                source = _div(grid, adv[:, 0], adv[:, 1], work, source)
+            out[rows] = _solve_neumann_rows(grid, np.negative(source, out=source), flux, rtol,
+                                            work)
     return out
 
 

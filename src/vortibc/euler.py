@@ -198,7 +198,8 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
     snapshot.
 
     A march that raises is dropped, its row is marked failed and the report
-    partial; an Euler failure raises.  Rows are in mu order.
+    partial; an Euler failure raises.  Once every march has dropped out the
+    reference is not stepped further.  Rows are in mu order.
     """
     from .fixedpoint import march_batch
 
@@ -213,7 +214,7 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
     for u_euler in euler_rows(cfg.u0, cfg.T, cfg.dt, grid):
         live, u = next(marches, ((), None))
         if not live:
-            continue
+            break
         orders = _squared_integrals(grid, u - _block(u_euler), 0, 1)
         # rooted and squared per row as l2 and grad_l2 ** 2 would
         for mu, l2_sq, grad_sq in zip(live, _sobolev_sum(orders, 0, 0),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,11 +99,83 @@ class VectorField:
     __rmul__ = __mul__
 
 
-def max_speed(u):
+class Workspace:
+    """A stack of scratch blocks in one buffer, which a loop allocates once
+    and lends to the kernels it calls, so that their block temporaries are
+    not mapped and faulted in again on every call.
+
+    block() carves the next block off the top of the stack.  Inside a
+    `with work.frame():` the blocks carved there give their room back when
+    the frame ends, so a block lives until the innermost frame around its
+    carving ends: a kernel leaves its result in a block that its caller
+    carved, or the caller consumes it before the caller's frame ends.  When
+    a block does not fit, the buffer is replaced by one at least twice its
+    size; the blocks carved before stay valid in the old one, and after the
+    first pass of a loop every block fits.  Only the deepest stack's pages
+    are ever touched.
+    """
+
+    _ALIGN = 8          # doubles: blocks start on 64-byte boundaries
+
+    def __init__(self):
+        self._buffer = np.empty(0)
+        self._top = 0
+        # (start, shape, dtype) -> (block, end): a loop carves the same
+        # blocks at the same places on every pass
+        self._blocks = {}
+
+    def block(self, shape: tuple, dtype=float) -> np.ndarray:
+        """An uninitialized C-contiguous array carved off the stack."""
+        start = -(-self._top // self._ALIGN) * self._ALIGN
+        key = (start, shape, dtype)
+        if key not in self._blocks:
+            end = start + -(-math.prod(shape) * np.dtype(dtype).itemsize // 8)
+            if end > self._buffer.size:
+                self._buffer = np.empty(max(end, 2 * self._buffer.size))
+                self._blocks.clear()
+            self._blocks[key] = np.ndarray(shape, dtype, self._buffer, 8 * start), end
+        block, self._top = self._blocks[key]
+        return block
+
+    def frame(self) -> "_Frame":
+        return _Frame(self)
+
+
+class _Frame:
+    """A Workspace frame: the stack's top on entry, restored on exit."""
+
+    __slots__ = ("work", "top")
+
+    def __init__(self, work: Workspace):
+        self.work = work
+
+    def __enter__(self):
+        self.top = self.work._top
+        return self.work
+
+    def __exit__(self, *exc):
+        self.work._top = self.top
+
+
+def _scratch(work, shape, dtype=float):
+    """A block of the workspace, or a fresh array without one."""
+    return np.empty(shape, dtype) if work is None else work.block(shape, dtype)
+
+
+def _frame(work):
+    """work's frame, or no frame without a workspace."""
+    return nullcontext() if work is None else work.frame()
+
+
+def max_speed(u, work: Workspace | None = None):
     """max |u| over the grid for each (2, n1, n2) row of a (..., 2, n1, n2)
     block, as the root of max |u|^2: within an ulp of the max of np.hypot,
-    which costs about 12x more."""
-    return np.sqrt(np.max(u[..., 0, :, :] ** 2 + u[..., 1, :, :] ** 2, axis=(-2, -1)))
+    which costs about 12x more.  work lends the squares their blocks."""
+    shape = u.shape[:-3] + u.shape[-2:]
+    with _frame(work):
+        sq = np.square(u[..., 0, :, :], out=_scratch(work, shape))
+        sq += np.square(u[..., 1, :, :], out=_scratch(work, shape))
+        return np.sqrt(np.max(sq, axis=(-2, -1)))
 
 
 def require_finite(exc, what: str, *arrays):
@@ -120,15 +193,15 @@ def _last(a, axis):
     return a if axis == 1 else a.swapaxes(-1, -2)
 
 
-def _flat(values, axis):
-    """(v, out, s): values as a C-contiguous array, an empty result of its
-    shape, and the stride s of grid axis `axis` in the flattened array (1
-    for axis 1, n2 for axis 0)."""
+def _flat(values, axis, out=None):
+    """(v, out, s): values as a C-contiguous array, the result array (out,
+    or an empty one of v's shape) and the stride s of grid axis `axis` in
+    the flattened array (1 for axis 1, n2 for axis 0)."""
     v = np.ascontiguousarray(values)
-    return v, np.empty_like(v), 1 if axis == 1 else v.shape[-1]
+    return v, np.empty_like(v) if out is None else out, 1 if axis == 1 else v.shape[-1]
 
 
-def _d1(values, axis, h, periodic):
+def _d1(values, axis, h, periodic, out=None):
     """First derivative: centered interior, one-sided ends whose leading
     truncation (-h^2/6 f''') matches the centered stencil; periodic ends wrap.
 
@@ -142,9 +215,10 @@ def _d1(values, axis, h, periodic):
     the seams between grid lines and between leading batch slices; the two
     end nodes of every line are then overwritten by their own formulas.
     Input may be 1-D, carry leading batch axes or be a non-contiguous view
-    (copied once).
+    (copied once).  out, a C-contiguous array of the input's shape that
+    does not overlap it, receives the result.
     """
-    v, out, s = _flat(values, axis)
+    v, out, s = _flat(values, axis, out)
     flat, inner, d = v.reshape(-1), out.reshape(-1)[s:-s], 2.0 * h
     np.divide(np.subtract(flat[2 * s:], flat[:-2 * s], out=inner), d, out=inner)
     v, o = _last(v, axis), _last(out, axis)
@@ -183,31 +257,53 @@ def _block(field):
     return np.stack((field.ux, field.uy))
 
 
-def _dx_dy(grid, values):
-    """Cartesian partials of nodal values on any grid family."""
-    d1 = _d1(values, 0, grid.h1, grid.periodic1)
-    d2 = _d1(values, 1, grid.h2, grid.periodic2)
-    if grid.polar:
-        # ct d1 - st dthet and st d1 + ct dthet, reusing the fresh partials
-        ct, st = grid.cos_theta, grid.sin_theta
-        dthet = np.divide(d2, grid.r, out=d2)
-        tmp = st * dthet
-        dx = ct * d1
-        dx -= tmp
-        dy = np.multiply(st, d1, out=d1)
-        dy += np.multiply(ct, dthet, out=tmp)
-        return dx, dy
-    return d1, d2
+def _dx_dy(grid, values, out=None):
+    """Cartesian partials of nodal values on any grid family, written into
+    the pair of arrays out (as for _d1) when given."""
+    dx, dy = (None, None) if out is None else out
+    if not grid.polar:
+        return (_d1(values, 0, grid.h1, grid.periodic1, dx),
+                _d1(values, 1, grid.h2, grid.periodic2, dy))
+    # ct d1 - st dthet and st d1 + ct dthet: d1 goes where dy ends up and
+    # dthet where dx does, each overwritten once it is no longer read
+    d1 = _d1(values, 0, grid.h1, grid.periodic1, dy)
+    dthet = _d1(values, 1, grid.h2, grid.periodic2, dx)
+    ct, st = grid.cos_theta, grid.sin_theta
+    np.divide(dthet, grid.r, out=dthet)
+    st_dthet, ct_dthet = st * dthet, ct * dthet
+    dx = np.multiply(ct, d1, out=dthet)
+    dx -= st_dthet
+    dy = np.multiply(st, d1, out=d1)
+    dy += ct_dthet
+    return dx, dy
 
 
-def _partial(grid, values, axis):
+def _partial(grid, values, axis, work: Workspace | None = None, out=None):
     """The one Cartesian partial d/dx (axis 0) or d/dy (axis 1): a single
-    _d1 on a Cartesian grid, the chain rule through _dx_dy on a polar one."""
+    _d1 on a Cartesian grid, the chain rule through _dx_dy on a polar one.
+    out receives it when given, else with work a block carved from it; work
+    also lends a contiguous copy of values (and on a polar grid both
+    partials) their blocks."""
+    if work is not None:
+        copy = work.block(values.shape)
+        np.copyto(copy, values)
+        values = copy
+        if out is None:
+            out = work.block(values.shape)
     if grid.polar:
-        return _dx_dy(grid, values)[axis]
+        d = _dx_dy(grid, values, _pair(work, values.shape))[axis]
+        if out is None:
+            return d
+        np.copyto(out, d)
+        return out
     if axis == 0:
-        return _d1(values, 0, grid.h1, grid.periodic1)
-    return _d1(values, 1, grid.h2, grid.periodic2)
+        return _d1(values, 0, grid.h1, grid.periodic1, out)
+    return _d1(values, 1, grid.h2, grid.periodic2, out)
+
+
+def _pair(work, shape):
+    """Two blocks of the workspace, as the out of _dx_dy; None without one."""
+    return None if work is None else (work.block(shape), work.block(shape))
 
 
 def _laplacian_values(grid, values):
@@ -229,10 +325,15 @@ def grad(f: ScalarField) -> VectorField:
     return VectorField(f.grid, gx, gy)
 
 
-def _div(grid, ux, uy):
+def _div(grid, ux, uy, work: Workspace | None = None, out=None):
     """Divergence values from the two component arrays, which may carry
-    leading batch axes."""
-    return _partial(grid, ux, 0) + _partial(grid, uy, 1)
+    leading batch axes.  out receives them when given, as it must be with
+    work, which lends the temporaries blocks that it hands back."""
+    with _frame(work):
+        d = _partial(grid, ux, 0, work, out)
+    with _frame(work):
+        d += _partial(grid, uy, 1, work)
+    return d
 
 
 def _curl(grid, ux, uy):
@@ -263,9 +364,11 @@ def laplacian(field):
                        _laplacian_values(field.grid, field.uy))
 
 
-def _advect(grid, x, y):
-    """(x . grad) y componentwise for (..., 2, n1, n2) blocks."""
-    dx, dy = _dx_dy(grid, y)
+def _advect(grid, x, y, out=None):
+    """(x . grad) y componentwise for (..., 2, n1, n2) blocks; out is a pair
+    of scratch blocks of y's shape (as for _dx_dy), the first of which
+    receives the result."""
+    dx, dy = _dx_dy(grid, y, out)
     # in place on the fresh partials: x_x * dx + x_y * dy, in that order
     dx *= x[..., 0:1, :, :]
     dy *= x[..., 1:2, :, :]
@@ -362,23 +465,28 @@ def normal_derivative(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
 _NORM_ROWS = 4
 
 
-def _squared_integrals(grid, a, lo: int, hi: int, partials=None) -> list:
+def _squared_integrals(grid, a, lo: int, hi: int, partials=None,
+                       work: Workspace | None = None) -> list:
     """For each derivative order m = lo..hi (at most 2) of a (..., c, n1, n2)
     block: the integrals of the squares of its partial derivatives of that
     order, one (..., c) array each, in the order x, y (xx, xy, yx, yy);
     orders below lo are None.  partials = _dx_dy(grid, a) when the caller
-    has them."""
-    def integral(d):
-        sq = d**2
-        return np.sum(np.multiply(sq, grid.weights, out=sq), axis=(-2, -1))
+    has them; work lends the squares and partials their blocks."""
+    with _frame(work):
+        sq = None if work is None else work.block(a.shape)
+        second = _pair(work, a.shape)
 
-    orders = [[integral(a)] if lo == 0 else None]
-    if hi >= 1:
-        first = _dx_dy(grid, a) if partials is None else partials
-        orders.append([integral(d) for d in first] if lo <= 1 else None)
-    if hi == 2:
-        orders.append([integral(s) for d in first for s in _dx_dy(grid, d)])
-    return orders
+        def integral(d):
+            sq_d = np.square(d, out=sq)
+            return np.sum(np.multiply(sq_d, grid.weights, out=sq_d), axis=(-2, -1))
+
+        orders = [[integral(a)] if lo == 0 else None]
+        if hi >= 1:
+            first = _dx_dy(grid, a, _pair(work, a.shape)) if partials is None else partials
+            orders.append([integral(d) for d in first] if lo <= 1 else None)
+        if hi == 2:
+            orders.append([integral(s) for d in first for s in _dx_dy(grid, d, second)])
+        return orders
 
 
 def _sobolev_sum(orders, lo: int, hi: int):
@@ -399,11 +507,11 @@ def _sobolev_sum(orders, lo: int, hi: int):
     return total
 
 
-def _sobolev_sq(grid, a, lo: int, hi: int):
+def _sobolev_sq(grid, a, lo: int, hi: int, work: Workspace | None = None):
     """For each leading index of a (..., c, n1, n2) block: the sum over its
     c components of the integrals of the squared partial derivatives of
     orders lo..hi (at most 2), grouped as _sobolev_sum groups them."""
-    return _sobolev_sum(_squared_integrals(grid, a, lo, hi), lo, hi)
+    return _sobolev_sum(_squared_integrals(grid, a, lo, hi, work=work), lo, hi)
 
 
 def _norm(field, lo: int, hi: int) -> float:
@@ -432,13 +540,13 @@ def grad_l2(field) -> float:
     return _norm(field, 1, 1)
 
 
-def _n_norm_sq(grid, v, v_t):
+def _n_norm_sq(grid, v, v_t, work: Workspace | None = None):
     """||v||_H2^2 + ||v_t||_H1^2 per leading index of (..., 2, n1, n2)
     blocks.  Each norm is rooted, then squared by libm pow, as a Python
     float's ** 2 is; an array's ** 2 multiplies instead, which moves the
     last bit of about one value in 1250."""
-    return (np.float_power(np.sqrt(_sobolev_sq(grid, v, 0, 2)), 2)
-            + np.float_power(np.sqrt(_sobolev_sq(grid, v_t, 0, 1)), 2))
+    return (np.float_power(np.sqrt(_sobolev_sq(grid, v, 0, 2, work)), 2)
+            + np.float_power(np.sqrt(_sobolev_sq(grid, v_t, 0, 1, work)), 2))
 
 
 def n_norm(v: VectorField, v_t) -> float:
@@ -509,13 +617,15 @@ def history_chunks(n: int, rows: int):
         yield Chunk(i, j, lo, hi, n)
 
 
-def time_derivative_rows(s, chunk: Chunk, dt: float):
+def time_derivative_rows(s, chunk: Chunk, dt: float, out=None):
     """The time derivative on a chunk's rows, from the array s of its
     window's rows: centered differences in the interior, one-sided at the
     ends of the history; with 2 snapshots, their one difference.  Each row
-    is computed as from the whole history, bit for bit."""
+    is computed as from the whole history, bit for bit.  out receives the
+    (j - i, ...) result when given."""
     i, j, lo, _, n = chunk
-    out = np.empty((j - i, *s.shape[1:]))
+    if out is None:
+        out = np.empty((j - i, *s.shape[1:]))
     if n == 2:
         out[:] = (s[1] - s[0]) * (1.0 / dt)
         return out

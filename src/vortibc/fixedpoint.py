@@ -14,15 +14,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import _PRESSURE_ROWS, solve_pressure_ns, solve_transport
+from .elliptic import solve_pressure_ns, solve_transport
 from .errors import MaxIterExceeded, NoContraction
 from .fields import (
     _NORM_ROWS,
     FieldHistory,
     ScalarField,
     VectorField,
+    Workspace,
     _div,
+    _frame,
     _n_norm_sq,
+    _scratch,
     advect,
     check_history_budget,
     grad,
@@ -35,18 +38,18 @@ from .fields import (
     step_count,
     time_derivative_rows,
 )
-from .linearized import VelocityMap, apply_velocity_map, energy_rows, march
-from .stokes import normalize_boundary_data, solve_stokes, stokes_rows
+from .linearized import VelocityMap, energy_rows, march
+from .stokes import normalize_boundary_data, stokes_rows
 
 
 # Vector-history equivalents (a scalar history counts half) alive at the peak
-# of an `ns` run: v_prev, v_next, w and q while Picard sweeps.  The increment
-# norm and the pass over the converged solution (ns_rows) work on row chunks,
-# so after the loop only v, w and q remain.  A weakref count of live
-# FieldHistory bytes on ns_torus_tg found 23.2 MB at the peak, 3.5 times one
-# 6.6 MB vector history.  A caller that reads NSSolution.u and .p holds 1.5
-# more.
-_NS_PEAK_HISTORIES = 3.5
+# of an `ns` run: v and w.  Picard sweeps v in place, and the increment norm,
+# the sweep's workspace and the pass over the converged solution (ns_rows)
+# hold row chunks only.  tracemalloc puts the peak of a 24^2 torus run of
+# 201 snapshots at 2.7 histories, the rest being those chunks and the
+# buffers the workspace outgrows on its first chunk.  A caller that reads
+# NSSolution.u, .p and .q holds 2 more.
+_NS_PEAK_HISTORIES = 2
 
 
 @dataclass
@@ -66,17 +69,18 @@ class PicardConfig:
 
 @dataclass
 class NSSolution:
-    """Converged splitting u = v + w with the Stokes scalar q and the
-    convergence trace.  u and the pressure p are whole histories made on
-    first use; ns_rows gives their snapshots without holding them."""
+    """Converged splitting u = v + w with the convergence trace.  u, the
+    pressure p and the Stokes scalar q are whole histories made on first
+    use; ns_rows gives the snapshots of u and p without holding them."""
 
     v: FieldHistory
     w: FieldHistory
-    q: FieldHistory
     trace: list          # rows (iter, delta_WT, ratio) with ratio NaN at k=1
     mu: float
     dt: float
     u0: VectorField
+    a: object            # the boundary data, as normalize_boundary_data takes it
+    scheme: str = "backward-euler"
     converged: bool = True
 
     @cached_property
@@ -91,8 +95,32 @@ class NSSolution:
             p[k] = p_k
         return p
 
+    @cached_property
+    def q(self) -> FieldHistory:
+        """The Stokes scalar of w, from one more stokes_rows pass."""
+        q = FieldHistory.zeros(self.v.grid, self.dt, len(self.v), scalar=True)
+        T = (len(self.v) - 1) * self.dt
+        for k, (_, q_k) in enumerate(stokes_rows(self.u0, self.a, self.mu, T, self.dt,
+                                                 self.scheme)):
+            q[k] = q_k
+        return q
 
-def wt_norm(a: FieldHistory, b: FieldHistory | None = None) -> float:
+
+def _window_norm(grid, dt: float, diff, chunk, work: Workspace | None = None) -> float:
+    """The largest N-norm over a chunk's own snapshots of a history whose
+    rows on the chunk's window are diff; 0 when diff vanishes there, and
+    NaN rows are skipped."""
+    if not diff.any():
+        return 0.0
+    with _frame(work):
+        diff_t = _scratch(work, (chunk.j - chunk.i, *diff.shape[1:]))
+        diff_t = time_derivative_rows(diff, chunk, dt, diff_t)
+        n_sq = _n_norm_sq(grid, chunk.own(diff), diff_t, work)
+    return float(np.fmax.reduce(np.sqrt(n_sq), initial=0.0))
+
+
+def wt_norm(a: FieldHistory, b: FieldHistory | None = None, chunk=None,
+            work: Workspace | None = None) -> float:
     """sup over snapshots of the N-norm of the history a - b (of a itself
     when b is None); like a running max from 0, it skips NaN rows.
 
@@ -100,15 +128,20 @@ def wt_norm(a: FieldHistory, b: FieldHistory | None = None) -> float:
     window its time derivative reads, so neither a - b nor its time
     derivative is ever a whole history.  A chunk whose difference vanishes
     on its whole window adds exactly 0 and is skipped: in Picard sweep k,
-    iterates k - 1 and k agree on snapshots 0..k - 1.
+    iterates k - 1 and k agree on snapshots 0..k - 1.  With chunk (a
+    fields.Chunk of such a history), a and b hold only the rows of the
+    chunk's window, and the sup runs over the chunk's own snapshots; the
+    norm of the history is the max over its chunks, which is how a Picard
+    sweep takes it while it writes their rows.  work lends the norm's block
+    temporaries their blocks.
     """
+    if chunk is not None:
+        return _window_norm(a.grid, a.dt, a.data if b is None else a.data - b.data, chunk, work)
     worst = 0.0
     for c in history_chunks(len(a), _NORM_ROWS):
-        diff = a.data[c.lo:c.hi] if b is None else a.data[c.lo:c.hi] - b.data[c.lo:c.hi]
-        if not diff.any():
-            continue
-        n_sq = _n_norm_sq(a.grid, c.own(diff), time_derivative_rows(diff, c, a.dt))
-        worst = np.fmax.reduce(np.sqrt(n_sq), initial=worst)
+        window = slice(c.lo, c.hi)
+        diff = a.data[window] if b is None else a.data[window] - b.data[window]
+        worst = np.fmax(worst, _window_norm(a.grid, a.dt, diff, c, work))
     return float(worst)
 
 
@@ -154,32 +187,86 @@ def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
     return u_hist
 
 
+def _sweep(vmap: VelocityMap, v: FieldHistory, w: FieldHistory, first: int,
+           old) -> float:
+    """One Picard sweep in place: v holds iterate k - 1, final on rows
+    0..first, and leaves holding iterate k; returns the increment
+    wt_norm(v^k, v^(k-1)).
+
+    Step n + 1 overwrites row n + 1, whose old value goes to row (n + 1) %
+    len(old) of the ring old first.  The carriers of a pressure chunk are
+    formed before its rows are overwritten, its first row from the ring.
+    The increment is taken a _NORM_ROWS chunk at a time, as soon as the
+    sweep has written every row of the chunk's window, from the window's
+    new rows and their old values.  A window spans at most _NORM_ROWS + 2
+    rows, and the ring holds the old values of the last _NORM_ROWS + 2 rows
+    written, so every old row a window reads is still there.
+    """
+    grid, nt, ring, work = v.grid, len(v), len(old), vmap.work
+    vd, wd = v.data, w.data
+
+    def old_row(r):
+        return vd[r] if r <= first else old[r % ring]
+
+    def carriers(n0, n1, out):
+        np.add(old_row(n0), wd[n0], out=out[0])
+        np.add(vd[n0 + 1:n1], wd[n0 + 1:n1], out=out[1:])
+        return out
+
+    chunks = history_chunks(nt, _NORM_ROWS)
+    c = next(chunks)
+    worst = 0.0
+
+    def increments(written):
+        """The increments of the chunks whose windows end at or before
+        row `written`."""
+        nonlocal c, worst
+        while c is not None and c.hi - 1 <= written:
+            with work.frame():
+                diff = work.block((c.hi - c.lo, 2, *grid.shape))
+                for r in range(c.lo, c.hi):
+                    np.subtract(vd[r], old_row(r), out=diff[r - c.lo])
+                worst = np.fmax(worst, wt_norm(FieldHistory(grid, v.dt, diff), chunk=c,
+                                               work=work))
+            c = next(chunks, None)
+
+    increments(first)
+    for n, v_n in vmap.steps(vd, wd, first, carriers):
+        old[n % ring] = vd[n]
+        v[n] = v_n
+        increments(n)
+    return float(worst)
+
+
 def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
                  cfg: PicardConfig, scheme: str = "backward-euler") -> NSSolution:
     """Iterate v <- V(v) from v = 0 until the W_T increment drops below
     tol_fix.
 
-    Raises NoContraction when the increment ratio stays >= 1 over the
-    configured window (the discrete shadow of the small-time requirement)
-    and MaxIterExceeded at the iteration cap.
+    The iterates share one history, each sweep overwriting the last
+    (_sweep).  Raises NoContraction when the increment ratio stays >= 1
+    over the configured window (the discrete shadow of the small-time
+    requirement) and MaxIterExceeded at the iteration cap.
     """
     grid = u0.grid
     nt = step_count(T, dt) + 1
     check_history_budget((nt, 2, *grid.shape), _NS_PEAK_HISTORIES)
-    v_prev = FieldHistory.zeros(grid, dt, nt)
-    w_hist, q_hist = solve_stokes(u0, a, mu, T, dt, scheme)
+    w = FieldHistory.zeros(grid, dt, nt)
+    for n, (w_n, _) in enumerate(stokes_rows(u0, a, mu, T, dt, scheme)):
+        w[n] = w_n
+    v = FieldHistory.zeros(grid, dt, nt)
+    vmap = VelocityMap(grid, mu, dt)
+    old = np.empty((_NORM_ROWS + 2, 2, *grid.shape))   # _sweep's ring of overwritten rows
 
     trace = []
     delta_prev = None
     bad_streak = 0
     for it in range(1, cfg.max_iter + 1):
         # iterate it - 1 is final on rows 0..it - 1, so sweep it steps from there
-        v_next = apply_velocity_map(v_prev, w_hist, mu, dt, known_rows=min(it - 1, nt - 1))
-        delta = wt_norm(v_next, v_prev)
+        delta = _sweep(vmap, v, w, min(it - 1, nt - 1), old)
         ratio = float("nan") if delta_prev is None else (
             delta / delta_prev if delta_prev > 0 else 0.0)
         trace.append((it, delta, ratio))
-        v_prev = v_next
         if delta <= cfg.tol_fix:
             break
         if delta_prev is not None and np.isfinite(ratio) and ratio >= 1.0:
@@ -196,12 +283,12 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
             f"no fixed point within {cfg.max_iter} iterations "
             f"(last delta {trace[-1][1]:.3e})")
 
-    return NSSolution(v=v_prev, w=w_hist, q=q_hist, trace=trace, mu=mu, dt=dt, u0=u0)
+    return NSSolution(v=v, w=w, trace=trace, mu=mu, dt=dt, u0=u0, a=a, scheme=scheme)
 
 
 def ns_rows(sol: NSSolution, energy: bool = False):
     """The snapshots of a converged splitting, in one pass over chunks of
-    _PRESSURE_ROWS snapshots of v and w: yields (u, p, div v) for each
+    _NORM_ROWS snapshots of v and w: yields (u, p, div v) for each
     snapshot.  With energy (3 snapshots or more), each tuple goes on with
     the snapshot's four compute_F terms from linearized.energy_rows, which
     then also supplies div v.  The pressures of a chunk are one stacked
@@ -209,7 +296,7 @@ def ns_rows(sol: NSSolution, energy: bool = False):
     """
     grid, v, w = sol.v.grid, sol.v.data, sol.w.data
     terms = energy_rows(sol.v, sol.v, sol.w) if energy else None
-    for c in history_chunks(len(v), _PRESSURE_ROWS):
+    for c in history_chunks(len(v), _NORM_ROWS):
         u = v[c.i:c.j] + w[c.i:c.j]
         # the linearized pressure of (v, w) is the pressure of the carrier u = v + w
         p = solve_transport(grid, u)

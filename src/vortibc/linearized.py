@@ -21,14 +21,18 @@ import numpy as np
 from .elliptic import _PRESSURE_ROWS, solve_pressure_linearized, solve_transport
 from .errors import CFLViolation
 from .fields import (
+    _NORM_ROWS,
     FieldHistory,
     ScalarField,
     VectorField,
+    Workspace,
     _advect,
     _curl,
     _div,
     _dx_dy,
+    _frame,
     _n_norm_sq,
+    _pair,
     advect,
     curl2d,
     curl_scalar,
@@ -46,21 +50,23 @@ from .geometry import boundary_frame, boundary_zeros
 CFL_LIMIT = 0.9
 
 
-def pressure_gradients(grid, dt: float, s, steps):
+def pressure_gradients(grid, dt: float, s, steps, work: Workspace | None = None):
     """grad p for each row of the (rows, 2, n1, n2) carrier block s, row i
     being a carrier of step steps[i]; the linearized pressure of (beta, w)
     is the inviscid pressure of s = beta + w.  Returns (gx, gy), each
-    (rows, n1, n2).
+    (rows, n1, n2), in blocks of work when given.
 
     Raises CFLViolation when dt * max|s| exceeds 0.9 of the finest cell
     spacing, naming the step of the first such row.
     """
-    cfl = dt * max_speed(s) / grid.min_spacing()
+    cfl = dt * max_speed(s, work) / grid.min_spacing()
     bad = np.flatnonzero(cfl > CFL_LIMIT)
     if bad.size:
         raise CFLViolation(
             f"advective CFL {cfl[bad[0]]:.3f} > {CFL_LIMIT} at step {steps[bad[0]]}")
-    return _dx_dy(grid, solve_transport(grid, s))
+    gradients = _pair(work, (len(s), *grid.shape))
+    with _frame(work):
+        return _dx_dy(grid, solve_transport(grid, s, work=work), gradients)
 
 
 def _forcing(grid, s, y, gx, gy):
@@ -76,7 +82,7 @@ def _forcing(grid, s, y, gx, gy):
 class VelocityMap:
     """The velocity map's time stepping on one grid and (mu, dt).
 
-    The Picard iteration (`run`) and the causal march (`march`) take the
+    The Picard iteration (`steps`) and the causal march (`march`) take the
     same steps through `_forcing` and `step`, so they run the same
     floating-point operations: iterate k of the iteration equals the march
     bit for bit on snapshots 0..k.  A Picard sweep knows every carrier s =
@@ -93,31 +99,47 @@ class VelocityMap:
         frame = boundary_frame(grid) if grid.has_boundary() else None
         self.a_zero = boundary_zeros(frame) if frame is not None else None
         self.stepper = VelocityStepper(grid, mu, dt, theta=1.0)
+        # the carrier, pressure and norm blocks of every sweep
+        self.work = Workspace()
 
     def step(self, v: VectorField, forcing) -> VectorField:
         """v at step n+1 from v at step n and the (2, n1, n2) forcing row
         of _forcing at step n."""
         return self.stepper.step(v, VectorField(self.grid, *forcing), self.a_zero)
 
-    def run(self, w: FieldHistory, beta: FieldHistory, v_init: VectorField | None = None,
-            known_rows: int = 0) -> FieldHistory:
-        """The v history over the snapshots of w transported by beta.  Rows
-        1..known_rows are copied from beta (see apply_velocity_map)."""
-        g, nt = w.grid, len(w)
-        v_hist = FieldHistory.zeros(g, self.dt, nt)
+    def steps(self, v, w, first: int, carriers):
+        """One sweep over the snapshots of the (nt, 2, n1, n2) array w from
+        step `first` on: yields n + 1 and v at step n + 1 for n = first..nt - 2,
+        reading v at step n from the array v, where the caller writes each
+        yielded row before the next step.  carriers(i, j, out) fills the
+        block out with the carriers s = beta + w of steps i..j - 1 and
+        returns it; it is called before the first of those steps, when row
+        i of v is already written."""
+        g = self.grid
+        nt = len(w)
+        for n0 in range(first, nt - 1, _PRESSURE_ROWS):
+            n1 = min(n0 + _PRESSURE_ROWS, nt - 1)
+            with self.work.frame():
+                s = carriers(n0, n1, self.work.block((n1 - n0, 2, *g.shape)))
+                gx, gy = pressure_gradients(g, self.dt, s, range(n0, n1), self.work)
+                for i, n in enumerate(range(n0, n1)):
+                    y = v[n] + w[n]
+                    rows = slice(i, i + 1)
+                    forcing = _forcing(g, s[rows], y[np.newaxis], gx[rows], gy[rows])
+                    yield n + 1, self.step(VectorField(g, *v[n]), forcing[0])
+
+    def run(self, w: FieldHistory, beta: FieldHistory,
+            v_init: VectorField | None = None) -> FieldHistory:
+        """The v history over the snapshots of w transported by beta."""
+        v_hist = FieldHistory.zeros(w.grid, self.dt, len(w))
         if v_init is not None:
             v_hist[0] = v_init
-        if known_rows:
-            v_hist.data[1:known_rows + 1] = beta.data[1:known_rows + 1]
-        for n0 in range(known_rows, nt - 1, _PRESSURE_ROWS):
-            n1 = min(n0 + _PRESSURE_ROWS, nt - 1)
-            s = beta.data[n0:n1] + w.data[n0:n1]
-            gx, gy = pressure_gradients(g, self.dt, s, range(n0, n1))
-            for i, n in enumerate(range(n0, n1)):
-                y = v_hist.data[n] + w.data[n]
-                rows = slice(i, i + 1)
-                forcing = _forcing(g, s[rows], y[np.newaxis], gx[rows], gy[rows])
-                v_hist[n + 1] = self.step(v_hist[n], forcing[0])
+
+        def carriers(n0, n1, out):
+            return np.add(beta.data[n0:n1], w.data[n0:n1], out=out)
+
+        for n, v_n in self.steps(v_hist.data, w.data, 0, carriers):
+            v_hist[n] = v_n
         return v_hist
 
 
@@ -190,16 +212,12 @@ def _pressure_stage(grid, dt, live, s, step, failed):
 
 
 def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float, dt: float,
-                       v_init: VectorField | None = None,
-                       known_rows: int = 0) -> FieldHistory:
+                       v_init: VectorField | None = None) -> FieldHistory:
     """Advance the linearized problem; returns the v history.
 
     beta and w share grid, dt, and snapshot count; beta[0] must vanish.
     v_init is the initial value of the evolving unknown (kept zero for the
-    fixed-point iteration; exposed for superposition tests).  known_rows = j
-    states that beta is iterate j of the Picard iteration from v = v_init on
-    the same w, which is final on rows 0..j: rows 1..j of the result are
-    copied from beta instead of stepped.
+    fixed-point iteration; exposed for superposition tests).
     """
     if len(beta) != len(w):
         raise ValueError("beta and w must have the same snapshot count")
@@ -207,9 +225,7 @@ def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float, dt: float
         raise ValueError("beta and w must share dt")
     if l2(beta[0]) > 1e-12 * max(1.0, l2(w[0])):
         raise ValueError("beta(0) must vanish")
-    if not 0 <= known_rows < len(w):
-        raise ValueError("known_rows must index a snapshot")
-    return VelocityMap(w.grid, mu, dt).run(w, beta, v_init, known_rows)
+    return VelocityMap(w.grid, mu, dt).run(w, beta, v_init)
 
 
 @dataclass
@@ -249,7 +265,7 @@ F_COLUMNS = ("t", "F", "Q", "l2sq_v_psi", "l2sq_gradg_gradq", "l2sq_vt_dt_wt")
 
 def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
                 div_v: FieldHistory | None = None):
-    """compute_F's per-snapshot terms, _PRESSURE_ROWS snapshots at a time:
+    """compute_F's per-snapshot terms, _NORM_ROWS snapshots at a time:
     yields (div v, ||(v, psi)||^2, ||(grad g, grad q)||^2,
     ||(v_t, d_t, omega_t)||^2, load) on the rows of each chunk.
 
@@ -260,7 +276,7 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
     """
     grid, dt = v_hist.grid, v_hist.dt
     v, beta, w = v_hist.data, beta_hist.data, w_hist.data
-    chunks = list(history_chunks(len(v), _PRESSURE_ROWS))
+    chunks = list(history_chunks(len(v), _NORM_ROWS))
     if div_v is None:
         d_windows = rolling(lambda lo, hi: _div(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
     else:

@@ -190,7 +190,8 @@ def test_sweep_stacks_pressure_solves(annulus_spec, monkeypatch):
     rows = []
     solve = linearized.solve_transport
     monkeypatch.setattr(linearized, "solve_transport",
-                        lambda grid, s, *args: rows.append(len(s)) or solve(grid, s, *args))
+                        lambda grid, s, *args, **kwargs: rows.append(len(s))
+                        or solve(grid, s, *args, **kwargs))
     grid = build_grid(annulus_spec, 16, 32)
     cfg = SweepConfig(mu_list=[1e-1, 3e-2, 1e-2], u0=circulation_field(grid, c=0.3),
                       a=[np.zeros(32), np.zeros(32)], T=0.02, dt=2e-3, grid=grid)

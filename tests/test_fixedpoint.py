@@ -104,8 +104,8 @@ def test_verify_incompressibility_flags_corruption(annulus_spec):
     clean = verify_incompressibility(sol).max_div
     noise = grad(ScalarField(grid, 0.05 * (grid.x**2 + grid.y**2)))
     corrupted = FieldHistory(grid, sol.dt, sol.v.data + [noise.ux, noise.uy])
-    dirty_sol = NSSolution(v=corrupted, w=sol.w, q=sol.q,
-                           trace=sol.trace, mu=sol.mu, dt=sol.dt, u0=sol.u0)
+    dirty_sol = NSSolution(v=corrupted, w=sol.w, trace=sol.trace, mu=sol.mu, dt=sol.dt,
+                           u0=sol.u0, a=sol.a)
     dirty = verify_incompressibility(dirty_sol).max_div
     assert dirty > 10 * max(clean, 1e-10)
 
@@ -223,7 +223,7 @@ def test_picard_error_within_banach_bound(march_run):
 
 
 def test_picard_sweep_k_steps_only_rows_k_on(torus_spec, monkeypatch):
-    """Sweep k copies rows 1..k-1 from iterate k-1, where it is final, and
+    """Sweep k keeps rows 1..k-1 of iterate k-1, where it is final, and
     steps the other nt - 1 - (k - 1); the iterates stay those of full sweeps
     bit for bit."""
     import vortibc.fixedpoint as fp
@@ -233,20 +233,20 @@ def test_picard_sweep_k_steps_only_rows_k_on(torus_spec, monkeypatch):
     u0 = random_absolute_bc_field(grid, np.random.default_rng(3), amplitude=1.0)
     mu, T, dt = 0.02, 0.05, 0.005
     steps, sweeps = [0], []
-    step, apply_map = VelocityStepper.step, fp.apply_velocity_map
+    step, sweep = VelocityStepper.step, fp._sweep
 
     def counted_step(self, *args):
         steps[0] += 1
         return step(self, *args)
 
-    def counted_map(*args, **kwargs):
+    def counted_sweep(*args):
         steps[0] = 0
-        v = apply_map(*args, **kwargs)
+        delta = sweep(*args)
         sweeps.append(steps[0])
-        return v
+        return delta
 
     monkeypatch.setattr(VelocityStepper, "step", counted_step)
-    monkeypatch.setattr(fp, "apply_velocity_map", counted_map)
+    monkeypatch.setattr(fp, "_sweep", counted_sweep)
     sol = picard_solve(u0, None, mu, T, dt, PicardConfig(tol_fix=1e-12, max_iter=30))
     nt = len(sol.w)
     assert 2 < len(sweeps) < nt - 1
@@ -256,6 +256,35 @@ def test_picard_sweep_k_steps_only_rows_k_on(torus_spec, monkeypatch):
     v = FieldHistory.zeros(grid, dt, nt)
     for _ in sweeps:
         v = apply_velocity_map(beta=v, w=sol.w, mu=mu, dt=dt)
+    assert np.array_equal(v.data, sol.v.data)
+
+
+@pytest.mark.parametrize("kind", ["torus", "annulus"])
+def test_in_place_increments_match_out_of_place_sweeps(kind, torus_spec, annulus_spec):
+    """Each increment of the in-place sweep equals wt_norm(v^k, v^(k-1)) of
+    the iterates of full out-of-place sweeps exactly, through the sweep
+    that finds every row final (nt sweeps for nt snapshots) and adds 0."""
+    spec = torus_spec if kind == "torus" else annulus_spec
+    grid = build_grid(spec, 16, 16)
+    if grid.polar:
+        u0 = streamfunction_shear(grid, amp=0.4)
+        a = boundary_scalar_values(curl2d(u0), boundary_frame(grid))
+    else:
+        u0 = random_absolute_bc_field(grid, np.random.default_rng(3), amplitude=2.0)
+        a = None
+    # 10 snapshots: the first sweeps cross a pressure-chunk edge, and data
+    # this strong keep every increment but the last above 0
+    mu, T, dt = 0.05, 0.09, 0.01
+    sol = picard_solve(u0, a, mu, T, dt,
+                       PicardConfig(tol_fix=1e-300, max_iter=20, contraction_window=20))
+    nt = len(sol.w)
+    assert len(sol.trace) == nt and sol.trace[-1][1] == 0.0
+    v, deltas = FieldHistory.zeros(grid, dt, nt), []
+    for _ in sol.trace:
+        v_next = apply_velocity_map(beta=v, w=sol.w, mu=mu, dt=dt)
+        deltas.append(wt_norm(v_next, v))
+        v = v_next
+    assert [d for _, d, _ in sol.trace] == deltas
     assert np.array_equal(v.data, sol.v.data)
 
 
