@@ -164,6 +164,58 @@ def expand_rows(M0, grid: Grid):
     return sparse.csr_matrix((data.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
 
 
+def stencil_terms(M0, grid: Grid) -> list:
+    """The scalar operator M with generator rows M0 as stencil terms
+    (o1, o2, coef):  (M x)[i1, i2] = sum of coef[i1, i2] * x[i1 + o1, i2 + o2]
+    over the terms, one per column offset.  Offsets along a periodic axis
+    wrap and are taken in [-n/2, n/2); coef varies along the non-periodic
+    axis only, with shape (n1, 1), (1, n2) or, on the torus, (1, 1), and is
+    zero where a row has no entry at that offset."""
+    periodic = (grid.periodic1, grid.periodic2)
+    sub = M0.tocoo()
+    rows = np.unravel_index(generator_rows(grid)[sub.row], grid.shape)
+    cols = np.unravel_index(sub.col, grid.shape)
+    offsets = [(c - r + n // 2) % n - n // 2 if p else c - r
+               for r, c, n, p in zip(rows, cols, grid.shape, periodic)]
+    keys, term = np.unique(np.stack(offsets, axis=1), axis=0, return_inverse=True)
+    terms = []
+    for k, (o1, o2) in enumerate(keys):
+        coef = np.zeros(tuple(1 if p else n for p, n in zip(periodic, grid.shape)))
+        # the generator rows sit at index 0 along the periodic axes
+        coef[rows[0][term == k], rows[1][term == k]] = sub.data[term == k]
+        terms.append((int(o1), int(o2), coef))
+    return terms
+
+
+def apply_terms(grid: Grid, terms: list, x, work: Workspace | None = None):
+    """The operator of stencil_terms applied to each row of a (rows, n1, n2)
+    stack x, as slices of one copy of x padded by the largest offsets:
+    wrapped along periodic axes, zero along the others.  work lends the
+    result, the padded copy and the scaled slices their blocks."""
+    n1, n2 = grid.shape
+    w1, w2 = (max(abs(t[axis]) for t in terms) for axis in (0, 1))
+    out = _scratch(work, x.shape)
+    with _frame(work):
+        padded = _scratch(work, (len(x), n1 + 2 * w1, n2 + 2 * w2))
+        padded[:, w1:w1 + n1, w2:w2 + n2] = x
+        # axis 2 on every row first, so that the whole rows axis 1 then
+        # copies carry their corners
+        for axis, w, n, periodic in ((2, w2, n2, grid.periodic2), (1, w1, n1, grid.periodic1)):
+            a = np.moveaxis(padded, axis, 0)
+            if periodic:
+                a[:w], a[w + n:] = a[n:n + w], a[w:2 * w]
+            else:
+                a[:w], a[w + n:] = 0.0, 0.0
+        tmp = _scratch(work, x.shape)
+        for k, (o1, o2, coef) in enumerate(terms):
+            shifted = padded[:, w1 + o1:w1 + o1 + n1, w2 + o2:w2 + o2 + n2]
+            if k == 0:
+                np.multiply(shifted, coef, out=out)
+            else:
+                out += np.multiply(shifted, coef, out=tmp)
+    return out
+
+
 def pin_rows(A, rows, value: float = 1.0, cols=None):
     """Copy of A as CSR with `rows` replaced by value times unit rows whose
     one entry sits in `cols` (default `rows`: the identity rows); value 0
@@ -251,7 +303,11 @@ class ModeBlockSolve:
     a row that meet in one block column are summed in M0's column order.
     `pin` gives radial node 0 of the k = 0 block an identity row and a zero
     rhs, which selects one solution of a Neumann operator (kernel: the
-    constants)."""
+    constants).
+
+    The block matrix is written straight into its CSC arrays, one mode at a
+    time: every block has the pattern of M0's entries grouped by block
+    column, so no entry list of all modes is ever formed."""
 
     def __init__(self, M0, grid: Grid, factor, pin: bool = False):
         axis = 0 if grid.periodic1 else 1
@@ -261,33 +317,63 @@ class ModeBlockSolve:
         self.pin = pin
 
         nr = grid.shape[1 - axis]
-        modes = np.arange(self.n // 2 + 1)[:, None]
+        nmodes = self.n // 2 + 1
         size = M0.shape[0]
         sub = M0.tocoo()                # row = c * nr + r
         c, i1, i2 = np.unravel_index(sub.col, self.layout)
         p, r = (i1, i2) if axis == 0 else (i2, i1)
-        # the phases of the few distinct periodic indices, gathered per entry
+        # the phases of the few distinct periodic indices, per mode
         ps, which = np.unique(p, return_inverse=True)
-        data = np.exp(2j * np.pi * ((modes * ps) % self.n) / self.n)[:, which]
-        data *= sub.data
-        data = data.ravel()
-        rows = (modes * size + sub.row).ravel()
-        cols = (modes * size + c * nr + r).ravel()
+        phase = np.exp(2j * np.pi * ((np.arange(nmodes)[:, None] * ps) % self.n) / self.n)
+        # the entries of one row in one block column form a group, the groups
+        # in CSC order (by column, then row); each group's entries in M0's
+        # column order, the first apart from the rest
+        groups, group = np.unique((c * nr + r) * size + sub.row, return_inverse=True)
+        order = np.argsort(group, kind="stable")
+        lead = np.r_[True, np.diff(group[order]) != 0]
+        first, rest = order[lead], order[~lead]
+        grow, gcol = groups % size, groups // size
+
+        def block(k, out):
+            """The group sums of mode k into out, each summed from its first
+            entry on (np.add.at adds in index order)."""
+            np.take(phase[k], which[first], out=out)
+            out *= sub.data[first]
+            np.add.at(out, group[rest], phase[k, which[rest]] * sub.data[rest])
+
+        # mode 0 keeps its groups off row 0 behind an identity entry when pinned
+        keep = np.flatnonzero(grow != 0) if pin else np.arange(groups.size)
+        head = int(pin) + keep.size
+        data = np.empty(head + (nmodes - 1) * groups.size, complex)
+        indices = np.empty(data.size, np.int32)
+        mode0 = np.empty(groups.size, complex)
+        block(0, mode0)
+        data[int(pin):head], indices[int(pin):head] = mode0[keep], grow[keep]
         if pin:
-            keep = rows != 0
-            data, rows, cols = np.r_[1.0, data[keep]], np.r_[0, rows[keep]], np.r_[0, cols[keep]]
-        B = sparse.csc_matrix((data, (rows, cols)), shape=(modes.size * size,) * 2)
-        # the phased entries and their indices are freed before the LU runs
-        del data, rows, cols
-        self.lu = factor(B)
+            data[0], indices[0] = 1.0, 0
+        for k, out in enumerate(data[head:].reshape(-1, groups.size), start=1):
+            block(k, out)
+        np.add(np.arange(1, nmodes)[:, None] * size, grow,
+               out=indices[head:].reshape(-1, groups.size))
+        counts = np.bincount(gcol, minlength=size)
+        counts0 = np.bincount(gcol[keep], minlength=size)
+        counts0[0] += int(pin)
+        indptr = np.zeros(nmodes * size + 1, np.int32)
+        np.cumsum(np.concatenate([counts0, np.tile(counts, nmodes - 1)]), out=indptr[1:])
+        self.lu = factor(sparse.csc_matrix((data, indices, indptr), shape=(nmodes * size,) * 2))
 
     def solve(self, b, work: Workspace | None = None):
         """M^-1 b for one stacked vector, or for each row of a (rows, size)
         array through one multi-column backsolve; work lends the result its
         block."""
         axis = self.axis + 1           # behind the row axis
-        bhat = np.moveaxis(np.fft.rfft(b.reshape(-1, *self.layout), axis=axis), axis, 1)
-        rhs = bhat.reshape(len(bhat), -1).T   # one column per row, mode-major
+        fields = b.reshape(-1, *self.layout)
+        # the transform goes straight into the mode-major layout that the
+        # backsolve reads, so it is not copied there
+        rows, *rest = (m for i, m in enumerate(fields.shape) if i != axis)
+        bhat = np.empty((rows, self.n // 2 + 1, *rest), complex)
+        np.fft.rfft(fields, axis=axis, out=np.moveaxis(bhat, 1, axis))
+        rhs = bhat.reshape(rows, -1).T   # one column per row, mode-major
         if self.pin:
             rhs[0] = 0.0
         xhat = np.moveaxis(self.lu.solve(rhs).T.reshape(bhat.shape), 1, axis)
@@ -309,10 +395,11 @@ def _assemble_neumann(grid: Grid):
     return grid.cached("neumann", build)
 
 
-def neumann_operator(grid: Grid):
-    """The full FV Laplacian, which only the residual test applies."""
-    return grid.cached("neumann_operator",
-                       lambda: expand_rows(_assemble_neumann(grid)[0], grid))
+def _neumann_terms(grid: Grid) -> list:
+    """The FV Laplacian as stencil terms, which only the residual test
+    applies."""
+    return grid.cached("neumann_terms",
+                       lambda: stencil_terms(_assemble_neumann(grid)[0], grid))
 
 
 def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float,
@@ -365,14 +452,15 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float,
             log.debug("repairing Neumann data: defect %.3e spread over volume", d)
             b[i] -= grid.weights.ravel() * (d / float(np.sum(grid.weights)))
 
-    phi = solver.solve(b, work)
-    A = neumann_operator(grid)
-    for x, rhs in zip(phi, b):
-        rnorm, bnorm = float(np.linalg.norm(A @ x - rhs)), float(np.linalg.norm(rhs))
-        # `not <=` so that a NaN residual fails as well
-        if bnorm > 0 and not rnorm <= _RESIDUAL_TOL * bnorm:
-            raise SolverDiverged(f"Neumann residual {rnorm:.3e} vs rhs norm {bnorm:.3e}")
-    phi = phi.reshape(source.shape)
+    phi = solver.solve(b, work).reshape(source.shape)
+    with _frame(work):
+        residual = apply_terms(grid, _neumann_terms(grid), phi, work).reshape(b.shape)
+        residual -= b
+        for res, rhs in zip(residual, b):
+            rnorm, bnorm = float(np.linalg.norm(res)), float(np.linalg.norm(rhs))
+            # `not <=` so that a NaN residual fails as well
+            if bnorm > 0 and not rnorm <= _RESIDUAL_TOL * bnorm:
+                raise SolverDiverged(f"Neumann residual {rnorm:.3e} vs rhs norm {bnorm:.3e}")
     with _frame(work):
         weighted = np.multiply(grid.weights, phi, out=_scratch(work, phi.shape))
         mean = np.sum(weighted, axis=(-2, -1)) / float(np.sum(grid.weights))

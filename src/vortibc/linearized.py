@@ -292,17 +292,20 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
         d_t, om_t = time_derivative_rows(d_win, c, dt), time_derivative_rows(om_win, c, dt)
         # the divergence coupling q for s = beta + w, e = beta - v, which
         # vanishes with its data at the fixed point beta = v
-        if beta_hist is v_hist:
-            q_rows = np.zeros((c.j - c.i, *grid.shape))
-        else:
+        fixed_point = beta_hist is v_hist
+        if not fixed_point:
             q_rows = solve_transport(grid, beta[rows] + w[rows], beta[rows] - v[rows])
         comp_v_psi, comp_grad_gq, comp_td = (np.empty(c.j - c.i) for _ in range(3))
-        for k, q_values in enumerate(q_rows):
+        for k in range(c.j - c.i):
             psi = curl_scalar(ScalarField(grid, om[k]))
-            q = ScalarField(grid, q_values)
-            gfield = ScalarField(grid, d[k]) - q
             comp_v_psi[k] = l2(VectorField(grid, *v[c.i + k])) ** 2 + l2(psi) ** 2
-            comp_grad_gq[k] = grad_l2(gfield) ** 2 + grad_l2(q) ** 2
+            gfield = ScalarField(grid, d[k])
+            if fixed_point:
+                # with q = 0, d - q is d and the + ||grad q||^2 = + 0.0 changes no bit
+                comp_grad_gq[k] = grad_l2(gfield) ** 2
+            else:
+                q = ScalarField(grid, q_rows[k])
+                comp_grad_gq[k] = grad_l2(gfield - q) ** 2 + grad_l2(q) ** 2
             comp_td[k] = (l2(VectorField(grid, *v_t[k])) ** 2 + l2(ScalarField(grid, d_t[k])) ** 2
                           + l2(ScalarField(grid, om_t[k])) ** 2)
         load = 1.0 + _n_norm_sq(grid, beta[rows], beta_t) + _n_norm_sq(grid, w[rows], w_t)

@@ -27,12 +27,19 @@ from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame
 
 
-def to_native(grid: Grid, u: VectorField):
-    """Cartesian components -> grid-native components (u_r, u_theta on polar)."""
+def to_native(grid: Grid, u: VectorField, k: int, out, tmp):
+    """Grid-native component k of u (u_r, u_theta on polar grids, u_x, u_y
+    otherwise) written into out; tmp is scratch of the same shape.
+    u_theta = (-st ux) + ct uy, where (-st) ux is -(st ux) exactly."""
     if not grid.polar:
-        return u.ux.copy(), u.uy.copy()
+        return np.copyto(out, (u.ux, u.uy)[k])
     ct, st = grid.cos_theta, grid.sin_theta
-    return ct * u.ux + st * u.uy, -st * u.ux + ct * u.uy
+    if k == 0:
+        np.multiply(ct, u.ux, out=out)
+        out += np.multiply(st, u.uy, out=tmp)
+    else:
+        np.negative(np.multiply(st, u.ux, out=out), out=out)
+        out += np.multiply(ct, u.uy, out=tmp)
 
 
 def from_native(grid: Grid, c1, c2) -> VectorField:
@@ -148,24 +155,35 @@ class VelocityStepper:
         """Advance one step: (I - theta mu dt Lap) u_new = u + dt*forcing (+ CN
         explicit part), with boundary data a at the new time level."""
         g = self.grid
-        c1, c2 = to_native(g, u)
-        z = np.concatenate([c1.ravel(), c2.ravel()])
-        rhs = z.copy()
+        native, tmp = np.empty((2, *g.shape)), np.empty(g.shape)
+        for k in (0, 1):
+            to_native(g, u, k, native[k], tmp)
+        rhs = native.reshape(-1)
+        # the explicit half of Crank-Nicolson reads the native u again
+        z = None if self.theta == 1.0 else rhs.copy()
         if forcing is not None:
-            f1, f2 = to_native(g, forcing)
-            rhs += self.dt * np.concatenate([f1.ravel(), f2.ravel()])
-        contrib = None
-        if self.frame is not None and a is not None:
-            # per-component data in frame order, matching aterm_idx
-            contrib = np.zeros_like(rhs)
-            contrib[self.aterm_idx] = self.aterm_coef * np.concatenate(a)
+            f = np.empty(g.shape)
+            for k in (0, 1):
+                to_native(g, forcing, k, f, tmp)
+                f *= self.dt
+                native[k] += f
+        coefs = [self.theta * self.mu * self.dt]
         if self.theta != 1.0:
             expl = (1.0 - self.theta) * self.mu * self.dt
             rhs += expl * (self.L @ z)
-            if contrib is not None:
-                rhs += expl * contrib
-        if contrib is not None:
-            rhs += (self.theta * self.mu * self.dt) * contrib
+            coefs.insert(0, expl)
+        if self.frame is not None and a is not None:
+            # the data, in frame order, enters as rhs += c * contrib for a
+            # contrib that holds it at the aterm_idx dofs and zeros elsewhere;
+            # one rhs += 0.0 off those dofs keeps that sum's bits (it turns
+            # -0.0 into 0.0, and a second c * 0.0 changes nothing) without
+            # forming contrib
+            vals = self.aterm_coef * np.concatenate(a)
+            first = rhs[self.aterm_idx] + coefs[0] * vals
+            rhs += 0.0
+            rhs[self.aterm_idx] = first
+            for c in coefs[1:]:
+                rhs[self.aterm_idx] += c * vals
         if len(self.normal_dofs):
             rhs[self.normal_dofs] = 0.0
         out = self.solver.solve(rhs)

@@ -20,7 +20,6 @@ from .fields import (
     FieldHistory,
     ScalarField,
     VectorField,
-    _block,
     _dx_dy,
     _sobolev_sum,
     _squared_integrals,
@@ -148,16 +147,23 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t,
     kinematic and vorticity boundary residuals against a(t) = a_t, and
     ||q||_2.  The partials of w are taken once, for the norms, div(w) and
     curl(w) alike, and the integral of each squared derivative once for the
-    three norms; every value equals its single-purpose operator bit for
-    bit."""
+    three norms, one component at a time, so that only one component's
+    second partials are ever held.  Every value equals its single-purpose
+    operator bit for bit."""
     g = w.grid
-    partials = _dx_dy(g, _block(w))
-    dx, dy = partials
-    vort = 0.0 if frame is None else max_trace_defect(ScalarField(g, dx[1] - dy[0]), frame, a_t)
-    orders = _squared_integrals(g, _block(w), 0, 2, partials)
+    partials, orders = [], []
+    for comp in (w.ux, w.uy):
+        values = comp[np.newaxis]
+        partials.append(_dx_dy(g, values))
+        orders.append(_squared_integrals(g, values, 0, 2, partials[-1]))
+    (dx0, dy0), (dx1, dy1) = partials
+    div_w, curl_w = np.add(dx0, dy1, out=dx0)[0], np.subtract(dx1, dy0, out=dx1)[0]
+    vort = 0.0 if frame is None else max_trace_defect(ScalarField(g, curl_w), frame, a_t)
+    # the per-component integrals, stacked as _sobolev_sum takes them
+    orders = [[np.concatenate(pair) for pair in zip(*order)] for order in zip(*orders)]
     l2_w, h1_w, h2_w = (float(np.sqrt(_sobolev_sum(orders, 0, hi))) for hi in (0, 1, 2))
     return (t, l2_w, h1_w, h2_w,
-            l2(ScalarField(g, dx[0] + dy[1])), max_normal_trace(w, frame), vort, l2(q))
+            l2(ScalarField(g, div_w)), max_normal_trace(w, frame), vort, l2(q))
 
 
 def stokes_diagnostics(w_hist: FieldHistory, q_hist: FieldHistory, a,

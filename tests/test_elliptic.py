@@ -20,7 +20,7 @@ from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField,
 from vortibc import elliptic, stepping
 from vortibc.elliptic import (_PRESSURE_ROWS, ModeBlockSolve, NeumannProblem,
                               _assemble_dirichlet, _assemble_neumann, _solve_neumann_rows,
-                              generator_rows, neumann_operator, pin_rows,
+                              generator_rows, pin_rows,
                               solonnikov_ratio, solve_divergence_coupling,
                               solve_harmonic_q, solve_neumann, solve_pressure_euler,
                               solve_pressure_linearized, solve_pressure_ns, solve_transport)
@@ -337,10 +337,47 @@ def test_neumann_operator_symmetric_with_constant_kernel(spec):
     """Each FV face writes the same transmissibility to both off-diagonal
     entries, and the rows sum to zero."""
     grid = build_grid(spec, 12, 20)
-    A = neumann_operator(grid)
+    A = elliptic.expand_rows(_assemble_neumann(grid)[0], grid)
     assert abs(A - A.T).max() == 0.0
     ones = np.ones(grid.nnodes)
     assert np.max(np.abs(A @ ones)) <= 1e-14 * np.max(abs(A) @ ones)
+
+
+@pytest.mark.parametrize("n1, n2", [(24, 40), (33, 20)])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind.value)
+def test_neumann_stencil_terms_match_full_operator(spec, n1, n2):
+    # the residual test applies the FV Laplacian as stencil terms by shifted
+    # slices; on a stack of rows they agree with the reference matvec
+    grid = build_grid(spec, n1, n2)
+    x = np.random.default_rng(9).normal(size=(3, *grid.shape))
+    got = elliptic.apply_terms(grid, elliptic._neumann_terms(grid), x)
+    A = oracle.fv_laplacian(grid)
+    for row, xi in zip(got, x):
+        ref = A @ xi.ravel()
+        assert np.max(np.abs(row.ravel() - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("spec", [SPECS[0], SPECS[3]], ids=lambda s: s.kind.value)
+def test_neumann_residual_test_catches_bad_solve(spec, monkeypatch):
+    # a solver result off by a small amount at one node misses the 1e-10
+    # relative residual, and the solve raises instead of returning it
+    grid = build_grid(spec, 24, 40)
+    src = np.random.default_rng(10).normal(size=grid.shape)
+    src -= np.sum(grid.weights * src) / np.sum(grid.weights)
+    flux = [np.zeros(c.n_nodes) for c in boundary_frame(grid)] if grid.has_boundary() else []
+    prob = NeumannProblem(grid, ScalarField(grid, src), flux)
+    solve_neumann(prob)
+    solver_type = type(_assemble_neumann(grid)[1])
+    solve = solver_type.solve
+
+    def perturbed(self, b, work=None):
+        x = solve(self, b, work)
+        x.reshape(-1)[grid.nnodes // 2] += 1e-6 * np.max(np.abs(x))
+        return x
+
+    monkeypatch.setattr(solver_type, "solve", perturbed)
+    with pytest.raises(SolverDiverged, match="Neumann residual"):
+        solve_neumann(prob)
 
 
 @pytest.mark.parametrize("spec", SPECS[:3], ids=lambda s: s.kind.value)
@@ -530,7 +567,7 @@ def test_operators_equal_full_assembly(spec, n1, n2):
     A = oracle.fv_laplacian(grid).tocsr()
     A0, solver, _ = _assemble_neumann(grid)
     oracle.assert_same_sparse(A0, A[generator_rows(grid)], "Neumann rows")
-    oracle.assert_same_sparse(neumann_operator(grid), A, "Neumann operator")
+    oracle.assert_same_sparse(elliptic.expand_rows(A0, grid), A, "Neumann operator")
     if grid.has_boundary():
         D = oracle.dirichlet_laplacian(grid)
         D0 = elliptic._dirichlet_laplacian(grid)
