@@ -28,6 +28,7 @@ from .fields import (
     _frame,
     _pair,
     _scratch,
+    boundary_rows,
     div,
     grad,
     l2,
@@ -36,7 +37,7 @@ from .fields import (
     require_finite,
     surface_curl,
 )
-from .geometry import BoundaryFrame, Grid, boundary_frame, second_fundamental_form
+from .geometry import BoundaryFrame, Grid, boundary_frame, project, second_fundamental_form
 
 log = logging.getLogger(__name__)
 
@@ -490,19 +491,11 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
 _PRESSURE_ROWS = 8
 
 
-def _boundary_rows(u, frame: BoundaryFrame) -> list[np.ndarray]:
-    """Per boundary component, the (rows, m, 2) values of a (rows, 2, n1, n2)
-    block at its nodes."""
-    flat = u.reshape(*u.shape[:2], -1)
-    return [np.take(flat, c.nodes, axis=-1).swapaxes(-1, -2) for c in frame]
-
-
 def _check_normal_traces(u, u_bdry, frame, what):
     """Raise BCViolation unless max |u_perp| <= 1e-6 * max(max|u|, 1) on
     each row of the (rows, 2, n1, n2) block u, whose boundary values
-    (_boundary_rows) are u_bdry."""
-    worst = np.max([np.max(np.abs(v[..., 0] * c.nu[:, 0] + v[..., 1] * c.nu[:, 1]), axis=-1)
-                    for c, v in zip(frame, u_bdry)], axis=0)
+    (boundary_rows) are u_bdry."""
+    worst = np.max([np.max(np.abs(p), axis=-1) for p in project(frame, u_bdry, "nu")], axis=0)
     bad = np.flatnonzero(worst > _BC_TOL * np.maximum(max_speed(u), 1.0))
     if bad.size:
         raise BCViolation(
@@ -513,7 +506,7 @@ def check_normal_trace(u: VectorField, frame, what):
     """Raise BCViolation unless max |u_perp| <= 1e-6 * max(max|u|, 1)."""
     if frame is not None:
         block = _block(u)[np.newaxis]
-        _check_normal_traces(block, _boundary_rows(block, frame), frame, what)
+        _check_normal_traces(block, boundary_rows(block, frame), frame, what)
 
 
 def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None,
@@ -540,11 +533,11 @@ def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None,
         ei = si if e is None else e[rows]
         flux = []
         if frame is not None:
-            s_bdry = _boundary_rows(si, frame)
+            s_bdry = boundary_rows(si, frame)
             if e is None:
                 _check_normal_traces(si, s_bdry, frame, "pressure carrier")
             flux = second_fundamental_form(
-                frame, s_bdry, s_bdry if e is None else _boundary_rows(ei, frame))
+                frame, s_bdry, s_bdry if e is None else boundary_rows(ei, frame))
             if mu != 0.0 and a is not None:
                 flux = [g - mu * sk for g, sk in zip(flux, surface_curl(a, frame))]
         with _frame(work):

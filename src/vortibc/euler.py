@@ -22,11 +22,12 @@ from .fields import (
     FieldHistory,
     ScalarField,
     VectorField,
+    _advect,
     _block,
     _d1,
     _dx_dy,
-    _sobolev_sum,
-    _squared_integrals,
+    _norm_sq,
+    _sobolev_sq,
     curl2d,
     curl_scalar,
     grad_l2,
@@ -40,11 +41,6 @@ from .geometry import DomainKind, Grid, boundary_frame, surface_integrate
 from .linearized import CFL_LIMIT
 
 log = logging.getLogger(__name__)
-
-
-def _advect_scalar(u: VectorField, f: ScalarField) -> np.ndarray:
-    fx, fy = _dx_dy(f.grid, f.values)
-    return u.ux * fx + u.uy * fy
 
 
 class StreamfunctionSolver:
@@ -113,12 +109,13 @@ def euler_rows(u0: VectorField, T: float, dt: float, grid: Grid):
     u = solver.velocity(omega)
     yield u
     for n in range(nsteps):
-        if dt * max_speed(np.stack((u.ux, u.uy))) / hmin > CFL_LIMIT:
+        u_block = _block(u)
+        if dt * max_speed(u_block) / hmin > CFL_LIMIT:
             raise CFLViolation(f"Euler advective CFL exceeded at step {n}")
-        k1 = _advect_scalar(u, omega)
+        k1 = _advect(grid, u_block, _block(omega))[0]
         om1 = ScalarField(grid, omega.values - dt * k1)
         u1 = solver.velocity(om1)
-        k2 = _advect_scalar(u1, om1)
+        k2 = _advect(grid, _block(u1), _block(om1))[0]
         omega = ScalarField(grid, omega.values - 0.5 * dt * (k1 + k2))
         u = solver.velocity(omega)
         yield u
@@ -215,12 +212,12 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
         live, u = next(marches, ((), None))
         if not live:
             break
-        orders = _squared_integrals(grid, u - _block(u_euler), 0, 1)
-        # rooted and squared per row as l2 and grad_l2 ** 2 would
-        for mu, l2_sq, grad_sq in zip(live, _sobolev_sum(orders, 0, 0),
-                                      _sobolev_sum(orders, 1, 1)):
-            e_sup[mu] = max(e_sup[mu], float(np.sqrt(l2_sq)))
-            e_grad_series[mu].append(float(np.sqrt(grad_sq)) ** 2)
+        diff = u - _block(u_euler)
+        # per row as l2 and grad_l2 ** 2 would
+        for mu, l2_d, grad_sq in zip(live, np.sqrt(_sobolev_sq(grid, diff, 0, 0)),
+                                     _norm_sq(grid, diff, 1, 1)):
+            e_sup[mu] = max(e_sup[mu], float(l2_d))
+            e_grad_series[mu].append(float(grad_sq))
 
     rows = []
     for mu in mus:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MemoryBudgetExceeded, MissingTimeDerivative
-from .geometry import BoundaryFrame, Grid
+from .geometry import BoundaryFrame, Grid, project
 
 __all__ = [
     "ScalarField", "VectorField", "FieldHistory",
@@ -131,7 +131,9 @@ class Workspace:
         if key not in self._blocks:
             end = start + -(-math.prod(shape) * np.dtype(dtype).itemsize // 8)
             if end > self._buffer.size:
-                self._buffer = np.empty(max(end, 2 * self._buffer.size))
+                # malloc aligns to 16 bytes only: start the buffer further in
+                raw = np.empty(max(end, 2 * self._buffer.size) + self._ALIGN)
+                self._buffer = raw[-raw.ctypes.data % 64 // 8:]
                 self._blocks.clear()
             self._blocks[key] = np.ndarray(shape, dtype, self._buffer, 8 * start), end
         block, self._top = self._blocks[key]
@@ -384,10 +386,16 @@ def advect(X: VectorField, Y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 # boundary traces
 
+def boundary_rows(u, frame: BoundaryFrame) -> list[np.ndarray]:
+    """Per boundary component, the (..., m, 2) values of a (..., 2, n1, n2)
+    block at its nodes."""
+    flat = u.reshape(*u.shape[:-2], -1)
+    return [np.take(flat, c.nodes, axis=-1).swapaxes(-1, -2) for c in frame]
+
+
 def boundary_vector_values(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:
     """Per-component (m, 2) Cartesian values of u at boundary nodes."""
-    return [np.stack([np.take(u.ux, comp.nodes), np.take(u.uy, comp.nodes)], axis=1)
-            for comp in frame]
+    return boundary_rows(_block(u), frame)
 
 
 def boundary_scalar_values(f: ScalarField, frame: BoundaryFrame) -> list[np.ndarray]:
@@ -396,10 +404,7 @@ def boundary_scalar_values(f: ScalarField, frame: BoundaryFrame) -> list[np.ndar
 
 def normal_component(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:
     """u_perp = <u, nu> at boundary nodes, per component."""
-    out = []
-    for comp, vals in zip(frame, boundary_vector_values(u, frame)):
-        out.append(vals[:, 0] * comp.nu[:, 0] + vals[:, 1] * comp.nu[:, 1])
-    return out
+    return project(frame, boundary_vector_values(u, frame), "nu")
 
 
 def max_normal_trace(u: VectorField, frame: BoundaryFrame | None) -> float:
@@ -428,10 +433,7 @@ def max_trace_defect(f: ScalarField, frame: BoundaryFrame, a) -> float:
 
 def tangential_part(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:
     """u_par = <u, tau> at boundary nodes (2D reduction), per component."""
-    out = []
-    for comp, vals in zip(frame, boundary_vector_values(u, frame)):
-        out.append(vals[:, 0] * comp.tau[:, 0] + vals[:, 1] * comp.tau[:, 1])
-    return out
+    return project(frame, boundary_vector_values(u, frame), "tau")
 
 
 def surface_curl(a, frame: BoundaryFrame) -> list[np.ndarray]:
@@ -540,13 +542,19 @@ def grad_l2(field) -> float:
     return _norm(field, 1, 1)
 
 
+def _norm_sq(grid, a, lo: int, hi: int, work: Workspace | None = None):
+    """The squared Sobolev norm of orders lo..hi per leading index of a
+    (..., c, n1, n2) block, bit for bit the norm's ** 2: rooted, then
+    squared by libm pow, as a Python float's ** 2 is; an array's ** 2
+    multiplies instead, which moves the last bit of about one value in
+    1250."""
+    return np.float_power(np.sqrt(_sobolev_sq(grid, a, lo, hi, work)), 2)
+
+
 def _n_norm_sq(grid, v, v_t, work: Workspace | None = None):
     """||v||_H2^2 + ||v_t||_H1^2 per leading index of (..., 2, n1, n2)
-    blocks.  Each norm is rooted, then squared by libm pow, as a Python
-    float's ** 2 is; an array's ** 2 multiplies instead, which moves the
-    last bit of about one value in 1250."""
-    return (np.float_power(np.sqrt(_sobolev_sq(grid, v, 0, 2, work)), 2)
-            + np.float_power(np.sqrt(_sobolev_sq(grid, v_t, 0, 1, work)), 2))
+    blocks."""
+    return _norm_sq(grid, v, 0, 2, work) + _norm_sq(grid, v_t, 0, 1, work)
 
 
 def n_norm(v: VectorField, v_t) -> float:
@@ -657,6 +665,14 @@ def rolling(fn, chunks):
             block = kept if end >= chunk.hi else np.concatenate((kept, fn(end, chunk.hi)))
         start = chunk.lo
         yield block
+
+
+def cumulative_trapezoid(y, dt: float) -> np.ndarray:
+    """The trapezoid integrals of the samples y, spaced dt, from the first
+    sample to each: 0 at the first."""
+    out = np.zeros(len(y))
+    out[1:] = np.cumsum(0.5 * dt * (y[1:] + y[:-1]))
+    return out
 
 
 def physical_memory_bytes() -> int:

@@ -81,7 +81,6 @@ class NSSolution:
     u0: VectorField
     a: object            # the boundary data, as normalize_boundary_data takes it
     scheme: str = "backward-euler"
-    converged: bool = True
 
     @cached_property
     def u(self) -> FieldHistory:

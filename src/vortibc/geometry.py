@@ -373,18 +373,21 @@ def boundary_from_function(frame: BoundaryFrame, fn) -> list[np.ndarray]:
             for c in frame]
 
 
+def project(frame, vals, direction: str) -> list[np.ndarray]:
+    """<vals, nu> (direction "nu") or <vals, tau> ("tau") on each boundary
+    component, vals holding its per-component (..., m, 2) vector values."""
+    return [v[..., 0] * d[:, 0] + v[..., 1] * d[:, 1]
+            for v, d in zip(vals, (getattr(comp, direction) for comp in frame))]
+
+
 def second_fundamental_form(frame: BoundaryFrame, u_vals, w_vals) -> list[np.ndarray]:
     """Pointwise pi(u, w) = h * <u, tau> <w, tau> on each component.
 
     u_vals / w_vals are per-component (..., m, 2) vector values; only the
     tangential parts enter in the 2D reduction.
     """
-    out = []
-    for comp, u, w in zip(frame, u_vals, w_vals):
-        ut = u[..., 0] * comp.tau[:, 0] + u[..., 1] * comp.tau[:, 1]
-        wt = w[..., 0] * comp.tau[:, 0] + w[..., 1] * comp.tau[:, 1]
-        out.append(comp.curvature * ut * wt)
-    return out
+    return [comp.curvature * ut * wt for comp, ut, wt
+            in zip(frame, project(frame, u_vals, "tau"), project(frame, w_vals, "tau"))]
 
 
 def surface_integrate(frame: BoundaryFrame, f) -> float:

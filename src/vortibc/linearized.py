@@ -23,7 +23,6 @@ from .errors import CFLViolation
 from .fields import (
     _NORM_ROWS,
     FieldHistory,
-    ScalarField,
     VectorField,
     Workspace,
     _advect,
@@ -32,12 +31,12 @@ from .fields import (
     _dx_dy,
     _frame,
     _n_norm_sq,
+    _norm_sq,
     _pair,
     advect,
+    cumulative_trapezoid,
     curl2d,
-    curl_scalar,
     grad,
-    grad_l2,
     history_chunks,
     l2,
     max_speed,
@@ -249,8 +248,7 @@ class EnergyDiagnostics:
     def from_terms(cls, dt: float, comp_v_psi, comp_grad_gq, comp_td, load):
         """F and Q from the per-snapshot terms of energy_rows."""
         F = comp_v_psi + comp_grad_gq + comp_td
-        Q = np.zeros(len(F))
-        Q[1:] = np.cumsum(0.5 * dt * (load[1:] + load[:-1]))
+        Q = cumulative_trapezoid(load, dt)
         times = dt * np.arange(len(F))
         return cls(times, F, Q, comp_v_psi, comp_grad_gq, comp_td, load)
 
@@ -270,9 +268,9 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
     ||(v_t, d_t, omega_t)||^2, load) on the rows of each chunk.
 
     Time derivatives are taken on the chunk's window (fields.history_chunks),
-    and div v and curl v of each row once; every value equals its
-    whole-history evaluation bit for bit.  div_v is the divergence history
-    of v_hist when the caller has it.
+    and div v and curl v of each row once, and each norm on the chunk's rows
+    stacked; every value equals its whole-history evaluation bit for bit.
+    div_v is the divergence history of v_hist when the caller has it.
     """
     grid, dt = v_hist.grid, v_hist.dt
     v, beta, w = v_hist.data, beta_hist.data, w_hist.data
@@ -288,28 +286,24 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
         # at the fixed point beta is v itself: difference that history once
         beta_t = v_t if beta_hist is v_hist else time_derivative_rows(beta[window], c, dt)
         w_t = time_derivative_rows(w[window], c, dt)
-        d, om = c.own(d_win), c.own(om_win)
+        d, om = c.own(d_win)[:, np.newaxis], c.own(om_win)
         d_t, om_t = time_derivative_rows(d_win, c, dt), time_derivative_rows(om_win, c, dt)
-        # the divergence coupling q for s = beta + w, e = beta - v, which
-        # vanishes with its data at the fixed point beta = v
-        fixed_point = beta_hist is v_hist
-        if not fixed_point:
-            q_rows = solve_transport(grid, beta[rows] + w[rows], beta[rows] - v[rows])
-        comp_v_psi, comp_grad_gq, comp_td = (np.empty(c.j - c.i) for _ in range(3))
-        for k in range(c.j - c.i):
-            psi = curl_scalar(ScalarField(grid, om[k]))
-            comp_v_psi[k] = l2(VectorField(grid, *v[c.i + k])) ** 2 + l2(psi) ** 2
-            gfield = ScalarField(grid, d[k])
-            if fixed_point:
-                # with q = 0, d - q is d and the + ||grad q||^2 = + 0.0 changes no bit
-                comp_grad_gq[k] = grad_l2(gfield) ** 2
-            else:
-                q = ScalarField(grid, q_rows[k])
-                comp_grad_gq[k] = grad_l2(gfield - q) ** 2 + grad_l2(q) ** 2
-            comp_td[k] = (l2(VectorField(grid, *v_t[k])) ** 2 + l2(ScalarField(grid, d_t[k])) ** 2
-                          + l2(ScalarField(grid, om_t[k])) ** 2)
+        # psi = curl(om e_z) = (d om/dy, -d om/dx)
+        om_x, om_y = _dx_dy(grid, om)
+        psi = np.stack((om_y, np.negative(om_x, out=om_x)), axis=1)
+        comp_v_psi = _norm_sq(grid, v[rows], 0, 0) + _norm_sq(grid, psi, 0, 0)
+        if beta_hist is v_hist:
+            # the divergence coupling q vanishes with its data at the fixed
+            # point beta = v, and the + ||grad q||^2 = + 0.0 changes no bit
+            comp_grad_gq = _norm_sq(grid, d, 1, 1)
+        else:
+            # q for s = beta + w, e = beta - v
+            q = solve_transport(grid, beta[rows] + w[rows], beta[rows] - v[rows])[:, np.newaxis]
+            comp_grad_gq = _norm_sq(grid, d - q, 1, 1) + _norm_sq(grid, q, 1, 1)
+        comp_td = (_norm_sq(grid, v_t, 0, 0) + _norm_sq(grid, d_t[:, np.newaxis], 0, 0)
+                   + _norm_sq(grid, om_t[:, np.newaxis], 0, 0))
         load = 1.0 + _n_norm_sq(grid, beta[rows], beta_t) + _n_norm_sq(grid, w[rows], w_t)
-        yield d, comp_v_psi, comp_grad_gq, comp_td, load
+        yield d[:, 0], comp_v_psi, comp_grad_gq, comp_td, load
 
 
 def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
@@ -338,10 +332,7 @@ def initial_energy_direct(u0: VectorField) -> float:
 def gronwall_envelope(diag: EnergyDiagnostics, C1: float, C2: float) -> np.ndarray:
     """Pointwise envelope C1 e^{C2 Q(t)} (F(0) + int_0^t e^{-C2 Q} load^2 ds)."""
     dt = float(diag.times[1] - diag.times[0]) if len(diag.times) > 1 else 0.0
-    integrand = np.exp(-C2 * diag.Q) * diag.load**2
-    integral = np.zeros_like(integrand)
-    if len(integrand) > 1:
-        integral[1:] = np.cumsum(0.5 * dt * (integrand[1:] + integrand[:-1]))
+    integral = cumulative_trapezoid(np.exp(-C2 * diag.Q) * diag.load**2, dt)
     return C1 * np.exp(C2 * diag.Q) * (diag.F[0] + integral)
 
 

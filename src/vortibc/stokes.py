@@ -23,6 +23,7 @@ from .fields import (
     _dx_dy,
     _sobolev_sum,
     _squared_integrals,
+    cumulative_trapezoid,
     curl2d,
     curl_scalar,
     div,
@@ -220,13 +221,7 @@ def stokes_energy_report(w_hist: FieldHistory, a, mu: float,
                 da = _a_rate(sample_a, t, dt)
                 bnd_h[k] = surface_integrate(frame, [dv * dav for dav, dv in zip(da, dng)])
 
-    def cumtrap(y):
-        out = np.zeros_like(y)
-        out[1:] = np.cumsum(0.5 * dt * (y[1:] + y[:-1]))
-        return out
-
-    cg, ch = cumtrap(diss_g), cumtrap(diss_h)
-    bg, bh = cumtrap(bnd_g), cumtrap(bnd_h)
+    cg, ch, bg, bh = (cumulative_trapezoid(y, dt) for y in (diss_g, diss_h, bnd_g, bnd_h))
 
     bal_g = g_sq + 2.0 * mu * cg - g_sq[0] - 2.0 * mu * bg
     bal_h = h_sq + 2.0 * mu * ch - h_sq[0] - 2.0 * bh

@@ -274,3 +274,75 @@ def test_history_beyond_physical_memory_raises(annulus_grid):
     row_bytes = 8 * 2 * annulus_grid.shape[0] * annulus_grid.shape[1]
     with pytest.raises(MemoryBudgetExceeded, match="physical memory"):
         FieldHistory.zeros(annulus_grid, 0.01, 10**15 // row_bytes + 1)
+
+
+def test_workspace_frame_gives_room_back():
+    from vortibc.fields import Workspace
+    work = Workspace()
+    first = work.block((5,))
+    with work.frame():
+        inner = work.block((7,))
+    # the next block takes the room the frame gave back, and the block
+    # carved before the frame is not touched
+    again = work.block((7,))
+    assert again.ctypes.data == inner.ctypes.data
+    assert not np.shares_memory(first, again)
+
+
+def test_workspace_regrowth_keeps_earlier_blocks():
+    from vortibc.fields import Workspace
+    work = Workspace()
+    small = work.block((4,))
+    small[:] = [1.0, 2.0, 3.0, 4.0]
+    big = work.block((1000, 3))        # does not fit: the buffer is replaced
+    big[:] = -1.0
+    assert not np.shares_memory(small, big)
+    assert list(small) == [1.0, 2.0, 3.0, 4.0]
+    # later blocks come from the new buffer, behind the top the old one left
+    later = work.block((2,), complex)
+    assert not np.shares_memory(later, big) and not np.shares_memory(later, small)
+
+
+@pytest.mark.parametrize("before", [0, 1, 3, 100, 5000])
+def test_workspace_blocks_are_64_byte_aligned(before):
+    from vortibc.fields import Workspace
+    work = Workspace()
+    if before:
+        work.block((before,))
+    blocks = [work.block((3, 5), complex), work.block((7,)), work.block((2, 9), complex)]
+    assert [b.ctypes.data % 64 for b in blocks] == [0, 0, 0]
+    assert all(b.flags.c_contiguous for b in blocks)
+
+
+def test_workspace_stops_growing_after_first_pass():
+    # a loop that carves inside a frame per pass, nested frames included,
+    # touches one buffer from its second pass on and gets the same blocks
+    from vortibc.fields import Workspace
+    work = Workspace()
+    buffers, blocks = [], []
+    for n in range(5):
+        with work.frame():
+            a = work.block((3, 2, 16, 16))
+            with work.frame():
+                b = work.block((3, 16, 9), complex)
+            c = work.block((3, 16, 16))
+            buffers.append(work._buffer)
+            blocks.append((a.ctypes.data, b.ctypes.data, c.ctypes.data))
+    assert all(buf is buffers[1] for buf in buffers[1:])
+    assert all(blk == blocks[1] for blk in blocks[1:])
+
+
+def test_stacked_kernels_match_single_snapshot_helpers(annulus_grid, annulus_frame):
+    # each row of the stacked boundary and norm kernels equals the one-field
+    # helper bit for bit
+    from vortibc.fields import _norm, _norm_sq, boundary_rows, boundary_vector_values
+    rng = np.random.default_rng(3)
+    g = annulus_grid
+    u = rng.normal(size=(3, 2, *g.shape))
+    fields = [VectorField(g, *row) for row in u]
+    stacked = boundary_rows(u, annulus_frame)
+    for k, f in enumerate(fields):
+        for rows, one in zip(stacked, boundary_vector_values(f, annulus_frame)):
+            assert np.array_equal(rows[k], one)
+    for lo, hi in ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2)):
+        assert list(_norm_sq(g, u, lo, hi)) == [_norm(f, lo, hi) ** 2 for f in fields]
