@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verify-suite failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -33,11 +34,7 @@ def _build_parser():
                                 description="Navier-Stokes with vorticity "
                                             "boundary conditions: solvers and checks")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in (("verify", "run the identity/inequality suite"),
-                        ("stokes", "unsteady Stokes run"),
-                        ("ns", "full Navier-Stokes fixed-point run"),
-                        ("euler", "inviscid reference run"),
-                        ("sweep", "vanishing-viscosity sweep")):
+    for name, (_, help_) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", required=True, help="path to key=value config")
         sp.add_argument("--out", default=None, help="output directory override")
@@ -75,13 +72,15 @@ def _stream(cfg, rows, nt, tags, csv_name, columns, diag_row):
     """Consume nt snapshots of fields as they pass: checkpoint each field
     under its tag at every checkpoint_stride-th snapshot (stride 0: the last
     one only), then write the rows diag_row(k, *fields) under `columns` to
-    the CSV csv_name.  Returns the fields of the last snapshot."""
+    the CSV csv_name.  A field given as a function that makes it is made
+    only to be checkpointed.  Returns the fields of the last snapshot."""
     stride = cfg.checkpoint_stride
     table = []
     for k, fields in enumerate(rows):
         table.append(diag_row(k, *fields))
         if k == nt - 1 if stride <= 0 else k % stride == 0:
             for tag, snap in zip(tags, fields):
+                snap = snap() if callable(snap) else snap
                 path = os.path.join(cfg.out_dir, f"{tag}_{k:06d}.vbf")
                 if hasattr(snap, "ux"):
                     vector_checkpoint(path, snap)
@@ -165,8 +164,6 @@ def cmd_ns(cfg: RunConfig) -> int:
     print(f"max_t ||div v||_2 = {format_float(float(np.max(div_l2)))}")
     print(f"picard iterations = {len(sol.trace)}")
     if cfg.initial_condition == "taylor_green" and not grid.has_boundary():
-        import math
-
         decay = math.exp(-2.0 * cfg.mu * (nt - 1) * dt)
         err = l2(u - decay * u0) / max(decay * l2(u0), 1e-300)
         print(f"final L2 error vs analytic decay = {format_float(err)}")
@@ -211,12 +208,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_PARTIAL_SWEEP if rep.partial else EXIT_OK
 
 
+# each subcommand: its function and its help line
 _COMMANDS = {
-    "verify": cmd_verify,
-    "stokes": cmd_stokes,
-    "ns": cmd_ns,
-    "euler": cmd_euler,
-    "sweep": cmd_sweep,
+    "verify": (cmd_verify, "run the identity/inequality suite"),
+    "stokes": (cmd_stokes, "unsteady Stokes run"),
+    "ns": (cmd_ns, "full Navier-Stokes fixed-point run"),
+    "euler": (cmd_euler, "inviscid reference run"),
+    "sweep": (cmd_sweep, "vanishing-viscosity sweep"),
 }
 
 
@@ -224,7 +222,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _prepare(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (errors.ConfigError, errors.InvalidSpec, errors.ResolutionTooLow) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

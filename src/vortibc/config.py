@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .geometry import DomainKind, DomainSpec
+from .io import format_float
 
 
 def _parse_scalar(text: str):
@@ -56,39 +57,53 @@ def _format_value(v):
     if isinstance(v, list):
         return ", ".join(_format_value(x) for x in v)
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return format_float(v)
     return str(v)
+
+
+def _key(default, key: str, lo=None, strict: bool = False):
+    """A RunConfig field set by the dotted config key `key`, its default a
+    factory when callable.  A numeric field stays at or above lo, or above
+    it when strict; every strict bound is 0 ("must be positive")."""
+    meta = {"key": key, "lo": lo, "strict": strict}
+    if callable(default):
+        return field(default_factory=default, metadata=meta)
+    return field(default=default, metadata=meta)
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration for all CLI commands."""
+    """Validated run configuration for all CLI commands.  Each keyed field
+    declares its key and bound; serialize_config writes them in this order."""
 
-    domain_kind: str = "annulus"
-    r_inner: float = 1.0
-    r_outer: float = 2.0
-    length_x: float = 6.283185307179586
-    length_y: float = 6.283185307179586
-    n1: int = 32
-    n2: int = 32
+    domain_kind: str = _key("annulus", "domain.kind")
+    # the domain's lengths and radii are validated by DomainSpec
+    r_inner: float = _key(1.0, "domain.r_inner")
+    r_outer: float = _key(2.0, "domain.r_outer")
+    length_x: float = _key(6.283185307179586, "domain.length_x")
+    length_y: float = _key(6.283185307179586, "domain.length_y")
+    n1: int = _key(32, "domain.n1", lo=1)
+    n2: int = _key(32, "domain.n2", lo=1)
 
-    mu: float = 0.1
-    T: float = 0.5
-    dt: float = 0.0
-    mu_list: list = field(default_factory=list)
-    initial_condition: str = "zero"
-    ic_params: dict = field(default_factory=dict)
-    boundary_data: str = "zero"
-    bd_params: dict = field(default_factory=dict)
+    mu: float = _key(0.1, "physics.mu", lo=0.0)
+    # every time loop and the default dt divide by T
+    T: float = _key(0.5, "physics.T", lo=0.0, strict=True)
+    dt: float = _key(0.0, "physics.dt", lo=0.0)
+    mu_list: list = _key(list, "physics.mu_list")
+    initial_condition: str = _key("zero", "physics.initial_condition")
+    ic_params: dict = field(default_factory=dict)   # physics.ic.*
+    boundary_data: str = _key("zero", "physics.boundary_data")
+    bd_params: dict = field(default_factory=dict)   # physics.bd.*
 
-    tol_fix: float = 1e-8
-    max_iter: int = 12
-    contraction_window: int = 3
-    scheme: str = "backward-euler"
-    seed: int = 0
+    # a Picard run stops only once an increment falls to tol_fix
+    tol_fix: float = _key(1e-8, "solver.tol_fix", lo=0.0, strict=True)
+    max_iter: int = _key(12, "solver.max_iter", lo=2)
+    contraction_window: int = _key(3, "solver.contraction_window", lo=1)
+    scheme: str = _key("backward-euler", "solver.scheme")
+    seed: int = _key(0, "solver.seed", lo=0)
 
-    out_dir: str = "out"
-    checkpoint_stride: int = 0   # 0: only final state
+    out_dir: str = _key("out", "output.directory")
+    checkpoint_stride: int = _key(0, "output.checkpoint_stride", lo=0)   # 0: only final state
 
     def domain_spec(self) -> DomainSpec:
         try:
@@ -108,37 +123,8 @@ class RunConfig:
         return self.T / math.ceil(self.T / cap * (1.0 - 1e-9))
 
 
-_KEYMAP = {
-    "domain.kind": "domain_kind",
-    "domain.r_inner": "r_inner",
-    "domain.r_outer": "r_outer",
-    "domain.length_x": "length_x",
-    "domain.length_y": "length_y",
-    "domain.n1": "n1",
-    "domain.n2": "n2",
-    "physics.mu": "mu",
-    "physics.T": "T",
-    "physics.dt": "dt",
-    "physics.mu_list": "mu_list",
-    "physics.initial_condition": "initial_condition",
-    "physics.boundary_data": "boundary_data",
-    "solver.tol_fix": "tol_fix",
-    "solver.max_iter": "max_iter",
-    "solver.contraction_window": "contraction_window",
-    "solver.scheme": "scheme",
-    "solver.seed": "seed",
-    "output.directory": "out_dir",
-    "output.checkpoint_stride": "checkpoint_stride",
-}
-
-# declared type of each RunConfig field ("int", "float", ...)
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-_NUMERIC_RANGES = {
-    "mu": (0.0, None),
-    "max_iter": (2, None), "n1": (1, None), "n2": (1, None), "seed": (0, None),
-    "dt": (0.0, None), "checkpoint_stride": (0, None), "contraction_window": (1, None),
-}
+# the keyed fields by dotted key, in declaration order
+_SCHEMA = {f.metadata["key"]: f for f in fields(RunConfig) if "key" in f.metadata}
 
 
 def _number(key, val, kind):
@@ -156,17 +142,15 @@ def _number(key, val, kind):
 def check_ranges(cfg: RunConfig) -> None:
     """Raise ConfigError when a numeric field leaves its range; run again
     after command-line overrides."""
-    for attr, (lo, hi) in _NUMERIC_RANGES.items():
-        v = getattr(cfg, attr)
-        if lo is not None and v < lo:
-            raise ConfigError(f"{attr} = {v} below minimum {lo}")
-        if hi is not None and v > hi:
-            raise ConfigError(f"{attr} = {v} above maximum {hi}")
-    # every time loop and the default dt divide by T, and a Picard run stops
-    # only once an increment falls to tol_fix
-    for attr in ("T", "tol_fix"):
-        if not getattr(cfg, attr) > 0:
-            raise ConfigError(f"{attr} = {getattr(cfg, attr)} must be positive")
+    for f in _SCHEMA.values():
+        lo, v = f.metadata["lo"], getattr(cfg, f.name)
+        if lo is None:
+            continue
+        if f.metadata["strict"]:
+            if not v > lo:
+                raise ConfigError(f"{f.name} = {v} must be positive")
+        elif v < lo:
+            raise ConfigError(f"{f.name} = {v} below minimum {lo}")
     # each sweep viscosity is a log-log fit abscissa, so it must be positive
     for m in cfg.mu_list:
         if not _number("physics.mu_list", m, "float") > 0:
@@ -187,14 +171,14 @@ def parse_config(text: str) -> RunConfig:
         if key.startswith("physics.bd."):
             cfg.bd_params[key[len("physics.bd."):]] = val
             continue
-        attr = _KEYMAP.get(key)
-        if attr is None:
+        f = _SCHEMA.get(key)
+        if f is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if attr == "mu_list" and not isinstance(val, list):
+        if f.type == "list" and not isinstance(val, list):
             val = [val]
-        if _FIELD_TYPES[attr] in ("int", "float"):
-            val = _number(key, val, _FIELD_TYPES[attr])
-        setattr(cfg, attr, val)
+        if f.type in ("int", "float"):
+            val = _number(key, val, f.type)
+        setattr(cfg, f.name, val)
     check_ranges(cfg)
     if cfg.dt > cfg.T:
         raise ConfigError(f"dt = {cfg.dt} exceeds T = {cfg.T}")
@@ -208,26 +192,11 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-_SERIALIZE_ORDER = (
-    "domain_kind", "r_inner", "r_outer", "length_x", "length_y",
-    "n1", "n2", "mu", "T", "dt", "mu_list", "initial_condition",
-    "boundary_data", "tol_fix", "max_iter", "contraction_window",
-    "scheme", "seed", "out_dir", "checkpoint_stride")
-
-
 def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    inverse = {v: k for k, v in _KEYMAP.items()}
-    for attr in _SERIALIZE_ORDER:
-        key = inverse[attr]
-        val = getattr(cfg, attr)
-        if attr == "mu_list" and not val:
-            continue
-        lines.append(f"{key} = {_format_value(val)}")
-    for k, v in sorted(cfg.ic_params.items()):
-        lines.append(f"physics.ic.{k} = {_format_value(v)}")
-    for k, v in sorted(cfg.bd_params.items()):
-        lines.append(f"physics.bd.{k} = {_format_value(v)}")
+    lines = [f"{key} = {_format_value(getattr(cfg, f.name))}" for key, f in _SCHEMA.items()
+             if f.name != "mu_list" or cfg.mu_list]
+    for prefix, params in (("physics.ic", cfg.ic_params), ("physics.bd", cfg.bd_params)):
+        lines += [f"{prefix}.{k} = {_format_value(v)}" for k, v in sorted(params.items())]
     return "\n".join(lines) + "\n"
 
 

@@ -263,13 +263,16 @@ class PeriodicSolve:
     """Solver for an operator K that is circulant along both axes of a doubly
     periodic grid, as every constant-coefficient stencil with wrap is.  Such
     a K is diagonal in the 2-D DFT with eigenvalues the rfft2 of its column
-    0, which is its row 0 (its generator row) at negated indices; that row
-    is all the solver takes, so the assembled row stays the one source of
-    the coefficients.  A zero eigenvalue (the constants of the Neumann
-    operator) maps its mode to zero, which gives the zero-sum solution."""
+    0, which is its row 0 (its generator row) at negated indices.  It takes
+    the generator rows M0 of an operator applying one K to each stacked
+    field (the torus velocity's block_diag(K, K)) and reads K's row alone,
+    so the assembled rows stay the one source of the coefficients.  A zero
+    eigenvalue (the constants of the Neumann operator) maps its mode to
+    zero, which gives the zero-sum solution."""
 
-    def __init__(self, row, shape):
-        self.shape = tuple(shape)
+    def __init__(self, M0, grid: Grid):
+        self.shape = grid.shape
+        row = M0[0, :grid.nnodes].toarray()
         column = np.roll(np.flip(np.reshape(row, self.shape)), 1, axis=(0, 1))
         symbol = np.fft.rfft2(column)
         nonzero = np.abs(symbol) > 1e-12 * np.abs(symbol).max()
@@ -383,6 +386,15 @@ class ModeBlockSolve:
         return x.reshape(b.shape)
 
 
+def circulant_solver(M0, grid: Grid, factor, pin: bool = False):
+    """The solver of the operator with generator rows M0: the 2-D FFT on the
+    torus, else the mode blocks (pin: ModeBlockSolve), which the caller's
+    sparse LU `factor` factors."""
+    if not grid.has_boundary():
+        return PeriodicSolve(M0, grid)
+    return ModeBlockSolve(M0, grid, factor, pin)
+
+
 def _assemble_neumann(grid: Grid):
     """Generator rows A0 of the weighted FV Laplacian A (symmetric, null
     space = constants), a solver for compatible data (2-D FFT on the torus,
@@ -390,9 +402,8 @@ def _assemble_neumann(grid: Grid):
     frame (None on the torus)."""
     def build():
         A0 = _fv_laplacian(grid)
-        if not grid.has_boundary():
-            return A0, PeriodicSolve(A0.toarray(), grid.shape), None
-        return A0, ModeBlockSolve(A0, grid, splu, pin=True), boundary_frame(grid)
+        frame = boundary_frame(grid) if grid.has_boundary() else None
+        return A0, circulant_solver(A0, grid, splu, pin=True), frame
     return grid.cached("neumann", build)
 
 
@@ -633,7 +644,7 @@ def _assemble_dirichlet(grid: Grid):
     def build():
         walls = wall_rows(grid)
         A0 = pin_rows(_dirichlet_laplacian(grid), walls, cols=generator_rows(grid)[walls])
-        return ModeBlockSolve(A0, grid, splu), [c.nodes for c in boundary_frame(grid)]
+        return circulant_solver(A0, grid, splu), [c.nodes for c in boundary_frame(grid)]
     return grid.cached("dirichlet", build)
 
 

@@ -71,7 +71,8 @@ class PicardConfig:
 class NSSolution:
     """Converged splitting u = v + w with the convergence trace.  u, the
     pressure p and the Stokes scalar q are whole histories made on first
-    use; ns_rows gives the snapshots of u and p without holding them."""
+    use; ns_rows gives the snapshots of u, and of p on request, without
+    holding them."""
 
     v: FieldHistory
     w: FieldHistory
@@ -88,10 +89,10 @@ class NSSolution:
 
     @cached_property
     def p(self) -> FieldHistory:
-        """The pressures ns_rows yields, collected."""
+        """The pressures ns_rows yields, each solved."""
         p = FieldHistory.zeros(self.v.grid, self.dt, len(self.v), scalar=True)
         for k, (_, p_k, _) in enumerate(ns_rows(self)):
-            p[k] = p_k
+            p[k] = p_k()
         return p
 
     @cached_property
@@ -144,19 +145,18 @@ def wt_norm(a: FieldHistory, b: FieldHistory | None = None, chunk=None,
     return float(worst)
 
 
-def _lane(u0: VectorField, a, mu: float, T: float, dt: float, scheme: str):
+def _lane(u0: VectorField, a, mu: float, T: float, dt: float):
     """One viscosity of a march: its velocity map and its Stokes snapshots."""
-    w_rows = (w for w, _ in stokes_rows(u0, a, mu, T, dt, scheme))
+    w_rows = (w for w, _ in stokes_rows(u0, a, mu, T, dt))
     return VelocityMap(u0.grid, mu, dt), w_rows
 
 
-def march_batch(u0: VectorField, a, mus, T: float, dt: float, failed: dict,
-                scheme: str = "backward-euler"):
-    """The fixed points u = v + w of the velocity map for each viscosity in
-    mus, in one forward sweep of all of them in lockstep, with each Stokes
-    part advanced in step: yields, per snapshot, the viscosities still
-    marching and the (k, 2, n1, n2) block of their snapshots
-    (linearized.march).
+def march_batch(u0: VectorField, a, mus, T: float, dt: float, failed: dict):
+    """The backward-Euler fixed points u = v + w of the velocity map for
+    each viscosity in mus, in one forward sweep of all of them in lockstep,
+    with each Stokes part advanced in step: yields, per snapshot, the
+    viscosities still marching and the (k, 2, n1, n2) block of their
+    snapshots (linearized.march).
 
     Step n+1 of the map reads beta only at step n, so the fixed point obeys
     v_{n+1} = Step(v_n; beta_n = v_n) and is computed causally, with no
@@ -167,19 +167,18 @@ def march_batch(u0: VectorField, a, mus, T: float, dt: float, failed: dict,
     lanes = {}
     for mu in mus:
         try:
-            lanes[mu] = _lane(u0, a, mu, T, dt, scheme)
+            lanes[mu] = _lane(u0, a, mu, T, dt)
         except Exception as exc:  # noqa: BLE001 - the viscosity fails alone
             failed[mu] = exc
     return march(u0.grid, dt, lanes, failed)
 
 
-def march_solve(u0: VectorField, a, mu: float, T: float, dt: float,
-                scheme: str = "backward-euler") -> FieldHistory:
+def march_solve(u0: VectorField, a, mu: float, T: float, dt: float) -> FieldHistory:
     """The u history of the march of the one viscosity mu, allocated before
     the first step: the k = 1 case of march_batch, raising its failure."""
     u_hist = FieldHistory.zeros(u0.grid, dt, step_count(T, dt) + 1)
     failed = {}
-    for n, (_, u) in enumerate(march_batch(u0, a, [mu], T, dt, failed, scheme)):
+    for n, (_, u) in enumerate(march_batch(u0, a, [mu], T, dt, failed)):
         u_hist.data[n] = u[0]
     if failed:
         raise failed[mu]
@@ -288,24 +287,25 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
 def ns_rows(sol: NSSolution, energy: bool = False):
     """The snapshots of a converged splitting, in one pass over chunks of
     _NORM_ROWS snapshots of v and w: yields (u, p, div v) for each
-    snapshot.  With energy (3 snapshots or more), each tuple goes on with
-    the snapshot's four compute_F terms from linearized.energy_rows, which
-    then also supplies div v.  The pressures of a chunk are one stacked
-    solve.
+    snapshot, where p is a function that solves the snapshot's pressure when
+    called, so a caller that keeps only some pressures solves only those.
+    With energy (3 snapshots or more), each tuple goes on with the
+    snapshot's four compute_F terms from linearized.energy_rows, which then
+    also supplies div v.
     """
     grid, v, w = sol.v.grid, sol.v.data, sol.w.data
     terms = energy_rows(sol.v, sol.v, sol.w) if energy else None
     for c in history_chunks(len(v), _NORM_ROWS):
         u = v[c.i:c.j] + w[c.i:c.j]
         # the linearized pressure of (v, w) is the pressure of the carrier u = v + w
-        p = solve_transport(grid, u)
         if terms is None:
             d, extra = _div(grid, v[c.i:c.j, 0], v[c.i:c.j, 1]), ()
         else:
             d, *extra = next(terms)
         for k in range(c.j - c.i):
-            yield (VectorField(grid, *u[k]), ScalarField(grid, p[k]), ScalarField(grid, d[k]),
-                   *(e[k] for e in extra))
+            yield (VectorField(grid, *u[k]),
+                   lambda u=u[k:k + 1]: ScalarField(grid, solve_transport(grid, u)[0]),
+                   ScalarField(grid, d[k]), *(e[k] for e in extra))
 
 
 @dataclass

@@ -19,9 +19,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .elliptic import (ModeBlockSolve, PeriodicSolve, expand_rows, generator_index,
-                       generator_rows, kron_sum, pin_rows, second_difference, splu, stencil,
-                       wall_rows)
+from .elliptic import (circulant_solver, expand_rows, generator_index, generator_rows,
+                       kron_sum, pin_rows, second_difference, splu, stencil, wall_rows)
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
 from .geometry import Grid, boundary_frame
@@ -143,11 +142,8 @@ class VelocityStepper:
                                      shape=self.L0.shape)   # the rows `rows` of I
         pinned = np.flatnonzero(np.isin(rows, self.normal_dofs))
         M0 = pin_rows(identity - c * self.L0, pinned, cols=rows[pinned])
-        if not g.has_boundary():
-            # torus: M = block_diag(K, K) with K circulant along both axes
-            return PeriodicSolve(M0[0, :g.nnodes].toarray(), g.shape)
         try:
-            return ModeBlockSolve(M0, g, splu)
+            return circulant_solver(M0, g, splu)
         except RuntimeError as exc:
             raise BCEnforcementFailed(f"implicit boundary system singular: {exc}")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -94,6 +95,46 @@ def test_config_round_trip_property(mu, n1, stride, scheme):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+# the keyed RunConfig fields: every one but the parameter maps
+_KEYED = [f for f in dataclasses.fields(RunConfig) if "key" in f.metadata]
+
+
+def test_every_numeric_config_field_declares_a_bound():
+    # an unbounded number reaches the solvers unchecked; the domain's lengths
+    # and radii are left to DomainSpec, which rejects each bad one
+    exempt = {"r_inner", "r_outer", "length_x", "length_y"}
+    unbounded = [f.name for f in _KEYED if f.type in ("int", "float")
+                 and f.name not in exempt and f.metadata["lo"] is None]
+    assert unbounded == []
+    # a strict bound reads "must be positive", so it is 0
+    assert all(f.metadata["lo"] == 0 for f in _KEYED if f.metadata["strict"])
+    assert {f.name for f in dataclasses.fields(RunConfig)} - {f.name for f in _KEYED} == {
+        "ic_params", "bd_params"}
+
+
+def test_every_config_key_round_trips():
+    # each key set away from its default survives parse -> serialize -> parse
+    values = {
+        "domain.kind": "channel", "domain.r_inner": "0.5", "domain.r_outer": "1.5",
+        "domain.length_x": "3.5", "domain.length_y": "1.25", "domain.n1": "20",
+        "domain.n2": "24", "physics.mu": "0.03", "physics.T": "0.2", "physics.dt": "0.01",
+        "physics.mu_list": "0.1, 0.05", "physics.initial_condition": "shear_layer",
+        "physics.boundary_data": "from_initial", "solver.tol_fix": "1e-07",
+        "solver.max_iter": "7", "solver.contraction_window": "2",
+        "solver.scheme": "crank-nicolson", "solver.seed": "9",
+        "output.directory": "elsewhere", "output.checkpoint_stride": "4",
+    }
+    assert set(values) == {f.metadata["key"] for f in _KEYED}
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    cfg = parse_config(text + "physics.ic.amplitude = 0.7\nphysics.bd.scale = 2\n")
+    for f in _KEYED:
+        assert getattr(cfg, f.name) != f.default, f.metadata["key"]
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert serialize_config(again) == serialize_config(cfg)
+    assert again.ic_params == {"amplitude": 0.7} and again.bd_params == {"scale": 2}
+
+
 def test_vbf_round_trip_scalar(tmp_path):
     rng = np.random.default_rng(0)
     arr = rng.normal(size=(5, 7))
@@ -151,6 +192,37 @@ def test_csv_float_format(tmp_path):
     body = open(path).read()
     assert body.splitlines()[0] == "a,b"
     assert body.splitlines()[1].startswith("0.3333333333333333")
+
+
+def test_compare_outputs_reports_value_differences(tmp_path):
+    # scripts/compare_outputs.py counts the values that differ per file: a
+    # one-ulp VBF change, a CSV cell and a NaN against a number
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    arr = np.arange(1.0, 13.0).reshape(3, 2, 2)
+    for tree in (ref, new):
+        write_vbf(str(tree / "same.vbf"), arr, components=2)
+        write_csv(str(tree / "d.csv"), ("t", "x"), [(0.0, 1.0), (0.5, 2.0)])
+    moved = arr.copy()
+    moved[1, 1, 0] = np.nextafter(moved[1, 1, 0], np.inf)
+    moved[2, 0, 1] = np.nan
+    write_vbf(str(new / "w.vbf"), moved, components=2)
+    write_vbf(str(ref / "w.vbf"), arr, components=2)
+    write_csv(str(new / "d.csv"), ("t", "x"), [(0.0, 1.0), (0.5, 2.5)])
+    (ref / "only.txt").write_text("x")
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "compare_outputs.py"),
+                           str(ref), str(new)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "d.csv: 1 of 6 values differ, max abs 0.5, max rel 0.2",
+        "only.txt: only in REF",
+        "same.vbf: identical",
+        "w.vbf: 2 of 12 values differ, max abs inf, max rel inf",
+        "3 of 4 files differ",
+    ]
+    same = subprocess.run([sys.executable, os.path.join(root, "scripts", "compare_outputs.py"),
+                           str(ref), str(ref)], capture_output=True, text=True, timeout=60)
+    assert same.returncode == 0 and same.stdout.endswith("0 of 4 files differ\n")
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +689,27 @@ def test_ns_stream_matches_history_path(tmp_path, domain, stride, scheme):
         _assert_same_files(str(out), want)
         shutil.rmtree(out)
         shutil.rmtree(want)
+
+
+@pytest.mark.parametrize("stride, written", [(0, [10]), (4, [0, 4, 8])])
+def test_ns_solves_pressure_only_for_written_snapshots(tmp_path, monkeypatch, stride, written):
+    # BASE_CFG has 11 snapshots; ns solves the pressure of each one it writes
+    # as a one-row solve, and of no other
+    from vortibc import fixedpoint
+
+    solved, transport = [], fixedpoint.solve_transport
+
+    def counted(grid, s, *args, **kwargs):
+        solved.append(len(s))
+        return transport(grid, s, *args, **kwargs)
+
+    monkeypatch.setattr(fixedpoint, "solve_transport", counted)
+    cfg = _write(tmp_path, BASE_CFG + f"output.checkpoint_stride = {stride}\n"
+                 f"output.directory = {tmp_path}/out\n")
+    assert main(["ns", "--config", cfg]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").glob("p_*.vbf")) == [
+        f"p_{k:06d}.vbf" for k in written]
+    assert solved == [1] * len(written)
 
 
 def test_history_requests_per_command(tmp_path, monkeypatch):
