@@ -60,6 +60,15 @@ def _prepare(args):
 
 
 def _setup_run(cfg: RunConfig):
+    # refuse, before any solve, an output directory that cannot be made or
+    # written; nothing is created here, so a failed run leaves no directory
+    ancestor = os.path.abspath(cfg.out_dir)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise errors.ConfigError(
+            f"output directory {cfg.out_dir!r} is unusable: {ancestor!r} "
+            "is not a writable directory")
     grid = build_grid(cfg.domain_spec(), cfg.n1, cfg.n2)
     frame = boundary_frame(grid) if grid.has_boundary() else None
     rng = np.random.default_rng(cfg.seed)
@@ -143,7 +152,6 @@ def cmd_ns(cfg: RunConfig) -> int:
     pc = PicardConfig(tol_fix=cfg.tol_fix, max_iter=cfg.max_iter,
                       contraction_window=cfg.contraction_window)
     sol = picard_solve(u0, a, cfg.mu, cfg.T, dt, pc, scheme=cfg.scheme)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "ns_trace.csv"), NS_TRACE_COLUMNS,
               [(it, d, r) for it, d, r in sol.trace])
     nt = len(sol.v)
@@ -195,7 +203,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise errors.ConfigError(f"physics.mu_list: {exc}")
     rep = sweep_mu(sc)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "sweep.csv"), SWEEP_COLUMNS, rep.csv_rows())
     slope_text = "n/a" if rep.slope is None else format_float(rep.slope)
     lines = [f"slope = {slope_text}", f"slope_note = {rep.slope_note}"]

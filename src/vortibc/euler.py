@@ -31,6 +31,7 @@ from .fields import (
     curl2d,
     curl_scalar,
     grad_l2,
+    h2,
     l2,
     max_speed,
     require_finite,
@@ -38,7 +39,8 @@ from .fields import (
     tangential_part,
 )
 from .geometry import DomainKind, Grid, boundary_frame, surface_integrate
-from .linearized import CFL_LIMIT
+from .linearized import CFL_LIMIT, march
+from .stokes import normalize_boundary_data
 
 log = logging.getLogger(__name__)
 
@@ -190,7 +192,7 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
     """Compare every viscosity's march with the shared Euler reference in
     lockstep, a snapshot at a time: e_sup is a running max and e_grad a
     trapezoid over the per-step series, so no history is held.  The
-    viscosities march as one batch (fixedpoint.march_batch), and the norms
+    viscosities march as one batch (linearized.march), and the norms
     of their differences from the reference are one stacked evaluation per
     snapshot.
 
@@ -198,14 +200,12 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
     partial; an Euler failure raises.  Once every march has dropped out the
     reference is not stepped further.  Rows are in mu order.
     """
-    from .fixedpoint import march_batch
-
     grid = cfg.grid
     noise_floor = 10.0 * (grid.min_spacing() ** 2 + cfg.dt)
     mus = list(cfg.mu_list)
 
     failed = {}
-    marches = march_batch(cfg.u0, cfg.a, mus, cfg.T, cfg.dt, failed)
+    marches = march(cfg.u0, cfg.a, mus, cfg.T, cfg.dt, failed)
     e_sup = dict.fromkeys(mus, 0.0)
     e_grad_series = {mu: [] for mu in mus}
     for u_euler in euler_rows(cfg.u0, cfg.T, cfg.dt, grid):
@@ -273,9 +273,6 @@ def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
     time differences).  `include_mu_term=False` drops the mu-proportional
     forcing for sensitivity experiments.
     """
-    from .fields import h2 as h2_norm
-    from .stokes import normalize_boundary_data
-
     dt = u_hist.dt
     nt = len(u_hist)
     diffs = u_mu_hist - u_hist
@@ -295,7 +292,7 @@ def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
             if frame is not None:
                 a_k = sample_a(k * dt)
                 a_sq = surface_integrate(frame, [av * av for av in a_k])
-            forcing = mu * (a_sq + h2_norm(u) ** 2)
+            forcing = mu * (a_sq + h2(u) ** 2)
         rhs = C * ((grad_inf + mu0) * vsq[k] + forcing)
         times.append(k * dt)
         lhs_list.append(lhs)

@@ -20,15 +20,6 @@ import numpy as np
 from .errors import MemoryBudgetExceeded, MissingTimeDerivative
 from .geometry import BoundaryFrame, Grid, project
 
-__all__ = [
-    "ScalarField", "VectorField", "FieldHistory",
-    "grad", "div", "curl2d", "curl_scalar", "laplacian", "advect",
-    "normal_component", "tangential_part", "boundary_vector_values",
-    "surface_curl", "normal_derivative", "max_normal_trace", "max_vorticity_defect",
-    "l2", "h1", "h2", "n_norm", "history_n_norm_sq", "history_div", "max_speed",
-    "step_count", "Chunk", "history_chunks", "time_derivative_rows", "rolling",
-]
-
 
 @dataclass
 class ScalarField:

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .elliptic import solve_pressure_ns, solve_transport
+from .elliptic import solve_harmonic_q, solve_pressure_euler, solve_pressure_ns, solve_transport
 from .errors import MaxIterExceeded, NoContraction
 from .fields import (
     _NORM_ROWS,
@@ -48,7 +48,7 @@ from .stokes import normalize_boundary_data, stokes_rows
 # hold row chunks only.  tracemalloc puts the peak of a 24^2 torus run of
 # 201 snapshots at 2.7 histories, the rest being those chunks and the
 # buffers the workspace outgrows on its first chunk.  A caller that reads
-# NSSolution.u, .p and .q holds 2 more.
+# NSSolution.u holds 1 more.
 _NS_PEAK_HISTORIES = 2
 
 
@@ -69,10 +69,9 @@ class PicardConfig:
 
 @dataclass
 class NSSolution:
-    """Converged splitting u = v + w with the convergence trace.  u, the
-    pressure p and the Stokes scalar q are whole histories made on first
-    use; ns_rows gives the snapshots of u, and of p on request, without
-    holding them."""
+    """Converged splitting u = v + w with the convergence trace.  u is a
+    whole history made on first use; ns_rows gives the snapshots of u, and
+    of the pressure on request, without holding them."""
 
     v: FieldHistory
     w: FieldHistory
@@ -80,30 +79,10 @@ class NSSolution:
     mu: float
     dt: float
     u0: VectorField
-    a: object            # the boundary data, as normalize_boundary_data takes it
-    scheme: str = "backward-euler"
 
     @cached_property
     def u(self) -> FieldHistory:
         return self.v + self.w
-
-    @cached_property
-    def p(self) -> FieldHistory:
-        """The pressures ns_rows yields, each solved."""
-        p = FieldHistory.zeros(self.v.grid, self.dt, len(self.v), scalar=True)
-        for k, (_, p_k, _) in enumerate(ns_rows(self)):
-            p[k] = p_k()
-        return p
-
-    @cached_property
-    def q(self) -> FieldHistory:
-        """The Stokes scalar of w, from one more stokes_rows pass."""
-        q = FieldHistory.zeros(self.v.grid, self.dt, len(self.v), scalar=True)
-        T = (len(self.v) - 1) * self.dt
-        for k, (_, q_k) in enumerate(stokes_rows(self.u0, self.a, self.mu, T, self.dt,
-                                                 self.scheme)):
-            q[k] = q_k
-        return q
 
 
 def _window_norm(grid, dt: float, diff, chunk, work: Workspace | None = None) -> float:
@@ -145,40 +124,12 @@ def wt_norm(a: FieldHistory, b: FieldHistory | None = None, chunk=None,
     return float(worst)
 
 
-def _lane(u0: VectorField, a, mu: float, T: float, dt: float):
-    """One viscosity of a march: its velocity map and its Stokes snapshots."""
-    w_rows = (w for w, _ in stokes_rows(u0, a, mu, T, dt))
-    return VelocityMap(u0.grid, mu, dt), w_rows
-
-
-def march_batch(u0: VectorField, a, mus, T: float, dt: float, failed: dict):
-    """The backward-Euler fixed points u = v + w of the velocity map for
-    each viscosity in mus, in one forward sweep of all of them in lockstep,
-    with each Stokes part advanced in step: yields, per snapshot, the
-    viscosities still marching and the (k, 2, n1, n2) block of their
-    snapshots (linearized.march).
-
-    Step n+1 of the map reads beta only at step n, so the fixed point obeys
-    v_{n+1} = Step(v_n; beta_n = v_n) and is computed causally, with no
-    iteration: Picard iterate k equals this march on snapshots 0..k.  A
-    viscosity whose set-up or march raises is dropped, its exception stored
-    in failed[mu]; the others are unaffected.
-    """
-    lanes = {}
-    for mu in mus:
-        try:
-            lanes[mu] = _lane(u0, a, mu, T, dt)
-        except Exception as exc:  # noqa: BLE001 - the viscosity fails alone
-            failed[mu] = exc
-    return march(u0.grid, dt, lanes, failed)
-
-
 def march_solve(u0: VectorField, a, mu: float, T: float, dt: float) -> FieldHistory:
     """The u history of the march of the one viscosity mu, allocated before
-    the first step: the k = 1 case of march_batch, raising its failure."""
+    the first step: the k = 1 case of linearized.march, raising its failure."""
     u_hist = FieldHistory.zeros(u0.grid, dt, step_count(T, dt) + 1)
     failed = {}
-    for n, (_, u) in enumerate(march_batch(u0, a, [mu], T, dt, failed)):
+    for n, (_, u) in enumerate(march(u0, a, [mu], T, dt, failed)):
         u_hist.data[n] = u[0]
     if failed:
         raise failed[mu]
@@ -281,7 +232,7 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
             f"no fixed point within {cfg.max_iter} iterations "
             f"(last delta {trace[-1][1]:.3e})")
 
-    return NSSolution(v=v, w=w, trace=trace, mu=mu, dt=dt, u0=u0, a=a, scheme=scheme)
+    return NSSolution(v=v, w=w, trace=trace, mu=mu, dt=dt, u0=u0)
 
 
 def ns_rows(sol: NSSolution, energy: bool = False):
@@ -367,15 +318,19 @@ def compare_pressures(sol: NSSolution, a, mu: float, frame) -> float:
     """sup_t || p_ns(u) - (p_v + q) ||_2 after re-centering both to zero mean.
 
     p_ns is the single-field pressure of u; p_v + q is the split-path
-    pressure from the fixed point plus the harmonic Stokes part.
+    pressure: the pressure of the carrier u = v + w, which ns_rows solves,
+    plus the harmonic Stokes part q(t) that stokes_rows computes (zero with
+    no boundary).
     """
     grid = sol.u.grid
     sample_a, _ = normalize_boundary_data(a, frame)
     total_w = float(np.sum(grid.weights))
     worst = 0.0
     for k in range(len(sol.u)):
-        p_direct = solve_pressure_ns(sol.u[k], sample_a(k * sol.dt), mu)
-        combo = sol.p[k].values + sol.q[k].values
+        u, a_k = sol.u[k], sample_a(k * sol.dt)
+        p_direct = solve_pressure_ns(u, a_k, mu)
+        q = 0.0 if frame is None else solve_harmonic_q(a_k, mu, frame).values
+        combo = solve_pressure_euler(u).values + q
         combo = combo - grid.integrate(combo) / total_w
         worst = max(worst, l2(p_direct - ScalarField(grid, combo)))
     return worst

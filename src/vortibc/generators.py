@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .fields import ScalarField, VectorField, curl_scalar
+from .fields import ScalarField, VectorField, boundary_scalar_values, curl2d, curl_scalar
 from .geometry import DomainKind, boundary_from_function, boundary_zeros
 
 
@@ -215,7 +215,6 @@ def _bd_sin_theta(frame, rng, *, amplitude=1.0, mode=1):
 
 
 def _bd_from_initial(frame, u0):
-    from .fields import boundary_scalar_values, curl2d
     if u0 is None:
         raise ConfigError("boundary data 'from_initial' needs an initial condition")
     return boundary_scalar_values(curl2d(u0), frame)

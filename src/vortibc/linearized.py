@@ -44,6 +44,8 @@ from .fields import (
     time_derivative_rows,
 )
 from .geometry import boundary_frame, boundary_zeros
+from .stepping import VelocityStepper
+from .stokes import stokes_rows
 
 # largest dt * max|u| / (finest spacing) of an explicit advection step, here and in euler
 CFL_LIMIT = 0.9
@@ -91,8 +93,6 @@ class VelocityMap:
     """
 
     def __init__(self, grid, mu: float, dt: float):
-        from .stepping import VelocityStepper
-
         self.grid = grid
         self.dt = dt
         frame = boundary_frame(grid) if grid.has_boundary() else None
@@ -127,38 +127,40 @@ class VelocityMap:
                     forcing = _forcing(g, s[rows], y[np.newaxis], gx[rows], gy[rows])
                     yield n + 1, self.step(VectorField(g, *v[n]), forcing[0])
 
-    def run(self, w: FieldHistory, beta: FieldHistory,
-            v_init: VectorField | None = None) -> FieldHistory:
-        """The v history over the snapshots of w transported by beta."""
-        v_hist = FieldHistory.zeros(w.grid, self.dt, len(w))
-        if v_init is not None:
-            v_hist[0] = v_init
 
-        def carriers(n0, n1, out):
-            return np.add(beta.data[n0:n1], w.data[n0:n1], out=out)
-
-        for n, v_n in self.steps(v_hist.data, w.data, 0, carriers):
-            v_hist[n] = v_n
-        return v_hist
+def _lane(u0: VectorField, a, mu: float, T: float, dt: float):
+    """One viscosity of a march: its velocity map and its Stokes snapshots."""
+    w_rows = (w for w, _ in stokes_rows(u0, a, mu, T, dt))
+    return VelocityMap(u0.grid, mu, dt), w_rows
 
 
-def march(grid, dt: float, lanes: dict, failed: dict):
-    """The fixed point beta = v of the velocity map for several viscosities
-    in lockstep: lanes maps each mu to its VelocityMap and an iterator over
-    its Stokes snapshots w_0, w_1, ...  Yields, for each snapshot n, the
+def march(u0: VectorField, a, mus, T: float, dt: float, failed: dict):
+    """The backward-Euler fixed points u = v + w of the velocity map for
+    each viscosity in mus, in one forward sweep of all of them in lockstep,
+    with each Stokes part advanced in step: yields, for each snapshot n, the
     viscosities still marching and the (k, 2, n1, n2) block of their u_n =
-    v_n + w_n.
+    v_n + w_n.  Each viscosity's lane (_lane) is set up at the first next().
 
-    The carrier s_n = v_n + w_n is u_n itself and is known one step ahead
+    Step n+1 of the map reads beta only at step n, so the fixed point obeys
+    v_{n+1} = Step(v_n; beta_n = v_n) and is computed causally, with no
+    iteration: Picard iterate k equals this march on snapshots 0..k.  The
+    carrier s_n = v_n + w_n is u_n itself and is known one step ahead
     only, so step n makes one stacked pressure solve and one stacked
     advection over the carriers of step n - 1, once every w_n has arrived;
     each lane's implicit step uses its own LU.
 
-    A lane whose Stokes snapshot, pressure row or implicit step raises is
-    dropped, with its exception in failed[mu], which is what its one-lane
-    march raises.  Every row of a stacked call equals its one-row call bit
-    for bit, so the other lanes go on as if it had never marched.
+    A viscosity whose set-up, Stokes snapshot, pressure row or implicit
+    step raises is dropped, with its exception in failed[mu], which is what
+    its one-viscosity march raises.  Every row of a stacked call equals its
+    one-row call bit for bit, so the others go on as if it had never marched.
     """
+    grid = u0.grid
+    lanes = {}
+    for mu in mus:
+        try:
+            lanes[mu] = _lane(u0, a, mu, T, dt)
+        except Exception as exc:  # noqa: BLE001 - the viscosity fails alone
+            failed[mu] = exc
     v = {mu: VectorField.zeros(grid) for mu in lanes}
     for n in itertools.count():
         w = {}
@@ -224,7 +226,16 @@ def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float, dt: float
         raise ValueError("beta and w must share dt")
     if l2(beta[0]) > 1e-12 * max(1.0, l2(w[0])):
         raise ValueError("beta(0) must vanish")
-    return VelocityMap(w.grid, mu, dt).run(w, beta, v_init)
+    v_hist = FieldHistory.zeros(w.grid, dt, len(w))
+    if v_init is not None:
+        v_hist[0] = v_init
+
+    def carriers(n0, n1, out):
+        return np.add(beta.data[n0:n1], w.data[n0:n1], out=out)
+
+    for n, v_n in VelocityMap(w.grid, mu, dt).steps(v_hist.data, w.data, 0, carriers):
+        v_hist[n] = v_n
+    return v_hist
 
 
 @dataclass
@@ -261,8 +272,7 @@ class EnergyDiagnostics:
 F_COLUMNS = ("t", "F", "Q", "l2sq_v_psi", "l2sq_gradg_gradq", "l2sq_vt_dt_wt")
 
 
-def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
-                div_v: FieldHistory | None = None):
+def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory):
     """compute_F's per-snapshot terms, _NORM_ROWS snapshots at a time:
     yields (div v, ||(v, psi)||^2, ||(grad g, grad q)||^2,
     ||(v_t, d_t, omega_t)||^2, load) on the rows of each chunk.
@@ -270,15 +280,11 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
     Time derivatives are taken on the chunk's window (fields.history_chunks),
     and div v and curl v of each row once, and each norm on the chunk's rows
     stacked; every value equals its whole-history evaluation bit for bit.
-    div_v is the divergence history of v_hist when the caller has it.
     """
     grid, dt = v_hist.grid, v_hist.dt
     v, beta, w = v_hist.data, beta_hist.data, w_hist.data
     chunks = list(history_chunks(len(v), _NORM_ROWS))
-    if div_v is None:
-        d_windows = rolling(lambda lo, hi: _div(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
-    else:
-        d_windows = (div_v.data[c.lo:c.hi] for c in chunks)
+    d_windows = rolling(lambda lo, hi: _div(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
     om_windows = rolling(lambda lo, hi: _curl(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
     for c, d_win, om_win in zip(chunks, d_windows, om_windows):
         window, rows = slice(c.lo, c.hi), slice(c.i, c.j)
@@ -306,17 +312,16 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
         yield d[:, 0], comp_v_psi, comp_grad_gq, comp_td, load
 
 
-def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHistory,
-              div_v: FieldHistory | None = None) -> EnergyDiagnostics:
+def compute_F(v_hist: FieldHistory, beta_hist: FieldHistory,
+              w_hist: FieldHistory) -> EnergyDiagnostics:
     """Assemble F(t) and Q(t) from the computed histories (energy_rows).
 
     Needs at least 3 snapshots for interior-centered time derivatives.  The
     auxiliary scalar q couples the current v explicitly (same-step values).
-    div_v is the divergence history of v_hist when the caller has it.
     """
     if len(v_hist) < 3:
         raise ValueError("compute_F needs at least 3 snapshots")
-    _, *terms = zip(*energy_rows(v_hist, beta_hist, w_hist, div_v))
+    _, *terms = zip(*energy_rows(v_hist, beta_hist, w_hist))
     return EnergyDiagnostics.from_terms(v_hist.dt, *map(np.concatenate, terms))
 
 

@@ -39,6 +39,7 @@ from .fields import (
     step_count,
 )
 from .geometry import BoundaryFrame, boundary_frame, boundary_zeros, surface_integrate
+from .stepping import VelocityStepper
 
 STOKES_COLUMNS = ("t", "l2_w", "h1_w", "h2_w", "l2_div_w",
                   "max_w_perp", "max_vort_bc_err", "l2_q")
@@ -97,8 +98,6 @@ def stokes_rows(u0: VectorField, a, mu: float, T: float, dt: float,
     `a` follows normalize_boundary_data; `scheme` is "backward-euler" or
     "crank-nicolson".  dt must divide T up to rounding.
     """
-    from .stepping import VelocityStepper
-
     nsteps = step_count(T, dt)
     if scheme not in ("backward-euler", "crank-nicolson"):
         raise ValueError(f"unknown scheme {scheme!r}")

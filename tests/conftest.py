@@ -96,10 +96,10 @@ def fail_march_at(monkeypatch, mu_fail, snapshot=None, nonfinite=False):
     snapshots are true before that snapshot and, in its place, raise the
     error or, with nonfinite, carry a NaN: the march then yields that
     snapshot and its row fails the next step's stacked pressure solve."""
-    from vortibc import fixedpoint
+    from vortibc import linearized
     from vortibc.errors import SolverDiverged
 
-    lane = fixedpoint._lane
+    lane = linearized._lane
 
     def failing(u0, a, mu, *args):
         if mu != mu_fail:
@@ -111,7 +111,7 @@ def fail_march_at(monkeypatch, mu_fail, snapshot=None, nonfinite=False):
             return vmap, nan_at(w_rows, snapshot)
         return vmap, raise_at(w_rows, snapshot, SolverDiverged(
             f"injected failure at mu={mu}, snapshot {snapshot}"))
-    monkeypatch.setattr(fixedpoint, "_lane", failing)
+    monkeypatch.setattr(linearized, "_lane", failing)
 
 
 # the fault modes of fail_march_at, as (snapshot, nonfinite)

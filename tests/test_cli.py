@@ -401,7 +401,7 @@ def test_cmd_sweep_stops_euler_once_every_march_fails(tmp_path, monkeypatch):
     # with no viscosity left the Euler reference has nothing to be compared
     # with, so it is not stepped on to T
     import vortibc.euler
-    from vortibc import fixedpoint
+    from vortibc import linearized
     from vortibc.errors import SolverDiverged
 
     def failing(*args):
@@ -414,7 +414,7 @@ def test_cmd_sweep_stops_euler_once_every_march_fails(tmp_path, monkeypatch):
             snapshots[0] += 1
             yield u
 
-    monkeypatch.setattr(fixedpoint, "_lane", failing)
+    monkeypatch.setattr(linearized, "_lane", failing)
     monkeypatch.setattr(vortibc.euler, "euler_rows", counted)
     cfg = _write(tmp_path, BASE_CFG.replace("physics.mu = 0.1", "physics.mu_list = 0.1, 0.01")
                  + f"output.directory = {tmp_path}/out\n")
@@ -479,6 +479,20 @@ def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     assert main([command, "--config", path, *extra_args]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ns", "stokes", "euler", "sweep"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_unusable_output_directory_exits_2(tmp_path, capsys, command, below):
+    # an output directory that is a regular file, or lies below one, is a
+    # configuration error found before the run, and the file is left alone
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "out" if below else blocker
+    cfg = _write(tmp_path, BASE_CFG + "physics.mu_list = 0.1, 0.01\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert blocker.read_text() == "keep\n"
 
 
 def _traced_metrics(tmp_path, command, cfg_text):

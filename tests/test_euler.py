@@ -210,7 +210,8 @@ def test_march_batch_failures_are_per_viscosity(annulus_spec):
     # only its own row of the stacked pressure solve
     from conftest import streamfunction_shear
     from vortibc.errors import SolverDiverged
-    from vortibc.fixedpoint import march_batch, march_solve
+    from vortibc.fixedpoint import march_solve
+    from vortibc.linearized import march
 
     grid = build_grid(annulus_spec, 16, 32)
     u0 = streamfunction_shear(grid, amp=2.0)
@@ -221,14 +222,14 @@ def test_march_batch_failures_are_per_viscosity(annulus_spec):
         with pytest.MonkeyPatch.context() as mp:
             fail_march_at(mp, 1e-2, *fault)
             failed = {}
-            rows = [(live, u.copy()) for live, u in march_batch(u0, a, mus, T, dt, failed)]
+            rows = [(live, u.copy()) for live, u in march(u0, a, mus, T, dt, failed)]
             with pytest.raises(SolverDiverged) as one:
                 march_solve(u0, a, 1e-2, T, dt)
         return rows, failed, one.value
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        clean = [u for _, u in march_batch(u0, a, mus, T, dt, {})]
+        clean = [u for _, u in march(u0, a, mus, T, dt, {})]
         # (fault, first snapshot without the viscosity, words of its error)
         for fault, n_fail, what in (((4,), 4, "snapshot 4"), ((4, True), 5, "non-finite")):
             rows, failed, one = run(*fault)

@@ -105,7 +105,7 @@ def test_verify_incompressibility_flags_corruption(annulus_spec):
     noise = grad(ScalarField(grid, 0.05 * (grid.x**2 + grid.y**2)))
     corrupted = FieldHistory(grid, sol.dt, sol.v.data + [noise.ux, noise.uy])
     dirty_sol = NSSolution(v=corrupted, w=sol.w, trace=sol.trace, mu=sol.mu, dt=sol.dt,
-                           u0=sol.u0, a=sol.a)
+                           u0=sol.u0)
     dirty = verify_incompressibility(dirty_sol).max_div
     assert dirty > 10 * max(clean, 1e-10)
 

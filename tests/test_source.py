@@ -27,3 +27,26 @@ def test_no_unused_module_imports():
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
                    if name not in read]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def test_no_function_level_package_imports():
+    # a module imports the package modules it uses at its top; only cli.py
+    # imports per command, so that `vortibc --help` loads no scipy.  Other
+    # lazy imports (scipy.sparse.linalg in elliptic) are not package imports
+    hits = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.ImportFrom):
+                    package = inner.level > 0 or (inner.module or "").split(".")[0] == "vortibc"
+                elif isinstance(inner, ast.Import):
+                    package = any(a.name.split(".")[0] == "vortibc" for a in inner.names)
+                else:
+                    continue
+                if package:
+                    hits.add(f"{path.name}:{inner.lineno}")
+    assert not hits, "function-level package imports:\n" + "\n".join(sorted(hits))
