@@ -176,6 +176,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         if f.type == "list" and not isinstance(val, list):
             val = [val]
+        if f.type == "str" and not isinstance(val, str):
+            raise ConfigError(f"{key} = {_format_value(val)} is not a name")
         if f.type in ("int", "float"):
             val = _number(key, val, f.type)
         setattr(cfg, f.name, val)

@@ -555,26 +555,6 @@ def n_norm(v: VectorField, v_t) -> float:
     return float(np.sqrt(_n_norm_sq(v.grid, _block(v), _block(v_t))))
 
 
-def history_n_norm_sq(hist, hist_t) -> np.ndarray:
-    """The squared N-norm of every row of a vector history, given its time
-    derivative, evaluated _NORM_ROWS rows at a time."""
-    out = np.empty(len(hist))
-    for i in range(0, len(hist), _NORM_ROWS):
-        rows = slice(i, i + _NORM_ROWS)
-        out[rows] = _n_norm_sq(hist.grid, hist.data[rows], hist_t.data[rows])
-    return out
-
-
-def history_div(hist) -> "FieldHistory":
-    """The divergence of every row of a vector history, evaluated
-    _NORM_ROWS rows at a time."""
-    out = np.empty((len(hist), *hist.grid.shape))
-    for i in range(0, len(hist), _NORM_ROWS):
-        rows = hist.data[i:i + _NORM_ROWS]
-        out[i:i + _NORM_ROWS] = _div(hist.grid, rows[:, 0], rows[:, 1])
-    return FieldHistory(hist.grid, hist.dt, out)
-
-
 # ---------------------------------------------------------------------------
 # time series
 
@@ -640,22 +620,6 @@ def time_derivative_rows(s, chunk: Chunk, dt: float, out=None):
     if j == n:
         out[-1] = (s[-1] * 3.0 - s[-2] * 4.0 + s[-3]) * c
     return out
-
-
-def rolling(fn, chunks):
-    """For each chunk in turn, the rows of its window of a derived history,
-    fn(lo, hi) being its rows lo..hi-1: windows of consecutive chunks
-    overlap, and each row is computed once and carried over."""
-    start, block = 0, None
-    for chunk in chunks:
-        if block is None:
-            block = fn(chunk.lo, chunk.hi)
-        else:
-            end = start + len(block)
-            kept = block[chunk.lo - start:]
-            block = kept if end >= chunk.hi else np.concatenate((kept, fn(end, chunk.hi)))
-        start = chunk.lo
-        yield block
 
 
 def cumulative_trapezoid(y, dt: float) -> np.ndarray:

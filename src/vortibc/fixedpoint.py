@@ -28,9 +28,9 @@ from .fields import (
     _scratch,
     advect,
     check_history_budget,
+    div,
     grad,
     history_chunks,
-    history_div,
     l2,
     laplacian,
     max_normal_trace,
@@ -85,42 +85,31 @@ class NSSolution:
         return self.v + self.w
 
 
-def _window_norm(grid, dt: float, diff, chunk, work: Workspace | None = None) -> float:
-    """The largest N-norm over a chunk's own snapshots of a history whose
-    rows on the chunk's window are diff; 0 when diff vanishes there, and
-    NaN rows are skipped."""
-    if not diff.any():
-        return 0.0
-    with _frame(work):
-        diff_t = _scratch(work, (chunk.j - chunk.i, *diff.shape[1:]))
-        diff_t = time_derivative_rows(diff, chunk, dt, diff_t)
-        n_sq = _n_norm_sq(grid, chunk.own(diff), diff_t, work)
-    return float(np.fmax.reduce(np.sqrt(n_sq), initial=0.0))
+def wt_norm(a: FieldHistory, chunk=None, work: Workspace | None = None) -> float:
+    """sup over snapshots of the N-norm of the history a; like a running max
+    from 0, it skips NaN rows.
 
-
-def wt_norm(a: FieldHistory, b: FieldHistory | None = None, chunk=None,
-            work: Workspace | None = None) -> float:
-    """sup over snapshots of the N-norm of the history a - b (of a itself
-    when b is None); like a running max from 0, it skips NaN rows.
-
-    It runs over chunks of _NORM_ROWS snapshots, each differenced on the
-    window its time derivative reads, so neither a - b nor its time
-    derivative is ever a whole history.  A chunk whose difference vanishes
-    on its whole window adds exactly 0 and is skipped: in Picard sweep k,
+    It runs over chunks of _NORM_ROWS snapshots (fields.history_chunks),
+    each differenced in time on the window its time derivative reads, so
+    the time derivative is never a whole history.  A chunk that vanishes on
+    its whole window adds exactly 0 and is skipped: in Picard sweep k,
     iterates k - 1 and k agree on snapshots 0..k - 1.  With chunk (a
-    fields.Chunk of such a history), a and b hold only the rows of the
-    chunk's window, and the sup runs over the chunk's own snapshots; the
-    norm of the history is the max over its chunks, which is how a Picard
-    sweep takes it while it writes their rows.  work lends the norm's block
+    fields.Chunk of such a history), a holds only the rows of the chunk's
+    window, and the sup runs over the chunk's own snapshots; the norm of
+    the history is the max over its chunks, which is how a Picard sweep
+    takes it while it writes their rows.  work lends the norm's block
     temporaries their blocks.
     """
-    if chunk is not None:
-        return _window_norm(a.grid, a.dt, a.data if b is None else a.data - b.data, chunk, work)
     worst = 0.0
-    for c in history_chunks(len(a), _NORM_ROWS):
-        window = slice(c.lo, c.hi)
-        diff = a.data[window] if b is None else a.data[window] - b.data[window]
-        worst = np.fmax(worst, _window_norm(a.grid, a.dt, diff, c, work))
+    for c in history_chunks(len(a), _NORM_ROWS) if chunk is None else [chunk]:
+        window = a.data[c.lo:c.hi] if chunk is None else a.data
+        if not window.any():
+            continue
+        with _frame(work):
+            own = c.own(window)
+            own_t = time_derivative_rows(window, c, a.dt, _scratch(work, own.shape))
+            n_sq = _n_norm_sq(a.grid, own, own_t, work)
+        worst = np.fmax(worst, np.fmax.reduce(np.sqrt(n_sq), initial=0.0))
     return float(worst)
 
 
@@ -139,8 +128,8 @@ def march_solve(u0: VectorField, a, mu: float, T: float, dt: float) -> FieldHist
 def _sweep(vmap: VelocityMap, v: FieldHistory, w: FieldHistory, first: int,
            old) -> float:
     """One Picard sweep in place: v holds iterate k - 1, final on rows
-    0..first, and leaves holding iterate k; returns the increment
-    wt_norm(v^k, v^(k-1)).
+    0..first, and leaves holding iterate k; returns the increment, the
+    wt_norm of v^k - v^(k-1).
 
     Step n + 1 overwrites row n + 1, whose old value goes to row (n + 1) %
     len(old) of the ring old first.  The carriers of a pressure chunk are
@@ -271,7 +260,7 @@ class IncompressibilityReport:
 
 def verify_incompressibility(sol: NSSolution) -> IncompressibilityReport:
     """max_t ||div v(t)||_2: the divergence the fixed point recovered."""
-    return IncompressibilityReport(sol.v.times, np.array([l2(d) for d in history_div(sol.v)]))
+    return IncompressibilityReport(sol.v.times, np.array([l2(div(v)) for v in sol.v]))
 
 
 @dataclass

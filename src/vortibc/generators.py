@@ -56,9 +56,9 @@ def random_scalar(spec, rng, kmax=2, amplitude=1.0):
     return fn
 
 
-def random_vector(spec, rng, kmax=2, amplitude=1.0):
-    fx = random_scalar(spec, rng, kmax, amplitude)
-    fy = random_scalar(spec, rng, kmax, amplitude)
+def random_vector(spec, rng):
+    fx = random_scalar(spec, rng)
+    fy = random_scalar(spec, rng)
     return lambda x, y: (fx(x, y), fy(x, y))
 
 
@@ -96,14 +96,14 @@ def random_absolute_bc_field(grid, rng, kmax=2, amplitude=1.0,
     return curl_scalar(ScalarField.from_function(grid, fn))
 
 
-def random_boundary_scalar(frame, rng, kmax=3, amplitude=1.0):
-    """Smooth random data on each closed boundary loop."""
+def random_boundary_scalar(frame, rng, amplitude=1.0):
+    """Smooth random data on each closed boundary loop: modes 0..3."""
     out = []
     for comp in frame:
         m = comp.n_nodes
         s = np.arange(m) * (2 * math.pi / m)
         vals = np.zeros(m)
-        for k in range(kmax + 1):
+        for k in range(4):
             c1, c2 = rng.normal(size=2) / (k + 1.0)
             vals += c1 * np.cos(k * s) + c2 * np.sin(k * s)
         out.append(amplitude * vals)

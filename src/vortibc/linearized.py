@@ -40,7 +40,6 @@ from .fields import (
     history_chunks,
     l2,
     max_speed,
-    rolling,
     time_derivative_rows,
 )
 from .geometry import boundary_frame, boundary_zeros
@@ -277,17 +276,17 @@ def energy_rows(v_hist: FieldHistory, beta_hist: FieldHistory, w_hist: FieldHist
     yields (div v, ||(v, psi)||^2, ||(grad g, grad q)||^2,
     ||(v_t, d_t, omega_t)||^2, load) on the rows of each chunk.
 
-    Time derivatives are taken on the chunk's window (fields.history_chunks),
-    and div v and curl v of each row once, and each norm on the chunk's rows
-    stacked; every value equals its whole-history evaluation bit for bit.
+    Time derivatives, and div v and curl v, are taken on the chunk's window
+    (fields.history_chunks), so the rows that consecutive windows share are
+    evaluated again; each norm is taken on the chunk's rows stacked.  Every
+    value equals its whole-history evaluation bit for bit.
     """
     grid, dt = v_hist.grid, v_hist.dt
     v, beta, w = v_hist.data, beta_hist.data, w_hist.data
-    chunks = list(history_chunks(len(v), _NORM_ROWS))
-    d_windows = rolling(lambda lo, hi: _div(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
-    om_windows = rolling(lambda lo, hi: _curl(grid, v[lo:hi, 0], v[lo:hi, 1]), chunks)
-    for c, d_win, om_win in zip(chunks, d_windows, om_windows):
+    for c in history_chunks(len(v), _NORM_ROWS):
         window, rows = slice(c.lo, c.hi), slice(c.i, c.j)
+        d_win = _div(grid, v[window, 0], v[window, 1])
+        om_win = _curl(grid, v[window, 0], v[window, 1])
         v_t = time_derivative_rows(v[window], c, dt)
         # at the fixed point beta is v itself: difference that history once
         beta_t = v_t if beta_hist is v_hist else time_derivative_rows(beta[window], c, dt)

@@ -142,7 +142,7 @@ def energy_rows_from_histories(v, beta, w):
     one row per snapshot from the public operators."""
     from vortibc import FieldHistory, ScalarField, curl2d, curl_scalar, div
     from vortibc.elliptic import solve_transport
-    from vortibc.fields import grad_l2, history_n_norm_sq, l2
+    from vortibc.fields import _n_norm_sq, grad_l2, l2
 
     grid, dt, nt = v.grid, v.dt, len(v)
     d = FieldHistory(grid, dt, np.array([div(vk).values for vk in v]))
@@ -155,7 +155,7 @@ def energy_rows_from_histories(v, beta, w):
         comps[0, k] = l2(v[k]) ** 2 + l2(curl_scalar(om[k])) ** 2
         comps[1, k] = grad_l2(d[k] - q) ** 2 + grad_l2(q) ** 2
         comps[2, k] = l2(v_t[k]) ** 2 + l2(d_t[k]) ** 2 + l2(om_t[k]) ** 2
-    load = 1.0 + history_n_norm_sq(beta, beta_t) + history_n_norm_sq(w, w_t)
+    load = 1.0 + _n_norm_sq(grid, beta.data, beta_t.data) + _n_norm_sq(grid, w.data, w_t.data)
     F = comps[0] + comps[1] + comps[2]
     Q = np.zeros(nt)
     Q[1:] = np.cumsum(0.5 * dt * (load[1:] + load[:-1]))

@@ -481,6 +481,21 @@ def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "output.directory = 5", "output.directory = true",
+    "physics.initial_condition = zero, zero", "physics.boundary_data = a, b",
+], ids=["number_directory", "bool_directory", "list_initial_condition", "list_boundary_data"])
+def test_text_key_given_no_name_exits_2(tmp_path, capsys, monkeypatch, line):
+    # a text key takes a name: a number, a bool or a list there is a
+    # configuration error found before the run, which writes nothing
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "domain.kind = annulus\ndomain.n1 = 12\ndomain.n2 = 16\n"
+                 f"physics.T = 0.05\nphysics.dt = 0.01\n{line}\n")
+    assert main(["stokes", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 @pytest.mark.parametrize("command", ["ns", "stokes", "euler", "sweep"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
 def test_unusable_output_directory_exits_2(tmp_path, capsys, command, below):
@@ -778,6 +793,21 @@ def test_history_over_memory_budget_exits_4(tmp_path, capsys, monkeypatch, budge
     assert not (tmp_path / "out").exists()
 
 
+def test_picard_iteration_cap_exits_4(tmp_path, capsys):
+    # a tolerance no increment reaches runs the Picard iteration into its
+    # cap: a solver failure, with nothing written
+    cfg = _write(tmp_path, "domain.kind = annulus\ndomain.n1 = 12\ndomain.n2 = 16\n"
+                 "physics.mu = 0.05\nphysics.T = 0.05\nphysics.dt = 0.01\n"
+                 "physics.initial_condition = shear_layer\n"
+                 "physics.boundary_data = from_initial\n"
+                 "solver.max_iter = 2\nsolver.tol_fix = 1e-30\n"
+                 f"output.directory = {tmp_path}/out\n")
+    assert main(["ns", "--config", cfg]) == 4
+    assert capsys.readouterr().err.startswith(
+        "solver failure: MaxIterExceeded: no fixed point within 2 iterations")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ns_peak_memory_in_histories(tmp_path):
     # Picard holds v and w (2 vector histories) and sweeps v in place; the
     # increment norm and every output after the loop go a row chunk at a
@@ -866,9 +896,9 @@ _DRAWN_KEYS = {
     "solver.scheme": (["backward-euler", "crank-nicolson"], ["leapfrog"]),
     "physics.initial_condition": (["zero", "circulation", "rigid_rotation", "taylor_green",
                                    "shear_layer", "modulated_shear", "random_smooth"],
-                                  ["bogus"]),
+                                  ["bogus", "zero, zero"]),
     "physics.boundary_data": (["zero", "constant", "sin_theta", "from_initial", "random"],
-                              ["bogus"]),
+                              ["bogus", "a, b"]),
     "physics.ic.amplitude": (["0.5", "1.0", "60.0"], ["abc", "nan"]),
 }
 # bad values that only one command rejects: the sweep alone needs its

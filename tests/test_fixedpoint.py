@@ -261,7 +261,7 @@ def test_picard_sweep_k_steps_only_rows_k_on(torus_spec, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["torus", "annulus"])
 def test_in_place_increments_match_out_of_place_sweeps(kind, torus_spec, annulus_spec):
-    """Each increment of the in-place sweep equals wt_norm(v^k, v^(k-1)) of
+    """Each increment of the in-place sweep equals wt_norm(v^k - v^(k-1)) of
     the iterates of full out-of-place sweeps exactly, through the sweep
     that finds every row final (nt sweeps for nt snapshots) and adds 0."""
     spec = torus_spec if kind == "torus" else annulus_spec
@@ -282,7 +282,7 @@ def test_in_place_increments_match_out_of_place_sweeps(kind, torus_spec, annulus
     v, deltas = FieldHistory.zeros(grid, dt, nt), []
     for _ in sol.trace:
         v_next = apply_velocity_map(beta=v, w=sol.w, mu=mu, dt=dt)
-        deltas.append(wt_norm(v_next, v))
+        deltas.append(wt_norm(v_next - v))
         v = v_next
     assert [d for _, d, _ in sol.trace] == deltas
     assert np.array_equal(v.data, sol.v.data)
@@ -319,7 +319,7 @@ def test_wt_norm_is_max_of_snapshot_n_norms(kind):
     # wt_norm evaluates the N-norm on chunks of rows; it must equal the max
     # of the per-snapshot norms exactly, for row counts below, at, just
     # above and well above the chunk size
-    from vortibc.fields import _NORM_ROWS, _sobolev_sq, h1, h2, history_n_norm_sq, n_norm
+    from vortibc.fields import _NORM_ROWS, _n_norm_sq, _sobolev_sq, h1, h2, n_norm
     grid = _family_grid(kind)
     rng = np.random.default_rng(21)
     for nt in sorted({2, _NORM_ROWS - 1, _NORM_ROWS, _NORM_ROWS + 1, 4 * _NORM_ROWS + 1}):
@@ -331,7 +331,7 @@ def test_wt_norm_is_max_of_snapshot_n_norms(kind):
             pairs = list(zip(diff, diff_t))
             per_row = [math.sqrt(h2(d) ** 2 + h1(d_t) ** 2) for d, d_t in pairs]
             assert [n_norm(d, d_t) for d, d_t in pairs] == per_row
-            assert list(np.sqrt(history_n_norm_sq(diff, diff_t))) == per_row
+            assert list(np.sqrt(_n_norm_sq(grid, diff.data, diff_t.data))) == per_row
             assert wt_norm(diff) == max(per_row)
 
     # the batched kernel gives each row the single-field sums bit for bit
@@ -353,16 +353,16 @@ def test_wt_norm_is_max_of_snapshot_n_norms(kind):
 
 @pytest.mark.parametrize("kind", ["annulus", "torus"])
 def test_wt_norm_of_increment_matches_whole_history(kind):
-    # wt_norm(a, b) differences a and b a chunk at a time on the window each
-    # chunk's time derivative reads, and skips chunks whose difference
-    # vanishes there; it must equal the norm of the whole difference
-    # history, and keep fmax's "skip NaN rows" across chunks
-    from vortibc.fields import _NORM_ROWS, history_n_norm_sq
+    # wt_norm takes the time derivative a chunk at a time, on the window
+    # each chunk's time derivative reads, and skips chunks that vanish
+    # there; on an increment a - b it must equal the kernel on the whole
+    # difference history, and keep fmax's "skip NaN rows" across chunks
+    from vortibc.fields import _NORM_ROWS, _n_norm_sq
     grid = _family_grid(kind)
     rng = np.random.default_rng(8)
 
     def whole(diff):
-        n_sq = history_n_norm_sq(diff, diff.time_derivative())
+        n_sq = _n_norm_sq(grid, diff.data, diff.time_derivative().data)
         return float(np.fmax.reduce(np.sqrt(n_sq), initial=0.0))
 
     def smooth(nt):
@@ -383,7 +383,6 @@ def test_wt_norm_of_increment_matches_whole_history(kind):
                 a.data[nan_row] = np.nan
             want = whole(a - b)
             assert np.isfinite(want)
-            assert wt_norm(a, b) == want
             assert wt_norm(a - b) == want
     # an increment that vanishes everywhere skips every chunk
-    assert wt_norm(b, b) == 0.0
+    assert wt_norm(b - b) == 0.0

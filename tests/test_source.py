@@ -1,11 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import vortibc
 
 SRC = Path(vortibc.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_unused_module_imports():
@@ -50,3 +52,28 @@ def test_no_function_level_package_imports():
                 if package:
                     hits.add(f"{path.name}:{inner.lineno}")
     assert not hits, "function-level package imports:\n" + "\n".join(sorted(hits))
+
+
+def test_every_module_level_definition_is_referenced():
+    # every module-level function and class of the package is named, as a
+    # whole word, somewhere outside its own definition: in the package, the
+    # tests, the scripts or the benchmark.  A helper whose last caller moved
+    # away fails here
+    sources = {path: path.read_text().splitlines()
+               for path in [*SRC.glob("*.py"),
+                            *(p for d in ("tests", "scripts", "perfbench")
+                              for p in (ROOT / d).glob("*.py"))]}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse("\n".join(sources[path])).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            used = any(word.search(line)
+                       for other, lines in sources.items()
+                       for k, line in enumerate(lines, 1)
+                       if not (other == path and first <= k <= node.end_lineno))
+            if not used:
+                unused.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not unused, "unreferenced definitions:\n" + "\n".join(unused)
