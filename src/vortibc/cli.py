@@ -18,7 +18,7 @@ from . import errors
 from .config import RunConfig, check_ranges, load_config
 from .fields import div, l2, step_count
 from .generators import make_boundary_data, make_initial_condition
-from .geometry import boundary_frame, build_grid
+from .geometry import build_grid, frame_of
 from .io import atomic_write_text, format_float, scalar_checkpoint, vector_checkpoint, write_csv
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _setup_run(cfg: RunConfig):
             f"output directory {cfg.out_dir!r} is unusable: {ancestor!r} "
             "is not a writable directory")
     grid = build_grid(cfg.domain_spec(), cfg.n1, cfg.n2)
-    frame = boundary_frame(grid) if grid.has_boundary() else None
+    frame = frame_of(grid)
     rng = np.random.default_rng(cfg.seed)
     u0 = make_initial_condition(cfg.initial_condition, grid, cfg.ic_params, rng)
     a = make_boundary_data(cfg.boundary_data, frame, cfg.bd_params, rng, u0=u0)
@@ -134,7 +134,7 @@ def cmd_stokes(cfg: RunConfig) -> int:
     rows = stokes_rows(u0, a, cfg.mu, cfg.T, dt, cfg.scheme)
     w, _ = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("w", "q"),
                    "stokes_diagnostics.csv", STOKES_COLUMNS,
-                   lambda k, w, q: stokes_row(k * dt, w, q, sample_a(k * dt), frame))
+                   lambda k, w, q: stokes_row(k * dt, w, q, sample_a(k * dt)))
     print(f"final ||w||_2 = {format_float(l2(w))}")
     print(f"final ||div w||_2 = {format_float(l2(div(w)))}")
     return EXIT_OK
@@ -155,7 +155,6 @@ def cmd_ns(cfg: RunConfig) -> int:
     write_csv(os.path.join(cfg.out_dir, "ns_trace.csv"), NS_TRACE_COLUMNS,
               [(it, d, r) for it, d, r in sol.trace])
     nt = len(sol.v)
-    energy = nt >= 3
     div_l2, terms = [], []
 
     def diag_row(k, u, p, div_v, *energy_terms):
@@ -163,9 +162,9 @@ def cmd_ns(cfg: RunConfig) -> int:
         terms.append(energy_terms)
         return k * dt, l2(u), l2(sol.v[k]), div_l2[-1]
 
-    u, *_ = _stream(cfg, ns_rows(sol, energy), nt, ("u", "p"), "ns_diagnostics.csv",
+    u, *_ = _stream(cfg, ns_rows(sol), nt, ("u", "p"), "ns_diagnostics.csv",
                     ("t", "l2_u", "l2_v", "l2_div_v"), diag_row)
-    if energy:
+    if terms[0]:   # ns_rows yields the energy terms from 3 snapshots on
         diag = EnergyDiagnostics.from_terms(dt, *map(np.array, zip(*terms)))
         write_csv(os.path.join(cfg.out_dir, "ns_energy.csv"), F_COLUMNS, list(diag.rows()))
     print(f"final ||u||_2 = {format_float(l2(u))}")
@@ -183,7 +182,7 @@ def cmd_euler(cfg: RunConfig) -> int:
 
     grid, frame, u0, a = _setup_run(cfg)
     dt = cfg.effective_dt(grid)
-    rows = ((u,) for u in euler_rows(u0, cfg.T, dt, grid))
+    rows = ((u,) for u in euler_rows(u0, cfg.T, dt))
     u, = _stream(cfg, rows, step_count(cfg.T, dt) + 1, ("u",), "euler_diagnostics.csv",
                  ("t", "l2_u", "energy"), lambda k, u: (k * dt, l2(u), kinetic_energy(u)))
     print(f"final ||u||_2 = {format_float(l2(u))}")
@@ -199,7 +198,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise errors.ConfigError("sweep needs physics.mu_list")
     try:
         sc = SweepConfig(mu_list=[float(m) for m in cfg.mu_list], u0=u0, a=a,
-                         T=cfg.T, dt=dt, grid=grid)
+                         T=cfg.T, dt=dt)
     except ValueError as exc:
         raise errors.ConfigError(f"physics.mu_list: {exc}")
     rep = sweep_mu(sc)

@@ -120,7 +120,10 @@ class RunConfig:
             return self.dt
         cap = min(grid.min_spacing() ** 2, self.T / 100.0)
         # the slack keeps a rounded T / (T/100) at 100 steps, not 101
-        return self.T / math.ceil(self.T / cap * (1.0 - 1e-9))
+        steps = self.T / cap * (1.0 - 1e-9)
+        if not math.isfinite(steps):
+            raise ConfigError(f"T / dt = {self.T} / {cap} overflows the step count")
+        return self.T / math.ceil(steps)
 
 
 # the keyed fields by dotted key, in declaration order
@@ -176,8 +179,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         if f.type == "list" and not isinstance(val, list):
             val = [val]
-        if f.type == "str" and not isinstance(val, str):
-            raise ConfigError(f"{key} = {_format_value(val)} is not a name")
+        if f.type == "str" and not (isinstance(val, str) and val):
+            raise ConfigError(f"{key} needs a name, got {_format_value(val) or 'nothing'}")
         if f.type in ("int", "float"):
             val = _number(key, val, f.type)
         setattr(cfg, f.name, val)
@@ -186,6 +189,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"dt = {cfg.dt} exceeds T = {cfg.T}")
     # the time loops run round(T / dt) steps, so a remainder would change the end time
     steps = cfg.T / cfg.dt if cfg.dt > 0 else 0.0
+    if not math.isfinite(steps):
+        raise ConfigError(f"T / dt = {cfg.T} / {cfg.dt} overflows the step count")
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"dt = {cfg.dt} does not divide T = {cfg.T}")
     if cfg.scheme not in ("backward-euler", "crank-nicolson"):

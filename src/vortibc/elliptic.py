@@ -37,7 +37,8 @@ from .fields import (
     require_finite,
     surface_curl,
 )
-from .geometry import BoundaryFrame, Grid, boundary_frame, project, second_fundamental_form
+from .geometry import (BoundaryFrame, Grid, boundary_frame, frame_of, project,
+                       second_fundamental_form)
 
 log = logging.getLogger(__name__)
 
@@ -402,8 +403,7 @@ def _assemble_neumann(grid: Grid):
     frame (None on the torus)."""
     def build():
         A0 = _fv_laplacian(grid)
-        frame = boundary_frame(grid) if grid.has_boundary() else None
-        return A0, circulant_solver(A0, grid, splu, pin=True), frame
+        return A0, circulant_solver(A0, grid, splu, pin=True), frame_of(grid)
     return grid.cached("neumann", build)
 
 
@@ -513,8 +513,9 @@ def _check_normal_traces(u, u_bdry, frame, what):
             f"{what}: |u_perp| = {worst[bad[0]]:.3e} exceeds {_BC_TOL:.1e} * scale")
 
 
-def check_normal_trace(u: VectorField, frame, what):
+def check_normal_trace(u: VectorField, what):
     """Raise BCViolation unless max |u_perp| <= 1e-6 * max(max|u|, 1)."""
+    frame = frame_of(u.grid)
     if frame is not None:
         block = _block(u)[np.newaxis]
         _check_normal_traces(block, boundary_rows(block, frame), frame, what)
@@ -607,15 +608,14 @@ def solve_harmonic_q(a, mu: float, frame: BoundaryFrame) -> ScalarField:
     return solve_neumann(NeumannProblem(grid, src, g, tol_compat=1e-10))
 
 
-def solonnikov_ratio(f: VectorField, frame: BoundaryFrame | None = None) -> float:
+def solonnikov_ratio(f: VectorField) -> float:
     """||grad phi||_2 / ||f||_2 for the Neumann problem lap(phi) = div f,
     d_nu phi = <f, nu>; the continuous estimate bounds this by 1."""
     fnorm = l2(f)
     if fnorm == 0.0:
         raise DegenerateInput("solonnikov_ratio: f is identically zero")
     grid = f.grid
-    if frame is None and grid.has_boundary():
-        frame = boundary_frame(grid)
+    frame = frame_of(grid)
     flux = normal_component(f, frame) if frame is not None else []
     # div f is a finite difference, compatible with <f, nu> only to O(h^2)
     phi = solve_neumann(NeumannProblem(grid, div(f), flux, fd_tolerance(grid)))

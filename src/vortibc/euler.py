@@ -38,7 +38,7 @@ from .fields import (
     step_count,
     tangential_part,
 )
-from .geometry import DomainKind, Grid, boundary_frame, surface_integrate
+from .geometry import DomainKind, boundary_frame, frame_of, surface_integrate
 from .linearized import CFL_LIMIT, march
 from .stokes import normalize_boundary_data
 
@@ -49,8 +49,8 @@ class StreamfunctionSolver:
     """Velocity recovery u = rot(grad s) from vorticity, with the boundary
     constants fixed by conserved circulations / through-flux."""
 
-    def __init__(self, grid: Grid, u0: VectorField):
-        self.grid = grid
+    def __init__(self, u0: VectorField):
+        self.grid = grid = u0.grid
         self.kind = grid.spec.kind
         if self.kind == DomainKind.TORUS:
             total_w = float(np.sum(grid.weights))
@@ -95,7 +95,7 @@ class StreamfunctionSolver:
         return curl_scalar(ScalarField(g, s0 + c * self.s1))
 
 
-def euler_rows(u0: VectorField, T: float, dt: float, grid: Grid):
+def euler_rows(u0: VectorField, T: float, dt: float):
     """Vorticity-transport Euler solve, yielding the velocity at steps
     0, 1, ..., step_count(T, dt) as each is computed.
 
@@ -105,7 +105,8 @@ def euler_rows(u0: VectorField, T: float, dt: float, grid: Grid):
     """
     nsteps = step_count(T, dt)
     require_finite(SolverDiverged, "solve_euler: u0", u0.ux, u0.uy)
-    solver = StreamfunctionSolver(grid, u0)
+    grid = u0.grid
+    solver = StreamfunctionSolver(u0)
     hmin = grid.min_spacing()
     omega = curl2d(u0)
     u = solver.velocity(omega)
@@ -123,10 +124,10 @@ def euler_rows(u0: VectorField, T: float, dt: float, grid: Grid):
         yield u
 
 
-def solve_euler(u0: VectorField, T: float, dt: float, grid: Grid) -> FieldHistory:
+def solve_euler(u0: VectorField, T: float, dt: float) -> FieldHistory:
     """The velocity history of euler_rows, allocated before the first step."""
-    hist = FieldHistory.zeros(grid, dt, step_count(T, dt) + 1)
-    for n, u in enumerate(euler_rows(u0, T, dt, grid)):
+    hist = FieldHistory.zeros(u0.grid, dt, step_count(T, dt) + 1)
+    for n, u in enumerate(euler_rows(u0, T, dt)):
         hist[n] = u
     return hist
 
@@ -146,14 +147,14 @@ def circulation(u: VectorField, component) -> float:
 
 @dataclass
 class SweepConfig:
-    """Shared discretization for a decreasing-viscosity comparison."""
+    """Shared discretization for a decreasing-viscosity comparison, on the
+    grid of u0."""
 
     mu_list: list
     u0: VectorField
     a: object
     T: float
     dt: float
-    grid: Grid
 
     def __post_init__(self):
         mus = list(self.mu_list)
@@ -200,7 +201,7 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
     partial; an Euler failure raises.  Once every march has dropped out the
     reference is not stepped further.  Rows are in mu order.
     """
-    grid = cfg.grid
+    grid = cfg.u0.grid
     noise_floor = 10.0 * (grid.min_spacing() ** 2 + cfg.dt)
     mus = list(cfg.mu_list)
 
@@ -208,7 +209,7 @@ def sweep_mu(cfg: SweepConfig) -> SweepReport:
     marches = march(cfg.u0, cfg.a, mus, cfg.T, cfg.dt, failed)
     e_sup = dict.fromkeys(mus, 0.0)
     e_grad_series = {mu: [] for mu in mus}
-    for u_euler in euler_rows(cfg.u0, cfg.T, cfg.dt, grid):
+    for u_euler in euler_rows(cfg.u0, cfg.T, cfg.dt):
         live, u = next(marches, ((), None))
         if not live:
             break
@@ -261,7 +262,7 @@ class ViscousGronwallReport:
 
 
 def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
-                           mu: float, mu0: float, frame, C: float,
+                           mu: float, mu0: float, C: float,
                            include_mu_term: bool = True) -> ViscousGronwallReport:
     """Discrete form of the energy inequality for v = u_mu - u:
 
@@ -273,7 +274,7 @@ def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
     time differences).  `include_mu_term=False` drops the mu-proportional
     forcing for sensitivity experiments.
     """
-    dt = u_hist.dt
+    dt, frame = u_hist.dt, frame_of(u_hist.grid)
     nt = len(u_hist)
     diffs = u_mu_hist - u_hist
     vsq = np.array([l2(d) ** 2 for d in diffs])

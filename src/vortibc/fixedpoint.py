@@ -38,6 +38,7 @@ from .fields import (
     step_count,
     time_derivative_rows,
 )
+from .geometry import frame_of
 from .linearized import VelocityMap, energy_rows, march
 from .stokes import normalize_boundary_data, stokes_rows
 
@@ -69,16 +70,15 @@ class PicardConfig:
 
 @dataclass
 class NSSolution:
-    """Converged splitting u = v + w with the convergence trace.  u is a
-    whole history made on first use; ns_rows gives the snapshots of u, and
-    of the pressure on request, without holding them."""
+    """Converged splitting u = v + w with the convergence trace, on the
+    time grid of v and w; u0 is w[0].  u is a whole history made on first
+    use; ns_rows gives the snapshots of u, and of the pressure on request,
+    without holding them."""
 
     v: FieldHistory
     w: FieldHistory
     trace: list          # rows (iter, delta_WT, ratio) with ratio NaN at k=1
     mu: float
-    dt: float
-    u0: VectorField
 
     @cached_property
     def u(self) -> FieldHistory:
@@ -221,20 +221,20 @@ def picard_solve(u0: VectorField, a, mu: float, T: float, dt: float,
             f"no fixed point within {cfg.max_iter} iterations "
             f"(last delta {trace[-1][1]:.3e})")
 
-    return NSSolution(v=v, w=w, trace=trace, mu=mu, dt=dt, u0=u0)
+    return NSSolution(v=v, w=w, trace=trace, mu=mu)
 
 
-def ns_rows(sol: NSSolution, energy: bool = False):
+def ns_rows(sol: NSSolution):
     """The snapshots of a converged splitting, in one pass over chunks of
     _NORM_ROWS snapshots of v and w: yields (u, p, div v) for each
     snapshot, where p is a function that solves the snapshot's pressure when
     called, so a caller that keeps only some pressures solves only those.
-    With energy (3 snapshots or more), each tuple goes on with the
-    snapshot's four compute_F terms from linearized.energy_rows, which then
-    also supplies div v.
+    From 3 snapshots on, each tuple goes on with the snapshot's four
+    compute_F terms from linearized.energy_rows, which then also supplies
+    div v.
     """
     grid, v, w = sol.v.grid, sol.v.data, sol.w.data
-    terms = energy_rows(sol.v, sol.v, sol.w) if energy else None
+    terms = energy_rows(sol.v, sol.v, sol.w) if len(v) >= 3 else None
     for c in history_chunks(len(v), _NORM_ROWS):
         u = v[c.i:c.j] + w[c.i:c.j]
         # the linearized pressure of (v, w) is the pressure of the carrier u = v + w
@@ -272,14 +272,15 @@ class ResidualReport:
     initial_l2: float
 
 
-def ns_residual(sol: NSSolution, a, mu: float, frame) -> ResidualReport:
+def ns_residual(sol: NSSolution, a) -> ResidualReport:
     """Momentum residual of u = v + w using the recovered pressure.
 
     Interior residual of du/dt + u.grad u + grad p - mu lap u with the
     pressure re-derived from u at each snapshot; boundary residuals report
     |u_perp| and |curl u - a|; the initial residual is ||u(0) - u0||_2.
     """
-    grid = sol.u.grid
+    grid, mu, dt = sol.u.grid, sol.mu, sol.v.dt
+    frame = frame_of(grid)
     u_t = sol.u.time_derivative()
     sample_a, _ = normalize_boundary_data(a, frame)
     interior = np.zeros(len(sol.u))
@@ -289,21 +290,21 @@ def ns_residual(sol: NSSolution, a, mu: float, frame) -> ResidualReport:
     bc_vort = 0.0
     for k in range(len(sol.u)):
         u = sol.u[k]
-        p = solve_pressure_ns(u, sample_a(k * sol.dt), mu)
+        p = solve_pressure_ns(u, sample_a(k * dt), mu)
         resid = u_t[k] + advect(u, u) + grad(p) - mu * laplacian(u)
         interior[k] = float(np.sqrt(np.sum(w_int * (resid.ux**2 + resid.uy**2))))
         bc_perp = max(bc_perp, max_normal_trace(u, frame))
-        bc_vort = max(bc_vort, max_vorticity_defect(u, frame, sample_a(k * sol.dt)))
+        bc_vort = max(bc_vort, max_vorticity_defect(u, frame, sample_a(k * dt)))
     return ResidualReport(
         interior_l2_max=float(np.max(interior)),
         interior_l2=interior,
         bc_perp_max=bc_perp,
         bc_vorticity_max=bc_vort,
-        initial_l2=l2(sol.u[0] - sol.u0),
+        initial_l2=l2(sol.u[0] - sol.w[0]),
     )
 
 
-def compare_pressures(sol: NSSolution, a, mu: float, frame) -> float:
+def compare_pressures(sol: NSSolution, a) -> float:
     """sup_t || p_ns(u) - (p_v + q) ||_2 after re-centering both to zero mean.
 
     p_ns is the single-field pressure of u; p_v + q is the split-path
@@ -311,12 +312,13 @@ def compare_pressures(sol: NSSolution, a, mu: float, frame) -> float:
     plus the harmonic Stokes part q(t) that stokes_rows computes (zero with
     no boundary).
     """
-    grid = sol.u.grid
+    grid, mu, dt = sol.u.grid, sol.mu, sol.v.dt
+    frame = frame_of(grid)
     sample_a, _ = normalize_boundary_data(a, frame)
     total_w = float(np.sum(grid.weights))
     worst = 0.0
     for k in range(len(sol.u)):
-        u, a_k = sol.u[k], sample_a(k * sol.dt)
+        u, a_k = sol.u[k], sample_a(k * dt)
         p_direct = solve_pressure_ns(u, a_k, mu)
         q = 0.0 if frame is None else solve_harmonic_q(a_k, mu, frame).values
         combo = solve_pressure_euler(u).values + q

@@ -363,6 +363,11 @@ def boundary_frame(grid: Grid) -> BoundaryFrame:
     return grid.cached("frame", build)
 
 
+def frame_of(grid: Grid) -> BoundaryFrame | None:
+    """The boundary frame of a grid, or None on the torus."""
+    return boundary_frame(grid) if grid.has_boundary() else None
+
+
 def boundary_zeros(frame: BoundaryFrame) -> list[np.ndarray]:
     return [np.zeros(c.n_nodes) for c in frame]
 
@@ -391,11 +396,8 @@ def second_fundamental_form(frame: BoundaryFrame, u_vals, w_vals) -> list[np.nda
 
 
 def surface_integrate(frame: BoundaryFrame, f) -> float:
-    """Sum of f * ds over all boundary components.
-
-    f may be a list of per-component arrays or a scalar; second-order
-    accurate (exact for the uniform closed loops used here).
+    """Sum of f * ds over all boundary components, f holding one array per
+    component; second-order accurate (exact for the uniform closed loops
+    used here).
     """
-    if np.isscalar(f):
-        return float(f) * frame.perimeter()
     return float(sum(np.sum(comp.ds * vals) for comp, vals in zip(frame, f)))

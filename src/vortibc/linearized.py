@@ -42,7 +42,7 @@ from .fields import (
     max_speed,
     time_derivative_rows,
 )
-from .geometry import boundary_frame, boundary_zeros
+from .geometry import boundary_zeros, frame_of
 from .stepping import VelocityStepper
 from .stokes import stokes_rows
 
@@ -94,7 +94,7 @@ class VelocityMap:
     def __init__(self, grid, mu: float, dt: float):
         self.grid = grid
         self.dt = dt
-        frame = boundary_frame(grid) if grid.has_boundary() else None
+        frame = frame_of(grid)
         self.a_zero = boundary_zeros(frame) if frame is not None else None
         self.stepper = VelocityStepper(grid, mu, dt, theta=1.0)
         # the carrier, pressure and norm blocks of every sweep
@@ -211,9 +211,10 @@ def _pressure_stage(grid, dt, live, s, step, failed):
     return [live[i] for i in keep], s[keep], gx[keep], gy[keep]
 
 
-def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float, dt: float,
+def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float,
                        v_init: VectorField | None = None) -> FieldHistory:
-    """Advance the linearized problem; returns the v history.
+    """Advance the linearized problem on the time grid of w; returns the v
+    history.
 
     beta and w share grid, dt, and snapshot count; beta[0] must vanish.
     v_init is the initial value of the evolving unknown (kept zero for the
@@ -225,14 +226,14 @@ def apply_velocity_map(beta: FieldHistory, w: FieldHistory, mu: float, dt: float
         raise ValueError("beta and w must share dt")
     if l2(beta[0]) > 1e-12 * max(1.0, l2(w[0])):
         raise ValueError("beta(0) must vanish")
-    v_hist = FieldHistory.zeros(w.grid, dt, len(w))
+    v_hist = FieldHistory.zeros(w.grid, w.dt, len(w))
     if v_init is not None:
         v_hist[0] = v_init
 
     def carriers(n0, n1, out):
         return np.add(beta.data[n0:n1], w.data[n0:n1], out=out)
 
-    for n, v_n in VelocityMap(w.grid, mu, dt).steps(v_hist.data, w.data, 0, carriers):
+    for n, v_n in VelocityMap(w.grid, mu, w.dt).steps(v_hist.data, w.data, 0, carriers):
         v_hist[n] = v_n
     return v_hist
 

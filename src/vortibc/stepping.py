@@ -23,7 +23,7 @@ from .elliptic import (circulant_solver, expand_rows, generator_index, generator
                        kron_sum, pin_rows, second_difference, splu, stencil, wall_rows)
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
-from .geometry import Grid, boundary_frame
+from .geometry import Grid, boundary_frame, frame_of
 
 
 def to_native(grid: Grid, u: VectorField, k: int, out, tmp):
@@ -121,7 +121,7 @@ class VelocityStepper:
         self.mu = float(mu)
         self.dt = float(dt)
         self.theta = float(theta)
-        self.frame = boundary_frame(grid) if grid.has_boundary() else None
+        self.frame = frame_of(grid)
 
         self.L0, self.normal_dofs, self.aterm_idx, self.aterm_coef = grid.cached(
             "vel_op", lambda: (_polar_operator if grid.polar else _cartesian_operator)(grid))

@@ -38,7 +38,7 @@ from .fields import (
     require_finite,
     step_count,
 )
-from .geometry import BoundaryFrame, boundary_frame, boundary_zeros, surface_integrate
+from .geometry import boundary_zeros, frame_of, surface_integrate
 from .stepping import VelocityStepper
 
 STOKES_COLUMNS = ("t", "l2_w", "h1_w", "h2_w", "l2_div_w",
@@ -75,7 +75,7 @@ def _check_initial_data(u0, frame, a0):
     miss of the vorticity of u0 against a0 at the walls, exceeds the
     stencil order: the Stokes problem then absorbs it in an initial layer."""
     require_finite(SolverDiverged, "solve_stokes: u0", u0.ux, u0.uy)
-    check_normal_trace(u0, frame, "solve_stokes: u0")
+    check_normal_trace(u0, "solve_stokes: u0")
     g = u0.grid
     dtol = 50.0 * max(g.h1, g.h2) ** 2
     scale = max(u0.max_abs(), 1.0)
@@ -102,7 +102,7 @@ def stokes_rows(u0: VectorField, a, mu: float, T: float, dt: float,
     if scheme not in ("backward-euler", "crank-nicolson"):
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = u0.grid
-    frame = boundary_frame(grid) if grid.has_boundary() else None
+    frame = frame_of(grid)
     sample_a, static_a = normalize_boundary_data(a, frame)
     _check_initial_data(u0, frame, sample_a(0.0))
 
@@ -141,8 +141,7 @@ def solve_stokes(u0: VectorField, a, mu: float, T: float, dt: float,
     return w_hist, q_hist
 
 
-def stokes_row(t: float, w: VectorField, q: ScalarField, a_t,
-               frame: BoundaryFrame | None) -> tuple:
+def stokes_row(t: float, w: VectorField, q: ScalarField, a_t) -> tuple:
     """The STOKES_COLUMNS row of one snapshot: norms of w and div(w), the
     kinematic and vorticity boundary residuals against a(t) = a_t, and
     ||q||_2.  The partials of w are taken once, for the norms, div(w) and
@@ -151,6 +150,7 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t,
     second partials are ever held.  Every value equals its single-purpose
     operator bit for bit."""
     g = w.grid
+    frame = frame_of(g)
     partials, orders = [], []
     for comp in (w.ux, w.uy):
         values = comp[np.newaxis]
@@ -166,12 +166,11 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t,
             l2(ScalarField(g, div_w)), max_normal_trace(w, frame), vort, l2(q))
 
 
-def stokes_diagnostics(w_hist: FieldHistory, q_hist: FieldHistory, a,
-                       frame: BoundaryFrame | None) -> dict:
+def stokes_diagnostics(w_hist: FieldHistory, q_hist: FieldHistory, a) -> dict:
     """{column: array} of STOKES_COLUMNS, one stokes_row per snapshot of a
     Stokes solve."""
-    sample_a, _ = normalize_boundary_data(a, frame)
-    rows = [stokes_row(t, w, q, sample_a(t), frame)
+    sample_a, _ = normalize_boundary_data(a, frame_of(w_hist.grid))
+    rows = [stokes_row(t, w, q, sample_a(t))
             for t, w, q in zip(w_hist.times, w_hist, q_hist)]
     return dict(zip(STOKES_COLUMNS, np.array(rows).T))
 
@@ -183,8 +182,7 @@ ENERGY_COLUMNS = ("t", "g_sq", "h_sq", "diss_g_cum", "diss_h_cum",
                   "bterm_g_cum", "bterm_h_cum", "balance_g", "balance_h")
 
 
-def stokes_energy_report(w_hist: FieldHistory, a, mu: float,
-                         frame: BoundaryFrame | None) -> dict:
+def stokes_energy_report(w_hist: FieldHistory, a, mu: float) -> dict:
     """Discrete energy balances for g = curl(w) and h = curl(g), as
     {column: array} of ENERGY_COLUMNS.
 
@@ -196,7 +194,7 @@ def stokes_energy_report(w_hist: FieldHistory, a, mu: float,
     """
     if len(w_hist) < 3:
         raise ValueError("energy report needs at least 3 snapshots")
-    dt = w_hist.dt
+    dt, frame = w_hist.dt, frame_of(w_hist.grid)
     sample_a, static_a = normalize_boundary_data(a, frame)
 
     g_fields = [curl2d(w) for w in w_hist]
@@ -243,20 +241,19 @@ class Prop43Report:
                 for lh, rh in zip(self.lhs, self.rhs)]
 
 
-def verify_prop43(u0: VectorField, a, mu_list, T: float, dt: float,
-                  time_dependent: bool = False) -> Prop43Report:
+def verify_prop43(u0: VectorField, a, mu_list, T: float, dt: float) -> Prop43Report:
     """Energy-bound sweep for the Stokes solution across viscosities.
 
     Branch (i), static a: lhs = sup_t ||w||_H2^2 + mu * int (|grad g|^2 +
     |grad h|^2) dt must stay a bounded multiple of ||u0||_H2^2
-    + mu ||a||^2_{L2(Gamma_T)} uniformly in mu.  Branch (ii), time-dependent
-    a: the same lhs against ||u0||_H2^2 + ||(a, da/dt)||^2_{L2(Gamma_T)},
-    with the multiplier allowed to depend on (mu, T).
+    + mu ||a||^2_{L2(Gamma_T)} uniformly in mu.  Branch (ii), a callable of
+    t on a bounded domain: the same lhs against ||u0||_H2^2
+    + ||(a, da/dt)||^2_{L2(Gamma_T)}, with the multiplier allowed to depend
+    on (mu, T).
     """
-    grid = u0.grid
-    frame = boundary_frame(grid) if grid.has_boundary() else None
-    sample_a, _ = normalize_boundary_data(a, frame)
-    branch = "ii" if time_dependent else "i"
+    frame = frame_of(u0.grid)
+    sample_a, static_a = normalize_boundary_data(a, frame)
+    branch = "i" if static_a else "ii"
     mu_values, lhs_list, rhs_list = [], [], []
     for mu in mu_list:
         w_hist, _ = solve_stokes(u0, a, mu, T, dt)
@@ -275,11 +272,11 @@ def verify_prop43(u0: VectorField, a, mu_list, T: float, dt: float,
             for k in range(nt):
                 a_k = sample_a(k * dt)
                 vals[k] = surface_integrate(frame, [av * av for av in a_k])
-                if time_dependent:
+                if not static_a:
                     da = _a_rate(sample_a, k * dt, dt)
                     vals[k] += surface_integrate(frame, [d * d for d in da])
             a_l2_cum = float(np.trapezoid(vals, dx=dt))
-        if time_dependent:
+        if not static_a:
             rhs = h2(u0) ** 2 + a_l2_cum
         else:
             rhs = h2(u0) ** 2 + mu * a_l2_cum

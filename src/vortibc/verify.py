@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import solonnikov_ratio
-from .errors import NoBoundary
 from .fields import ScalarField, VectorField
 from .generators import random_scalar, random_vector
-from .geometry import DomainSpec, boundary_frame, build_grid
+from .geometry import DomainSpec, build_grid, frame_of
 from .identities import (
     advection_identity_residuals,
     advection_normal_trace_residual,
@@ -99,11 +98,8 @@ def run_identity_suite(spec: DomainSpec, resolutions=(32, 64, 128),
     has_boundary = True
     for n in resolutions:
         grid = build_grid(spec, n, n)
-        try:
-            frame = boundary_frame(grid)
-        except NoBoundary:
-            frame = None
-            has_boundary = False
+        frame = frame_of(grid)
+        has_boundary = frame is not None
         u = VectorField.from_function(grid, u_fn)
         w = VectorField.from_function(grid, w_fn)
         s = ScalarField.from_function(grid, s_fn)
@@ -148,13 +144,9 @@ def run_solonnikov_ensemble(spec: DomainSpec, resolution: int = 48,
     (worst_ratio, passed)."""
     rng = np.random.default_rng(seed)
     grid = build_grid(spec, resolution, resolution)
-    try:
-        frame = boundary_frame(grid)
-    except NoBoundary:
-        frame = None
     worst = 0.0
     for _ in range(n_samples):
         fn = random_vector(spec, rng)
         f = VectorField.from_function(grid, fn)
-        worst = max(worst, solonnikov_ratio(f, frame))
+        worst = max(worst, solonnikov_ratio(f))
     return worst, worst <= RATIO_LIMIT

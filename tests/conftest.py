@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -89,13 +90,15 @@ def analytic_streamfunction_shear(r0, r1, amp=1.0, moduln=0.3):
     return fn
 
 
-def fail_march_at(monkeypatch, mu_fail, snapshot=None, nonfinite=False):
+def fail_march_at(monkeypatch, mu_fail, snapshot=None, nonfinite=False, step=False):
     """Fault injection: the march of one viscosity fails and every other
     runs normally, inside the batch that marches them all.  With snapshot
     None its set-up raises a typed solver error.  Otherwise its Stokes
     snapshots are true before that snapshot and, in its place, raise the
     error or, with nonfinite, carry a NaN: the march then yields that
-    snapshot and its row fails the next step's stacked pressure solve."""
+    snapshot and its row fails the next step's stacked pressure solve.
+    With step, its Stokes snapshots are all true and its implicit step to
+    that snapshot raises the error instead."""
     from vortibc import linearized
     from vortibc.errors import SolverDiverged
 
@@ -107,6 +110,10 @@ def fail_march_at(monkeypatch, mu_fail, snapshot=None, nonfinite=False):
         if snapshot is None:
             raise SolverDiverged(f"injected failure at mu={mu}")
         vmap, w_rows = lane(u0, a, mu, *args)
+        if step:
+            vmap.step = raise_at_call(vmap.step, snapshot, SolverDiverged(
+                f"injected failure at mu={mu}, step to snapshot {snapshot}"))
+            return vmap, w_rows
         if nonfinite:
             return vmap, nan_at(w_rows, snapshot)
         return vmap, raise_at(w_rows, snapshot, SolverDiverged(
@@ -125,6 +132,17 @@ def nan_at(rows, snapshot):
             u = VectorField(u.grid, u.ux.copy(), u.uy)
             u.ux[0, 0] = np.nan
         yield u
+
+
+def raise_at_call(fn, call, exc):
+    """fn, except that its call number `call` (counted from 1) raises exc."""
+    calls = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        if next(calls) == call:
+            raise exc
+        return fn(*args, **kwargs)
+    return wrapped
 
 
 def raise_at(rows, snapshot, exc):

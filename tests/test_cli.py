@@ -247,6 +247,23 @@ def test_cmd_verify_exit_codes(tmp_path, capsys):
     assert main(["verify", "--config", low]) == 2
 
 
+@pytest.mark.parametrize("order_threshold, ratio_limit, name", [
+    (100.0, 1.05, "advection_normal_trace"),
+    (-math.inf, 0.0, "gradient_bound_ratio"),
+], ids=["identity_check", "gradient_bound"])
+def test_cmd_verify_failure_exits_1(tmp_path, capsys, monkeypatch, order_threshold,
+                                    ratio_limit, name):
+    # an identity check below its order threshold, or a gradient-bound
+    # ratio above its limit, fails the suite: exit 1, naming the check
+    import vortibc.verify
+
+    monkeypatch.setattr(vortibc.verify, "ORDER_THRESHOLD", order_threshold)
+    monkeypatch.setattr(vortibc.verify, "RATIO_LIMIT", ratio_limit)
+    cfg = _write(tmp_path, "domain.kind = annulus\ndomain.n1 = 16\ndomain.n2 = 16\n")
+    assert main(["verify", "--config", cfg]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == f"FAILED: {name}"
+
+
 def test_cmd_verify_torus_skips_boundary(tmp_path, capsys):
     cfg = _write(tmp_path, "domain.kind = torus\n"
                            "domain.length_x = 6.283185307179586\n"
@@ -464,13 +481,15 @@ def test_resolution_override(tmp_path):
     ("sweep", "physics.mu_list = 0.1, 0.0\n", []),
     ("stokes", "physics.T = 0\nphysics.dt = 0\n", []),
     ("ns", "solver.tol_fix = 0\n", []),
+    ("stokes", "physics.T = 0.5\nphysics.dt = 1e-320\n", []),
+    ("euler", "physics.T = 1e308\nphysics.dt = 0\n", []),
 ], ids=["bad_resolution", "missing_config", "increasing_mu_list", "nan_ic_param",
         "text_ic_param", "fractional_int_param", "nan_float_field", "nan_mu_list_entry",
         "inf_bd_param", "misspelled_ic_param", "unused_bd_param", "dt_above_T",
         "dt_above_T_euler", "dt_not_dividing_T", "negative_seed_cfg", "negative_seed_arg",
         "fractional_seed", "text_float_field", "negative_dt", "negative_checkpoint_stride",
         "zero_contraction_window", "nonpositive_mu_list_entry", "zero_mu_list_entry",
-        "zero_T", "zero_tol_fix"])
+        "zero_T", "zero_tol_fix", "step_count_overflow", "default_step_count_overflow"])
 def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
     path = str(tmp_path / "absent.cfg")
     if extra_cfg is not None:
@@ -484,10 +503,12 @@ def test_bad_input_exits_2(tmp_path, capsys, command, extra_cfg, extra_args):
 @pytest.mark.parametrize("line", [
     "output.directory = 5", "output.directory = true",
     "physics.initial_condition = zero, zero", "physics.boundary_data = a, b",
-], ids=["number_directory", "bool_directory", "list_initial_condition", "list_boundary_data"])
+    "output.directory =",
+], ids=["number_directory", "bool_directory", "list_initial_condition", "list_boundary_data",
+        "empty_directory"])
 def test_text_key_given_no_name_exits_2(tmp_path, capsys, monkeypatch, line):
-    # a text key takes a name: a number, a bool or a list there is a
-    # configuration error found before the run, which writes nothing
+    # a text key takes a name: nothing, a number, a bool or a list there is
+    # a configuration error found before the run, which writes nothing
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path, "domain.kind = annulus\ndomain.n1 = 12\ndomain.n2 = 16\n"
                  f"physics.T = 0.05\nphysics.dt = 0.01\n{line}\n")
@@ -674,7 +695,7 @@ def test_euler_stream_matches_history_path(tmp_path, domain, stride):
     path, cfg = _stream_cfg(tmp_path, domain, stride)
     assert main(["euler", "--config", path]) == 0
     grid, frame, u0, a = _setup_run(cfg)
-    hist = solve_euler(u0, cfg.T, cfg.dt, grid)
+    hist = solve_euler(u0, cfg.T, cfg.dt)
     rows = [(k * cfg.dt, l2(u), kinetic_energy(u)) for k, u in enumerate(hist)]
     want = str(tmp_path / "want")
     _history_outputs(cfg, want, "euler_diagnostics.csv", ("t", "l2_u", "energy"), rows,

@@ -85,7 +85,7 @@ def _streamfunction_site(monkeypatch):
     from vortibc.euler import StreamfunctionSolver
 
     grid = build_grid(DomainSpec(DomainKind.TORUS, length_x=1.0, length_y=1.0), 32, 32)
-    solver = StreamfunctionSolver(grid, VectorField.zeros(grid))
+    solver = StreamfunctionSolver(VectorField.zeros(grid))
     z = zero_mean(grid, np.random.default_rng(6).normal(size=grid.shape))
     return (max(1e-8, 100.0 * max(grid.h1, grid.h2) ** 2),
             lambda c: _defect_and_size(grid, None, -(z + c), []),
@@ -275,16 +275,16 @@ def test_solonnikov_zero_raises(annulus_grid):
         solonnikov_ratio(VectorField.zeros(annulus_grid))
 
 
-def test_solonnikov_potential_equality(annulus_grid, annulus_frame):
+def test_solonnikov_potential_equality(annulus_grid):
     pot = ScalarField.from_function(annulus_grid,
                                     lambda x, y: np.sin(x) * y + 0.3 * x * x)
-    ratio = solonnikov_ratio(grad(pot), annulus_frame)
+    ratio = solonnikov_ratio(grad(pot))
     assert 0.9 < ratio <= 1.0 + 0.05
 
 
-def test_solonnikov_divfree_zero(annulus_grid, annulus_frame):
+def test_solonnikov_divfree_zero(annulus_grid):
     f = circulation_field(annulus_grid, c=1.0)   # div-free, f.nu = 0
-    assert solonnikov_ratio(f, annulus_frame) < 0.05
+    assert solonnikov_ratio(f) < 0.05
 
 
 @pytest.mark.parametrize("spec_kwargs", [
@@ -294,12 +294,11 @@ def test_solonnikov_divfree_zero(annulus_grid, annulus_frame):
 def test_solonnikov_ensemble(spec_kwargs):
     spec = DomainSpec(**spec_kwargs)
     grid = build_grid(spec, 32, 32)
-    frame = boundary_frame(grid)
     rng = np.random.default_rng(8)
     worst = 0.0
     for _ in range(50):
         f = VectorField.from_function(grid, random_vector(spec, rng))
-        worst = max(worst, solonnikov_ratio(f, frame))
+        worst = max(worst, solonnikov_ratio(f))
     assert worst <= 1.05
 
 
@@ -418,7 +417,7 @@ def test_non_finite_data_raises_typed_errors(annulus_grid, annulus_frame):
     with pytest.raises(SolverDiverged):
         solve_stokes(u0, None, 0.1, 0.02, 0.01)
     with pytest.raises(SolverDiverged):
-        solve_euler(u0, T=0.02, dt=0.01, grid=grid)
+        solve_euler(u0, T=0.02, dt=0.01)
 
 
 # the torus solves by 2-D FFT; sparse LU of the same assembled matrices is the oracle

@@ -16,15 +16,14 @@ from vortibc.fixedpoint import PicardConfig, picard_solve
 
 
 def test_zero_initial_data(annulus_grid):
-    hist = solve_euler(VectorField.zeros(annulus_grid), T=0.05, dt=0.01,
-                       grid=annulus_grid)
+    hist = solve_euler(VectorField.zeros(annulus_grid), T=0.05, dt=0.01)
     assert max(l2(u) for u in hist) == 0.0
 
 
 def test_stationary_circulation_preserved(annulus_spec):
     grid = build_grid(annulus_spec, 48, 96)
     u0 = circulation_field(grid, c=0.8)
-    hist = solve_euler(u0, T=1.0, dt=0.005, grid=grid)
+    hist = solve_euler(u0, T=1.0, dt=0.005)
     assert max(l2(u - u0) for u in hist) <= 50 * (grid.h1**2 + 0.005**2)
     frame = boundary_frame(grid)
     inner = frame.components[0]
@@ -37,7 +36,7 @@ def test_stationary_circulation_preserved(annulus_spec):
 def test_taylor_green_is_steady(torus_spec):
     grid = build_grid(torus_spec, 48, 48)
     u0 = taylor_green(grid)
-    hist = solve_euler(u0, T=0.5, dt=0.005, grid=grid)
+    hist = solve_euler(u0, T=0.5, dt=0.005)
     assert max(l2(u - hist[0]) for u in hist) <= 1e-10   # frozen transport
     assert max(l2(u - u0) for u in hist) <= 20 * (grid.h1**2 + 0.005**2) * l2(u0)
 
@@ -48,7 +47,7 @@ def test_energy_conserved_on_torus(torus_spec):
     from vortibc.generators import random_absolute_bc_field
     u0 = random_absolute_bc_field(grid, rng, amplitude=1.0)
     T, dt = 0.5, 0.005
-    hist = solve_euler(u0, T=T, dt=dt, grid=grid)
+    hist = solve_euler(u0, T=T, dt=dt)
     e = [kinetic_energy(u) for u in hist]
     drift = abs(e[-1] - e[0]) / max(e[0], 1e-30)
     assert drift <= 20 * (dt**2 + grid.h1**2)
@@ -58,7 +57,7 @@ def test_kinematic_bc_exact(annulus_spec):
     grid = build_grid(annulus_spec, 32, 64)
     frame = boundary_frame(grid)
     u0 = shear_field(grid, amp=1.0)
-    hist = solve_euler(u0, T=0.1, dt=0.002, grid=grid)
+    hist = solve_euler(u0, T=0.1, dt=0.002)
     for u in list(hist)[:: len(hist) // 4]:
         worst = max(float(np.max(np.abs(v))) for v in normal_component(u, frame))
         assert worst <= 1e-10   # exact modulo fp dust
@@ -70,7 +69,7 @@ def test_channel_shear_steady(channel_grid):
     grid = channel_grid
     u0 = VectorField(grid, 0.5 + 0.3 * np.sin(math.pi * grid.y / 2.0),
                      np.zeros(grid.shape))
-    hist = solve_euler(u0, T=0.2, dt=0.005, grid=grid)
+    hist = solve_euler(u0, T=0.2, dt=0.005)
     assert max(l2(u - hist[0]) for u in hist) <= 1e-10
     assert l2(hist[0] - u0) <= 30 * (grid.h1**2 + grid.h2**2)
 
@@ -78,7 +77,7 @@ def test_channel_shear_steady(channel_grid):
 def test_cfl_violation_raises(annulus_grid):
     u0 = circulation_field(annulus_grid, c=1.0)
     with pytest.raises(CFLViolation):
-        solve_euler(u0, T=1.0, dt=0.2, grid=annulus_grid)
+        solve_euler(u0, T=1.0, dt=0.2)
 
 
 def test_cfl_error_names_first_violating_step(annulus_spec, monkeypatch):
@@ -92,11 +91,11 @@ def test_cfl_error_names_first_violating_step(annulus_spec, monkeypatch):
     grid = build_grid(annulus_spec, 16, 32)
     u0 = streamfunction_shear(grid, amp=1.0)
     T, dt, k = 0.2, 0.01, 10
-    cfl = dt * max_speed(solve_euler(u0, T, dt, grid).data) / grid.min_spacing()
+    cfl = dt * max_speed(solve_euler(u0, T, dt).data) / grid.min_spacing()
     assert cfl[:k].max() < cfl[k]
     monkeypatch.setattr(euler, "CFL_LIMIT", 0.5 * (cfl[:k].max() + cfl[k]))
     with pytest.raises(CFLViolation, match=f"at step {k}$"):
-        solve_euler(u0, T, dt, grid)
+        solve_euler(u0, T, dt)
 
 
 def test_sweep_rows_match_history_path(annulus_spec):
@@ -110,12 +109,11 @@ def test_sweep_rows_match_history_path(annulus_spec):
     grid = build_grid(annulus_spec, 16, 32)
     u0 = streamfunction_shear(grid, amp=0.6)
     a = boundary_scalar_values(curl2d(u0), boundary_frame(grid))
-    cfg = SweepConfig(mu_list=[1e-1, 3e-2, 1e-2], u0=u0, a=a, T=0.05, dt=2e-3,
-                      grid=grid)
+    cfg = SweepConfig(mu_list=[1e-1, 3e-2, 1e-2], u0=u0, a=a, T=0.05, dt=2e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rows = sweep_mu(cfg).csv_rows()
-        ref = solve_euler(u0, cfg.T, cfg.dt, grid)
+        ref = solve_euler(u0, cfg.T, cfg.dt)
         want = []
         for mu in cfg.mu_list:
             diff = march_solve(u0, a, mu, cfg.T, cfg.dt) - ref
@@ -128,8 +126,7 @@ def test_sweep_deterministic(annulus_spec):
     grid = build_grid(annulus_spec, 24, 48)
     u0 = shear_field(grid, amp=0.8)
     a = [np.zeros(48), np.zeros(48)]
-    cfg = SweepConfig(mu_list=[3e-2, 1e-2], u0=u0, a=a, T=0.05, dt=2e-3,
-                      grid=grid)
+    cfg = SweepConfig(mu_list=[3e-2, 1e-2], u0=u0, a=a, T=0.05, dt=2e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         r1 = sweep_mu(cfg)
@@ -144,8 +141,7 @@ def test_sweep_noise_floor_flag(annulus_spec):
     grid = build_grid(annulus_spec, 24, 48)
     u0 = circulation_field(grid, c=0.5)
     a = [np.zeros(48), np.zeros(48)]   # omega(u0) = 0: b = 0
-    cfg = SweepConfig(mu_list=[3e-2, 1e-2, 3e-3], u0=u0, a=a, T=0.05,
-                      dt=2e-3, grid=grid)
+    cfg = SweepConfig(mu_list=[3e-2, 1e-2, 3e-3], u0=u0, a=a, T=0.05, dt=2e-3)
     rep = sweep_mu(cfg)
     assert all(r.converged for r in rep.rows)
     assert rep.slope_note == "noise floor"
@@ -164,9 +160,8 @@ def test_sweep_partial_on_failure(annulus_spec):
     frame = boundary_frame(grid)
     from vortibc.fields import boundary_scalar_values
     a = boundary_scalar_values(curl2d(u0), frame)
-    bad = SweepConfig(mu_list=[2e-1, 1e-3], u0=u0, a=a, T=0.3, dt=1e-3,
-                      grid=grid)
-    good = SweepConfig(mu_list=[2e-1], u0=u0, a=a, T=0.3, dt=1e-3, grid=grid)
+    bad = SweepConfig(mu_list=[2e-1, 1e-3], u0=u0, a=a, T=0.3, dt=1e-3)
+    good = SweepConfig(mu_list=[2e-1], u0=u0, a=a, T=0.3, dt=1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         want = sweep_mu(good).rows[0]
@@ -194,7 +189,7 @@ def test_sweep_stacks_pressure_solves(annulus_spec, monkeypatch):
                         or solve(grid, s, *args, **kwargs))
     grid = build_grid(annulus_spec, 16, 32)
     cfg = SweepConfig(mu_list=[1e-1, 3e-2, 1e-2], u0=circulation_field(grid, c=0.3),
-                      a=[np.zeros(32), np.zeros(32)], T=0.02, dt=2e-3, grid=grid)
+                      a=[np.zeros(32), np.zeros(32)], T=0.02, dt=2e-3)
     sweep_mu(cfg)
     assert rows == [3] * 10
     # a viscosity whose Stokes snapshot 4 fails leaves the solves of steps 4..10
@@ -242,6 +237,34 @@ def test_march_batch_failures_are_per_viscosity(annulus_spec):
                 assert np.array_equal(u[[0, -1]], clean[n][[0, -1]])
 
 
+def test_march_lane_whose_step_raises_fails_alone(annulus_spec):
+    # a viscosity whose implicit step to snapshot 4 raises leaves the batch
+    # from that snapshot on with the raised error in failed; the other
+    # lanes' rows are those of the march without the fault, bit for bit
+    from conftest import streamfunction_shear
+    from vortibc.errors import SolverDiverged
+    from vortibc.linearized import march
+
+    grid = build_grid(annulus_spec, 16, 32)
+    u0 = streamfunction_shear(grid, amp=2.0)
+    a = boundary_scalar_values(curl2d(u0), boundary_frame(grid))
+    mus, T, dt = [2e-1, 1e-2, 1e-3], 0.01, 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        clean = [u for _, u in march(u0, a, mus, T, dt, {})]
+        with pytest.MonkeyPatch.context() as mp:
+            fail_march_at(mp, 1e-2, 4, step=True)
+            failed = {}
+            rows = [(live, u.copy()) for live, u in march(u0, a, mus, T, dt, failed)]
+    assert list(failed) == [1e-2]
+    assert isinstance(failed[1e-2], SolverDiverged)
+    assert str(failed[1e-2]) == "injected failure at mu=0.01, step to snapshot 4"
+    assert len(rows) == len(clean)
+    for n, (live, u) in enumerate(rows):
+        assert live == (mus if n < 4 else [2e-1, 1e-3])
+        assert np.array_equal(u[[0, -1]], clean[n][[0, -1]])
+
+
 def test_sweep_euler_failure_raises(annulus_spec, monkeypatch):
     # the Euler reference fails mid-run, after the marches have advanced in
     # lockstep with it: the sweep has no reference, so the failure raises
@@ -254,7 +277,7 @@ def test_sweep_euler_failure_raises(annulus_spec, monkeypatch):
         rows(*args), 3, CFLViolation("injected Euler failure at step 3")))
     grid = build_grid(annulus_spec, 16, 32)
     cfg = SweepConfig(mu_list=[1e-1, 1e-2], u0=circulation_field(grid, c=0.3),
-                      a=[np.zeros(32), np.zeros(32)], T=0.02, dt=2e-3, grid=grid)
+                      a=[np.zeros(32), np.zeros(32)], T=0.02, dt=2e-3)
     with pytest.raises(CFLViolation, match="injected"):
         sweep_mu(cfg)
 
@@ -263,7 +286,7 @@ def test_single_mu_slope_na(annulus_spec):
     grid = build_grid(annulus_spec, 16, 32)
     u0 = circulation_field(grid, c=0.3)
     cfg = SweepConfig(mu_list=[1e-2], u0=u0, a=[np.zeros(32), np.zeros(32)],
-                      T=0.02, dt=2e-3, grid=grid)
+                      T=0.02, dt=2e-3)
     rep = sweep_mu(cfg)
     assert rep.slope is None
     assert rep.slope_note == "n/a"
@@ -275,26 +298,25 @@ def test_single_mu_slope_na(annulus_spec):
 def _viscous_scenario():
     grid = build_grid(DomainSpec(DomainKind.ANNULUS, r_inner=1.0, r_outer=2.0),
                       48, 48)
-    frame = boundary_frame(grid)
     u0 = shear_field(grid, amp=1.0)
     a = [np.zeros(48), np.zeros(48)]
     mu, mu0, T, dt = 0.03, 0.1, 0.1, 1e-3
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = picard_solve(u0, a, mu, T, dt, PicardConfig(tol_fix=1e-7, max_iter=20))
-    ref = solve_euler(u0, T, dt, grid)
-    return sol, ref, a, mu, mu0, frame
+    ref = solve_euler(u0, T, dt)
+    return sol, ref, a, mu, mu0
 
 
 def test_viscous_gronwall_frozen():
-    sol, ref, a, mu, mu0, frame = _viscous_scenario()
-    rep = check_gronwall_viscous(sol.u, ref, a, mu, mu0, frame,
+    sol, ref, a, mu, mu0 = _viscous_scenario()
+    rep = check_gronwall_viscous(sol.u, ref, a, mu, mu0,
                                  C=VISCOUS_GRONWALL_C)
     assert rep.ok
-    halved = check_gronwall_viscous(sol.u, ref, a, mu, mu0, frame,
+    halved = check_gronwall_viscous(sol.u, ref, a, mu, mu0,
                                     C=VISCOUS_GRONWALL_C / 2.0)
     assert not halved.ok
-    no_mu = check_gronwall_viscous(sol.u, ref, a, mu, mu0, frame,
+    no_mu = check_gronwall_viscous(sol.u, ref, a, mu, mu0,
                                    C=VISCOUS_GRONWALL_C, include_mu_term=False)
     assert not no_mu.ok
     # the mu-term removal bites at early steps where ||v|| is still tiny
@@ -302,10 +324,9 @@ def test_viscous_gronwall_frozen():
     assert first_bad < len(no_mu.times) // 4
 
 
-def test_viscous_gronwall_zero_difference(annulus_grid, annulus_frame):
-    hist = solve_euler(circulation_field(annulus_grid, c=0.4), T=0.03,
-                       dt=0.003, grid=annulus_grid)
+def test_viscous_gronwall_zero_difference(annulus_grid):
+    hist = solve_euler(circulation_field(annulus_grid, c=0.4), T=0.03, dt=0.003)
     rep = check_gronwall_viscous(hist, hist, [np.zeros(64), np.zeros(64)],
-                                 0.01, 0.1, annulus_frame, C=VISCOUS_GRONWALL_C)
+                                 0.01, 0.1, C=VISCOUS_GRONWALL_C)
     assert rep.ok
     assert np.all(rep.lhs <= 1e-12)

@@ -45,7 +45,7 @@ def test_fixed_point_consistency(annulus_spec):
     tol = 1e-7
     sol = picard_solve(u0, a, 0.05, 0.05, 0.0025,
                        PicardConfig(tol_fix=tol, max_iter=25))
-    extra = apply_velocity_map(beta=sol.v, w=sol.w, mu=sol.mu, dt=sol.dt)
+    extra = apply_velocity_map(beta=sol.v, w=sol.w, mu=sol.mu)
     moved = wt_norm(extra - sol.v)
     assert moved <= 2 * tol
 
@@ -103,17 +103,16 @@ def test_verify_incompressibility_flags_corruption(annulus_spec):
                        PicardConfig(tol_fix=1e-7, max_iter=25))
     clean = verify_incompressibility(sol).max_div
     noise = grad(ScalarField(grid, 0.05 * (grid.x**2 + grid.y**2)))
-    corrupted = FieldHistory(grid, sol.dt, sol.v.data + [noise.ux, noise.uy])
-    dirty_sol = NSSolution(v=corrupted, w=sol.w, trace=sol.trace, mu=sol.mu, dt=sol.dt,
-                           u0=sol.u0)
+    corrupted = FieldHistory(grid, sol.v.dt, sol.v.data + [noise.ux, noise.uy])
+    dirty_sol = NSSolution(v=corrupted, w=sol.w, trace=sol.trace, mu=sol.mu)
     dirty = verify_incompressibility(dirty_sol).max_div
     assert dirty > 10 * max(clean, 1e-10)
 
 
-def test_ns_residual_zero_run(annulus_grid, annulus_frame):
+def test_ns_residual_zero_run(annulus_grid):
     sol = picard_solve(VectorField.zeros(annulus_grid), None, 0.1, 0.05, 0.01,
                        PicardConfig(tol_fix=1e-10))
-    rep = ns_residual(sol, None, 0.1, annulus_frame)
+    rep = ns_residual(sol, None)
     assert rep.interior_l2_max == 0.0
     assert rep.bc_perp_max == 0.0
     assert rep.bc_vorticity_max == 0.0
@@ -126,20 +125,19 @@ def test_ns_residual_refines_taylor_green(torus_spec):
         grid = build_grid(torus_spec, n, n)
         sol = picard_solve(taylor_green(grid), None, 0.01, 0.1, dt,
                            PicardConfig(tol_fix=1e-9, max_iter=25))
-        rep = ns_residual(sol, None, 0.01, None)
+        rep = ns_residual(sol, None)
         vals.append(rep.interior_l2_max)
     assert vals[1] < vals[0] / 2.5
 
 
 def test_compare_pressures_stationary(annulus_spec):
     grid = build_grid(annulus_spec, 32, 64)
-    frame = boundary_frame(grid)
     u0 = circulation_field(grid, c=0.3)
     a = [np.zeros(64), np.zeros(64)]
     sol = picard_solve(u0, a, 0.05, 0.05, 0.0025,
                        PicardConfig(tol_fix=1e-9, max_iter=20))
-    assert compare_pressures(sol, a, 0.05, frame) <= 50 * grid.h1**2
-    rep = ns_residual(sol, a, 0.05, frame)
+    assert compare_pressures(sol, a) <= 50 * grid.h1**2
+    rep = ns_residual(sol, a)
     assert rep.interior_l2_max <= 50 * grid.h1**2   # steady state: pure truncation
     assert rep.initial_l2 == 0.0
 
@@ -150,7 +148,7 @@ def test_compare_pressures_taylor_green(torus_spec):
     sol = picard_solve(taylor_green(grid), None, 0.01, 0.05, dt,
                        PicardConfig(tol_fix=1e-9, max_iter=20))
     # no boundary: q = 0 and both pressure routes see u = v + w
-    assert compare_pressures(sol, None, 0.01, None) <= 1e-8
+    assert compare_pressures(sol, None) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def march_run(request):
     v = FieldHistory.zeros(grid, dt, len(w))
     iterates = []
     while not iterates or iterates[-1][1] >= floor:
-        v_next = apply_velocity_map(beta=v, w=w, mu=mu, dt=dt)
+        v_next = apply_velocity_map(beta=v, w=w, mu=mu)
         iterates.append((v_next, wt_norm(v_next - v)))
         v = v_next
     assert len(iterates) < len(w) - 1   # the iteration stops short of the march
@@ -255,7 +253,7 @@ def test_picard_sweep_k_steps_only_rows_k_on(torus_spec, monkeypatch):
     monkeypatch.undo()
     v = FieldHistory.zeros(grid, dt, nt)
     for _ in sweeps:
-        v = apply_velocity_map(beta=v, w=sol.w, mu=mu, dt=dt)
+        v = apply_velocity_map(beta=v, w=sol.w, mu=mu)
     assert np.array_equal(v.data, sol.v.data)
 
 
@@ -281,7 +279,7 @@ def test_in_place_increments_match_out_of_place_sweeps(kind, torus_spec, annulus
     assert len(sol.trace) == nt and sol.trace[-1][1] == 0.0
     v, deltas = FieldHistory.zeros(grid, dt, nt), []
     for _ in sol.trace:
-        v_next = apply_velocity_map(beta=v, w=sol.w, mu=mu, dt=dt)
+        v_next = apply_velocity_map(beta=v, w=sol.w, mu=mu)
         deltas.append(wt_norm(v_next - v))
         v = v_next
     assert [d for _, d, _ in sol.trace] == deltas

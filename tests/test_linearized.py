@@ -32,7 +32,7 @@ def test_zero_inputs_give_zero(annulus_grid):
     dt, n = 0.01, 6
     v = apply_velocity_map(
         beta=_zero_hist(annulus_grid, dt, n), w=_zero_hist(annulus_grid, dt, n),
-        mu=0.1, dt=dt)
+        mu=0.1)
     assert max(l2(vk) for vk in v) == 0.0
 
 
@@ -44,7 +44,7 @@ def test_one_step_matches_hand_assembly(annulus_grid, annulus_frame):
     w0 = circulation_field(grid, c=0.8)
     w = _const_hist(w0, dt, 2)
     beta = _zero_hist(grid, dt, 2)
-    v = apply_velocity_map(beta=beta, w=w, mu=mu, dt=dt)
+    v = apply_velocity_map(beta=beta, w=w, mu=mu)
     p0 = solve_pressure_linearized(VectorField.zeros(grid), w0)
     rhs = (advect(w0, w0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
@@ -58,7 +58,7 @@ def test_one_step_taylor_green(torus_grid):
     dt, mu = 0.005, 0.01
     u0 = taylor_green(grid)
     w = _const_hist(u0, dt, 2)
-    v = apply_velocity_map(beta=_zero_hist(grid, dt, 2), w=w, mu=mu, dt=dt)
+    v = apply_velocity_map(beta=_zero_hist(grid, dt, 2), w=w, mu=mu)
     p0 = solve_pressure_linearized(VectorField.zeros(grid), u0)
     rhs = (advect(u0, u0) + grad(p0)) * (-1.0)
     stepper = VelocityStepper(grid, mu, dt, theta=1.0)
@@ -75,8 +75,7 @@ def test_cfl_guard(annulus_grid):
     # solved in a chunk with the next ones
     with pytest.raises(CFLViolation, match="at step 0$"):
         apply_velocity_map(
-            beta=_zero_hist(annulus_grid, dt, 3), w=_const_hist(w0, dt, 3),
-            mu=0.1, dt=dt)
+            beta=_zero_hist(annulus_grid, dt, 3), w=_const_hist(w0, dt, 3), mu=0.1)
 
 
 def test_cfl_names_the_step_of_the_row(annulus_grid):
@@ -95,8 +94,7 @@ def test_beta_zero_invariant_enforced(annulus_grid):
     dt = 0.01
     bad = _const_hist(circulation_field(annulus_grid, c=1.0), dt, 3)
     with pytest.raises(ValueError):
-        apply_velocity_map(beta=bad, w=_zero_hist(annulus_grid, dt, 3),
-                           mu=0.1, dt=dt)
+        apply_velocity_map(beta=bad, w=_zero_hist(annulus_grid, dt, 3), mu=0.1)
 
 
 def test_absolute_bc_preserved(annulus_spec):
@@ -106,7 +104,7 @@ def test_absolute_bc_preserved(annulus_spec):
     a = boundary_scalar_values(curl2d(u0), frame)
     w_hist, _ = solve_stokes(u0, a, 0.05, 0.1, 0.005)
     beta = _zero_hist(grid, 0.005, len(w_hist))
-    v = apply_velocity_map(beta=beta, w=w_hist, mu=0.05, dt=0.005)
+    v = apply_velocity_map(beta=beta, w=w_hist, mu=0.05)
     v_t = v.time_derivative()
     for hist in (v, v_t):
         for snap in hist:
@@ -131,7 +129,7 @@ def test_map_affine_in_initial_data(annulus_grid):
     vb = random_absolute_bc_field(grid, rng, amplitude=0.2)
 
     def run(v_init):
-        return apply_velocity_map(beta=beta, w=w, mu=mu, dt=dt, v_init=v_init)
+        return apply_velocity_map(beta=beta, w=w, mu=mu, v_init=v_init)
 
     base = run(None)
     sa = run(va)
@@ -151,7 +149,7 @@ def _small_run(grid, frame, mu=0.05, T=0.1, dt=0.005, amp=0.6):
     a = boundary_scalar_values(curl2d(u0), frame)
     w_hist, _ = solve_stokes(u0, a, mu, T, dt)
     beta = _zero_hist(grid, dt, len(w_hist))
-    v = apply_velocity_map(beta=beta, w=w_hist, mu=mu, dt=dt)
+    v = apply_velocity_map(beta=beta, w=w_hist, mu=mu)
     return v, beta, w_hist
 
 
@@ -183,7 +181,7 @@ def test_compute_F_matches_whole_history_assembly(annulus_spec, nt, monkeypatch)
     frame = boundary_frame(grid)
     dt = 0.005
     v1, _, w = _small_run(grid, frame, T=(nt - 1) * dt, dt=dt)
-    v2 = apply_velocity_map(beta=v1, w=w, mu=0.05, dt=dt)
+    v2 = apply_velocity_map(beta=v1, w=w, mu=0.05)
     want = energy_rows_from_histories(v2, v1, w)
     assert list(compute_F(v2, v1, w).rows()) == want
     want = energy_rows_from_histories(v1, v1, w)

@@ -1,6 +1,8 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -77,3 +79,45 @@ def test_every_module_level_definition_is_referenced():
             if not used:
                 unused.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not unused, "unreferenced definitions:\n" + "\n".join(unused)
+
+
+def test_script_calls_bind_to_package_signatures():
+    # every call in scripts/ and perfbench/ to a name imported from the
+    # package, or to an attribute of such a module or class, binds to
+    # that name's signature.  The suite runs few of those scripts, so a
+    # signature change would otherwise break them unseen.  Calls with
+    # *args or **kwargs are skipped
+    unbound = []
+    for path in sorted(p for d in ("scripts", "perfbench") for p in (ROOT / d).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "vortibc":
+                module = importlib.import_module(node.module)
+                for a in node.names:
+                    # a submodule is an attribute of its package once imported
+                    imported[a.asname or a.name] = getattr(module, a.name, None) \
+                        or importlib.import_module(f"{node.module}.{a.name}")
+
+        def resolve(func):
+            if isinstance(func, ast.Name):
+                return imported.get(func.id)
+            if isinstance(func, ast.Attribute):
+                owner = resolve(func.value)
+                if inspect.ismodule(owner) or inspect.isclass(owner):
+                    return getattr(owner, func.attr, None)
+            return None
+
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or (target := resolve(node.func)) is None:
+                continue
+            if (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords)):
+                continue
+            try:
+                inspect.signature(target).bind(*node.args,
+                                               **{k.arg: k.value for k in node.keywords})
+            except TypeError as exc:
+                unbound.append(f"{path.relative_to(ROOT)}:{node.lineno} "
+                               f"{ast.unparse(node.func)}: {exc}")
+    assert not unbound, "calls that no longer bind:\n" + "\n".join(unbound)

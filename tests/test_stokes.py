@@ -72,7 +72,7 @@ def test_bc_enforced_every_step(annulus_spec):
     u0 = shear_field(grid, amp=0.5)
     a = boundary_scalar_values(curl2d(u0), frame)
     w_hist, q_hist = solve_stokes(u0, a, 0.05, 0.2, 0.005)
-    diag = stokes_diagnostics(w_hist, q_hist, a, frame)
+    diag = stokes_diagnostics(w_hist, q_hist, a)
     perp = diag["max_w_perp"]
     vort_err = diag["max_vort_bc_err"]
     assert max(perp) <= 1e-10
@@ -120,7 +120,7 @@ def test_time_dependent_boundary_data_as_history(annulus_spec):
 
     with pytest.warns(UserWarning, match="initial vorticity"):
         w_hist, q_hist = solve_stokes(VectorField.zeros(grid), a_hist, 0.1, T, dt)
-    diag = stokes_diagnostics(w_hist, q_hist, a_hist, frame)
+    diag = stokes_diagnostics(w_hist, q_hist, a_hist)
     # the run must have tracked the sampled data, not the t = 0 slice;
     # the first steps carry the incompatible-start layer, later ones lag
     # the oscillation only at O(h^2 + dt)
@@ -181,7 +181,7 @@ def test_energy_report_constant_curl(annulus_grid):
     a = [np.full(c.n_nodes, 2 * om0) for c in frame]
     w_hist, _ = solve_stokes(u0, a, 0.1, 0.05, 0.01)
     assert max(l2(w - u0) for w in w_hist) < 1e-10   # exactly steady
-    rep = stokes_energy_report(w_hist, a, 0.1, frame)
+    rep = stokes_energy_report(w_hist, a, 0.1)
     assert max(abs(v) for v in rep["balance_g"]) < 1e-8
     assert max(abs(v) for v in rep["h_sq"]) < 1e-12
 
@@ -193,7 +193,7 @@ def test_energy_balance_taylor_green_refines(torus_spec):
         u0 = taylor_green(grid)
         mu = 0.01
         w_hist, _ = solve_stokes(u0, None, mu, 0.5, dt)
-        rep = stokes_energy_report(w_hist, None, mu, None)
+        rep = stokes_energy_report(w_hist, None, mu)
         e0 = rep["g_sq"][0]
         bal = max(abs(v) for v in rep["balance_g"])
         assert bal <= 5.0 * (dt + grid.h1**2) * e0
@@ -210,11 +210,37 @@ def test_energy_balance_boundary_driven(annulus_spec):
         u0 = shear_field(grid, amp=0.5)
         a = boundary_scalar_values(curl2d(u0), frame)
         w_hist, _ = solve_stokes(u0, a, 0.1, 0.3, dt)
-        rep = stokes_energy_report(w_hist, a, 0.1, frame)
+        rep = stokes_energy_report(w_hist, a, 0.1)
         residuals.append((max(abs(v) for v in rep["balance_g"]),
                           max(abs(v) for v in rep["balance_h"])))
     assert residuals[1][0] < residuals[0][0]
     assert residuals[1][1] < residuals[0][1]
+
+
+def test_energy_report_time_dependent_boundary_term(annulus_spec):
+    # a(t) = a0 + t a1 has da/dt = a1 exactly, so the h-balance boundary
+    # term is the trapezoid of oint a1 dg/dnu dS over the snapshots
+    from vortibc import surface_integrate
+    from vortibc.fields import cumulative_trapezoid, normal_derivative
+
+    grid = build_grid(annulus_spec, 16, 32)
+    frame = boundary_frame(grid)
+    u0 = shear_field(grid, amp=0.5)
+    a0 = boundary_scalar_values(curl2d(u0), frame)
+    a1 = [np.full(c.n_nodes, rate) for c, rate in zip(frame, (0.5, -0.3))]
+
+    def a(t):
+        return [v0 + t * v1 for v0, v1 in zip(a0, a1)]
+
+    dt = 0.01
+    w_hist, _ = solve_stokes(u0, a, 0.1, 0.05, dt)
+    rep = stokes_energy_report(w_hist, a, 0.1)
+    flux = [surface_integrate(frame, [r * d for r, d in
+                                      zip(a1, normal_derivative(curl2d(w), frame))])
+            for w in w_hist]
+    want = cumulative_trapezoid(np.array(flux), dt)
+    assert abs(want[-1]) > 1e-3
+    np.testing.assert_allclose(rep["bterm_h_cum"], want, rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +279,7 @@ def test_prop43_branch_ii_finite(annulus_spec):
     def a_of_t(t):
         return [b * (1.0 + 0.5 * math.sin(4 * t)) for b in base]
 
-    rep = verify_prop43(u0, a_of_t, [1e-1, 1e-2], T=0.1, dt=2e-3,
-                        time_dependent=True)
+    rep = verify_prop43(u0, a_of_t, [1e-1, 1e-2], T=0.1, dt=2e-3)
     assert rep.branch == "ii"
     assert all(np.isfinite(r) and r > 0 for r in rep.ratios)
 
