@@ -18,7 +18,7 @@ from . import errors
 from .config import RunConfig, check_ranges, load_config
 from .fields import div, l2, step_count
 from .generators import make_boundary_data, make_initial_condition
-from .geometry import build_grid, frame_of
+from .geometry import boundary_frame, build_grid
 from .io import atomic_write_text, format_float, scalar_checkpoint, vector_checkpoint, write_csv
 
 EXIT_OK = 0
@@ -70,7 +70,7 @@ def _setup_run(cfg: RunConfig):
             f"output directory {cfg.out_dir!r} is unusable: {ancestor!r} "
             "is not a writable directory")
     grid = build_grid(cfg.domain_spec(), cfg.n1, cfg.n2)
-    frame = frame_of(grid)
+    frame = boundary_frame(grid)
     rng = np.random.default_rng(cfg.seed)
     u0 = make_initial_condition(cfg.initial_condition, grid, cfg.ic_params, rng)
     a = make_boundary_data(cfg.boundary_data, frame, cfg.bd_params, rng, u0=u0)

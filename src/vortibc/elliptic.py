@@ -37,8 +37,7 @@ from .fields import (
     require_finite,
     surface_curl,
 )
-from .geometry import (BoundaryFrame, Grid, boundary_frame, frame_of, project,
-                       second_fundamental_form)
+from .geometry import BoundaryFrame, Grid, boundary_frame, project, second_fundamental_form
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +50,8 @@ _BC_TOL = 1e-6
 class NeumannProblem:
     """Poisson problem -sum of fluxes form: lap(phi) = source, d_nu phi = flux.
 
-    `flux` is a list of per-boundary-component arrays (None or [] when the
-    domain has no boundary).  `tol_compat` bounds the allowed compatibility
+    `flux` is a list of per-boundary-component arrays ([] when the domain
+    has no boundary).  `tol_compat` bounds the allowed compatibility
     defect |int(source) - oint(flux)| relative to the data size; the default
     1e-8 suits data given in closed form.
     """
@@ -398,12 +397,11 @@ def circulant_solver(M0, grid: Grid, factor, pin: bool = False):
 
 def _assemble_neumann(grid: Grid):
     """Generator rows A0 of the weighted FV Laplacian A (symmetric, null
-    space = constants), a solver for compatible data (2-D FFT on the torus,
-    else the mode blocks of A with the k = 0 block pinned), and the boundary
-    frame (None on the torus)."""
+    space = constants) and a solver for compatible data (2-D FFT on the
+    torus, else the mode blocks of A with the k = 0 block pinned)."""
     def build():
         A0 = _fv_laplacian(grid)
-        return A0, circulant_solver(A0, grid, splu, pin=True), frame_of(grid)
+        return A0, circulant_solver(A0, grid, splu, pin=True)
     return grid.cached("neumann", build)
 
 
@@ -420,7 +418,7 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float,
     each row of a (rows, n1, n2) source, as one stacked solve.
 
     `flux` holds one array per boundary component: (rows, m), or one (m,)
-    row shared by all; it is ignored on the torus.  Each row's compatibility
+    row shared by all; on the torus it is empty.  Each row's compatibility
     defect may reach rtol times its data size: the weighted L1 size of the
     source plus the arc-length L1 size of the flux, floored at 1e-14.  Each
     row gets its own finiteness and compatibility test, flux repair (one log
@@ -429,19 +427,18 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float,
     solve of row i bit for bit.  work lends the source-sized temporaries
     and the result their blocks.
     """
-    solver, frame = _assemble_neumann(grid)[1:]
+    solver, frame = _assemble_neumann(grid)[1], boundary_frame(grid)
     # |source| is summed in place and freed before b is allocated
     with _frame(work):
         size = np.abs(source, out=_scratch(work, source.shape))
         size = np.sum(np.multiply(size, grid.weights, out=size), axis=(-2, -1))
     b = np.multiply(grid.weights, source, out=_scratch(work, source.shape))
     b = b.reshape(len(source), -1)
-    if frame is not None:
-        if len(flux) != len(frame.components):
-            raise ValueError("flux must supply one array per boundary component")
-        for comp, g in zip(frame, flux):
-            b[:, comp.nodes] -= comp.ds * g
-            size = size + np.sum(comp.ds * np.abs(g), axis=-1)
+    if len(flux) != len(frame):
+        raise ValueError("flux must supply one array per boundary component")
+    for comp, g in zip(frame, flux):
+        b[:, comp.nodes] -= comp.ds * g
+        size = size + np.sum(comp.ds * np.abs(g), axis=-1)
     tol = rtol * np.maximum(size, 1e-14)
     defect = np.sum(b, axis=1)
     bad = np.flatnonzero(~np.isfinite(b).all(axis=1) | (np.abs(defect) > tol))
@@ -451,11 +448,11 @@ def _solve_neumann_rows(grid: Grid, source, flux: list, rtol: float,
         raise IncompatibleData(f"compatibility defect {defect[i]:.3e} exceeds "
                                f"tolerance {tol[i]:.3e}")
     repaired = np.flatnonzero(defect)
-    if frame is not None and repaired.size:
+    if frame and repaired.size:
         per = frame.perimeter()
     for i in repaired:
         d = defect[i]
-        if frame is not None:
+        if frame:
             # uniform shift of the boundary flux, by defect per unit arc length
             log.debug("repairing Neumann data: defect %.3e spread over boundary", d)
             for comp in frame:
@@ -488,9 +485,8 @@ def solve_neumann(prob: NeumannProblem) -> ScalarField:
     misses 1e-10 relative.
     """
     grid = prob.grid
-    flux = prob.flux if prob.flux is not None else []
-    return ScalarField(grid, _solve_neumann_rows(grid, prob.source.values[np.newaxis], flux,
-                                                 prob.tol_compat)[0])
+    return ScalarField(grid, _solve_neumann_rows(grid, prob.source.values[np.newaxis],
+                                                 prob.flux, prob.tol_compat)[0])
 
 
 # carrier rows per stacked transport solve.  The inviscid pressure and its
@@ -505,7 +501,9 @@ _PRESSURE_ROWS = 8
 def _check_normal_traces(u, u_bdry, frame, what):
     """Raise BCViolation unless max |u_perp| <= 1e-6 * max(max|u|, 1) on
     each row of the (rows, 2, n1, n2) block u, whose boundary values
-    (boundary_rows) are u_bdry."""
+    (boundary_rows) are u_bdry; without a boundary there is nothing to check."""
+    if not frame:
+        return
     worst = np.max([np.max(np.abs(p), axis=-1) for p in project(frame, u_bdry, "nu")], axis=0)
     bad = np.flatnonzero(worst > _BC_TOL * np.maximum(max_speed(u), 1.0))
     if bad.size:
@@ -515,10 +513,9 @@ def _check_normal_traces(u, u_bdry, frame, what):
 
 def check_normal_trace(u: VectorField, what):
     """Raise BCViolation unless max |u_perp| <= 1e-6 * max(max|u|, 1)."""
-    frame = frame_of(u.grid)
-    if frame is not None:
-        block = _block(u)[np.newaxis]
-        _check_normal_traces(block, boundary_rows(block, frame), frame, what)
+    frame = boundary_frame(u.grid)
+    block = _block(u)[np.newaxis]
+    _check_normal_traces(block, boundary_rows(block, frame), frame, what)
 
 
 def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None,
@@ -536,22 +533,20 @@ def solve_transport(grid: Grid, s, e=None, mu: float = 0.0, a=None,
     equals its one-row solve bit for bit.  work lends the result and the
     block temporaries of each solve their blocks.
     """
-    frame = _assemble_neumann(grid)[2]
+    frame = boundary_frame(grid)
     rtol = fd_tolerance(grid)
     out = _scratch(work, (len(s), *grid.shape))
     for i in range(0, len(s), _PRESSURE_ROWS):
         rows = slice(i, i + _PRESSURE_ROWS)
         si = s[rows]
         ei = si if e is None else e[rows]
-        flux = []
-        if frame is not None:
-            s_bdry = boundary_rows(si, frame)
-            if e is None:
-                _check_normal_traces(si, s_bdry, frame, "pressure carrier")
-            flux = second_fundamental_form(
-                frame, s_bdry, s_bdry if e is None else boundary_rows(ei, frame))
-            if mu != 0.0 and a is not None:
-                flux = [g - mu * sk for g, sk in zip(flux, surface_curl(a, frame))]
+        s_bdry = boundary_rows(si, frame)
+        if e is None:
+            _check_normal_traces(si, s_bdry, frame, "pressure carrier")
+        flux = second_fundamental_form(
+            frame, s_bdry, s_bdry if e is None else boundary_rows(ei, frame))
+        if mu != 0.0 and a is not None:
+            flux = [g - mu * sk for g, sk in zip(flux, surface_curl(a, frame))]
         with _frame(work):
             source = None if work is None else work.block((len(si), *grid.shape))
             with _frame(work):
@@ -615,8 +610,7 @@ def solonnikov_ratio(f: VectorField) -> float:
     if fnorm == 0.0:
         raise DegenerateInput("solonnikov_ratio: f is identically zero")
     grid = f.grid
-    frame = frame_of(grid)
-    flux = normal_component(f, frame) if frame is not None else []
+    flux = normal_component(f, boundary_frame(grid))
     # div f is a finite difference, compatible with <f, nu> only to O(h^2)
     phi = solve_neumann(NeumannProblem(grid, div(f), flux, fd_tolerance(grid)))
     return l2(grad(phi)) / fnorm

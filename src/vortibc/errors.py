@@ -13,10 +13,6 @@ class ResolutionTooLow(VortibcError):
     """Grid resolution below the supported minimum."""
 
 
-class NoBoundary(VortibcError):
-    """Operation requires a boundary but the domain has none."""
-
-
 class MissingTimeDerivative(VortibcError):
     """A norm or diagnostic needs a time derivative that was not supplied."""
 

@@ -38,7 +38,7 @@ from .fields import (
     step_count,
     tangential_part,
 )
-from .geometry import DomainKind, boundary_frame, frame_of, surface_integrate
+from .geometry import DomainKind, boundary_frame, surface_integrate
 from .linearized import CFL_LIMIT, march
 from .stokes import normalize_boundary_data
 
@@ -274,7 +274,7 @@ def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
     time differences).  `include_mu_term=False` drops the mu-proportional
     forcing for sensitivity experiments.
     """
-    dt, frame = u_hist.dt, frame_of(u_hist.grid)
+    dt, frame = u_hist.dt, boundary_frame(u_hist.grid)
     nt = len(u_hist)
     diffs = u_mu_hist - u_hist
     vsq = np.array([l2(d) ** 2 for d in diffs])
@@ -289,10 +289,7 @@ def check_gronwall_viscous(u_mu_hist: FieldHistory, u_hist: FieldHistory, a,
         grad_inf = max(float(np.max(np.abs(g))) for g in _dx_dy(u.grid, u_hist.data[k]))
         forcing = 0.0
         if include_mu_term:
-            a_sq = 0.0
-            if frame is not None:
-                a_k = sample_a(k * dt)
-                a_sq = surface_integrate(frame, [av * av for av in a_k])
+            a_sq = surface_integrate(frame, [av * av for av in sample_a(k * dt)])
             forcing = mu * (a_sq + h2(u) ** 2)
         rhs = C * ((grad_inf + mu0) * vsq[k] + forcing)
         times.append(k * dt)

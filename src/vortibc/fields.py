@@ -398,28 +398,24 @@ def normal_component(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:
     return project(frame, boundary_vector_values(u, frame), "nu")
 
 
-def max_normal_trace(u: VectorField, frame: BoundaryFrame | None) -> float:
+def max_normal_trace(u: VectorField, frame: BoundaryFrame) -> float:
     """max |u_perp| over the boundary nodes; 0 without a boundary."""
-    if frame is None:
-        return 0.0
-    return max(float(np.max(np.abs(v))) for v in normal_component(u, frame))
+    return max((float(np.max(np.abs(v))) for v in normal_component(u, frame)), default=0.0)
 
 
-def max_vorticity_defect(u: VectorField, frame: BoundaryFrame | None, a) -> float:
+def max_vorticity_defect(u: VectorField, frame: BoundaryFrame, a) -> float:
     """max |curl(u) - a| over the boundary nodes, with a per component;
     a = None reads as zero data.  0 without a boundary."""
-    if frame is None:
-        return 0.0
     return max_trace_defect(curl2d(u), frame, a)
 
 
 def max_trace_defect(f: ScalarField, frame: BoundaryFrame, a) -> float:
     """max |f - a| over the boundary nodes, with a per component; a = None
-    reads as zero data."""
+    reads as zero data.  0 without a boundary."""
     defect = boundary_scalar_values(f, frame)
     if a is not None:
         defect = [ob - av for ob, av in zip(defect, a)]
-    return max(float(np.max(np.abs(d))) for d in defect)
+    return max((float(np.max(np.abs(d))) for d in defect), default=0.0)
 
 
 def tangential_part(u: VectorField, frame: BoundaryFrame) -> list[np.ndarray]:

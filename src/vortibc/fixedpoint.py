@@ -38,7 +38,7 @@ from .fields import (
     step_count,
     time_derivative_rows,
 )
-from .geometry import frame_of
+from .geometry import boundary_frame
 from .linearized import VelocityMap, energy_rows, march
 from .stokes import normalize_boundary_data, stokes_rows
 
@@ -269,7 +269,6 @@ class ResidualReport:
     interior_l2: np.ndarray
     bc_perp_max: float
     bc_vorticity_max: float
-    initial_l2: float
 
 
 def ns_residual(sol: NSSolution, a) -> ResidualReport:
@@ -277,10 +276,10 @@ def ns_residual(sol: NSSolution, a) -> ResidualReport:
 
     Interior residual of du/dt + u.grad u + grad p - mu lap u with the
     pressure re-derived from u at each snapshot; boundary residuals report
-    |u_perp| and |curl u - a|; the initial residual is ||u(0) - u0||_2.
+    |u_perp| and |curl u - a|.
     """
     grid, mu, dt = sol.u.grid, sol.mu, sol.v.dt
-    frame = frame_of(grid)
+    frame = boundary_frame(grid)
     u_t = sol.u.time_derivative()
     sample_a, _ = normalize_boundary_data(a, frame)
     interior = np.zeros(len(sol.u))
@@ -300,7 +299,6 @@ def ns_residual(sol: NSSolution, a) -> ResidualReport:
         interior_l2=interior,
         bc_perp_max=bc_perp,
         bc_vorticity_max=bc_vort,
-        initial_l2=l2(sol.u[0] - sol.w[0]),
     )
 
 
@@ -313,15 +311,14 @@ def compare_pressures(sol: NSSolution, a) -> float:
     no boundary).
     """
     grid, mu, dt = sol.u.grid, sol.mu, sol.v.dt
-    frame = frame_of(grid)
+    frame = boundary_frame(grid)
     sample_a, _ = normalize_boundary_data(a, frame)
     total_w = float(np.sum(grid.weights))
     worst = 0.0
     for k in range(len(sol.u)):
         u, a_k = sol.u[k], sample_a(k * dt)
         p_direct = solve_pressure_ns(u, a_k, mu)
-        q = 0.0 if frame is None else solve_harmonic_q(a_k, mu, frame).values
-        combo = solve_pressure_euler(u).values + q
+        combo = solve_pressure_euler(u).values + solve_harmonic_q(a_k, mu, frame).values
         combo = combo - grid.integrate(combo) / total_w
         worst = max(worst, l2(p_direct - ScalarField(grid, combo)))
     return worst

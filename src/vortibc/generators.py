@@ -239,8 +239,8 @@ def make_initial_condition(name, grid, params=None, rng=None):
 
 
 def make_boundary_data(name, frame, params=None, rng=None, u0=None):
-    """Per-component boundary data, or None without a boundary; name and
-    params are checked either way."""
+    """Per-component boundary data: [] on the torus's empty frame, and None
+    for frame None; name and params are checked either way."""
     gen, kwargs = _resolve(BOUNDARY_DATA, "boundary data", name, params)
     if frame is None:
         return None

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidSpec, NoBoundary, ResolutionTooLow
+from .errors import InvalidSpec, ResolutionTooLow
 
 
 class DomainKind(str, Enum):
@@ -260,13 +260,15 @@ class BoundaryComponent:
 
 
 class BoundaryFrame:
-    """All boundary components of a grid with their moving frames."""
+    """All boundary components of a grid with their moving frames.  The
+    torus has none: its frame is empty (and falsy), so every sum over the
+    boundary is a sum over no components."""
 
     def __init__(self, grid: Grid, components: tuple[BoundaryComponent, ...]):
         self.grid = grid
         self.components = components
         # flat node indices of all components, in component order
-        self.nodes = np.concatenate([c.nodes for c in components])
+        self.nodes = np.concatenate([np.empty(0, dtype=int), *(c.nodes for c in components)])
 
     def __iter__(self):
         return iter(self.components)
@@ -337,18 +339,17 @@ def _wall_component(grid, name, index, outward_sign):
 
 
 def boundary_frame(grid: Grid) -> BoundaryFrame:
-    """Analytic boundary frame for a grid; raises NoBoundary on the torus.
+    """Analytic boundary frame for a grid; the torus gets the empty frame.
 
     Sign convention: h = <grad_tau nu, tau>, so a circle of radius R seen
     from inside has h = 1/R while the inner circle of an annulus (outward
     normal pointing toward the center) has h = -1/r_inner.  Deterministic:
     identical inputs yield bit-identical outputs.
     """
-    if not grid.has_boundary():
-        raise NoBoundary("torus has an empty boundary set")
-
     def build():
-        if grid.polar:
+        if not grid.has_boundary():
+            comps = ()
+        elif grid.polar:
             comps = (
                 _circle_component(grid, "inner", 0, -1,
                                   artificial=(grid.spec.kind == DomainKind.DISK)),
@@ -361,11 +362,6 @@ def boundary_frame(grid: Grid) -> BoundaryFrame:
             )
         return BoundaryFrame(grid, comps)
     return grid.cached("frame", build)
-
-
-def frame_of(grid: Grid) -> BoundaryFrame | None:
-    """The boundary frame of a grid, or None on the torus."""
-    return boundary_frame(grid) if grid.has_boundary() else None
 
 
 def boundary_zeros(frame: BoundaryFrame) -> list[np.ndarray]:

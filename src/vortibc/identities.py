@@ -114,8 +114,7 @@ def boundary_flux_residuals(u: VectorField, frame: BoundaryFrame):
     return res_i, res_ii
 
 
-def curl_green_residual(u: VectorField, s: ScalarField,
-                        frame: BoundaryFrame | None) -> float:
+def curl_green_residual(u: VectorField, s: ScalarField, frame: BoundaryFrame) -> float:
     """Integration by parts for the curl pair (Stokes-theorem identity).
 
     |int s curl(u) - int <u, curl(s)> - oint s u_par dS|.  The all-vector
@@ -126,15 +125,12 @@ def curl_green_residual(u: VectorField, s: ScalarField,
     vol1 = g.integrate(s.values * curl2d(u).values)
     cs = curl_scalar(s)
     vol2 = g.integrate(u.ux * cs.ux + u.uy * cs.uy)
-    bnd = 0.0
-    if frame is not None:
-        s_b = boundary_scalar_values(s, frame)
-        u_par = tangential_part(u, frame)
-        bnd = surface_integrate(frame, [sv * up for sv, up in zip(s_b, u_par)])
+    s_b = boundary_scalar_values(s, frame)
+    bnd = surface_integrate(frame, [sv * up for sv, up in zip(s_b, tangential_part(u, frame))])
     return abs(vol1 - vol2 - bnd)
 
 
-def energy_identity_residuals(u: VectorField, frame: BoundaryFrame | None):
+def energy_identity_residuals(u: VectorField, frame: BoundaryFrame):
     """Residuals of the two integral identities tying |grad u| to the curl
     and divergence.
 
@@ -152,21 +148,19 @@ def energy_identity_residuals(u: VectorField, frame: BoundaryFrame | None):
     d_sq = l2(d) ** 2
     grad_sq = grad_l2(u) ** 2
 
-    b1 = b2 = 0.0
-    if frame is not None:
-        u_perp, u_par = _split_traces(u, frame)
-        om_b = boundary_scalar_values(om, frame)
-        d_b = boundary_scalar_values(d, frame)
-        ds_uperp = surface_curl(u_perp, frame)
-        b1 = surface_integrate(frame, [ob * up for ob, up in zip(om_b, u_par)]) \
-            + surface_integrate(frame, [db * np_ for db, np_ in zip(d_b, u_perp)])
-        pi_term = surface_integrate(
-            frame, [c.curvature * up**2 for c, up in zip(frame, u_par)])
-        h_term = surface_integrate(
-            frame, [c.curvature * np_**2 for c, np_ in zip(frame, u_perp)])
-        cross = surface_integrate(
-            frame, [up * dsu for up, dsu in zip(u_par, ds_uperp)])
-        b2 = -pi_term - h_term + 2.0 * cross
+    u_perp, u_par = _split_traces(u, frame)
+    om_b = boundary_scalar_values(om, frame)
+    d_b = boundary_scalar_values(d, frame)
+    ds_uperp = surface_curl(u_perp, frame)
+    b1 = surface_integrate(frame, [ob * up for ob, up in zip(om_b, u_par)]) \
+        + surface_integrate(frame, [db * np_ for db, np_ in zip(d_b, u_perp)])
+    pi_term = surface_integrate(
+        frame, [c.curvature * up**2 for c, up in zip(frame, u_par)])
+    h_term = surface_integrate(
+        frame, [c.curvature * np_**2 for c, np_ in zip(frame, u_perp)])
+    cross = surface_integrate(
+        frame, [up * dsu for up, dsu in zip(u_par, ds_uperp)])
+    b2 = -pi_term - h_term + 2.0 * cross
     r1 = abs(vol_lap + om_sq + d_sq - b1)
     r2 = abs(grad_sq - om_sq - d_sq - b2)
     return r1, r2

@@ -42,7 +42,7 @@ from .fields import (
     max_speed,
     time_derivative_rows,
 )
-from .geometry import boundary_zeros, frame_of
+from .geometry import boundary_frame, boundary_zeros
 from .stepping import VelocityStepper
 from .stokes import stokes_rows
 
@@ -94,8 +94,7 @@ class VelocityMap:
     def __init__(self, grid, mu: float, dt: float):
         self.grid = grid
         self.dt = dt
-        frame = frame_of(grid)
-        self.a_zero = boundary_zeros(frame) if frame is not None else None
+        self.a_zero = boundary_zeros(boundary_frame(grid))
         self.stepper = VelocityStepper(grid, mu, dt, theta=1.0)
         # the carrier, pressure and norm blocks of every sweep
         self.work = Workspace()

@@ -23,7 +23,7 @@ from .elliptic import (circulant_solver, expand_rows, generator_index, generator
                        kron_sum, pin_rows, second_difference, splu, stencil, wall_rows)
 from .errors import BCEnforcementFailed, LinearSolveFailed
 from .fields import VectorField, require_finite
-from .geometry import Grid, boundary_frame, frame_of
+from .geometry import Grid, boundary_frame
 
 
 def to_native(grid: Grid, u: VectorField, k: int, out, tmp):
@@ -121,7 +121,7 @@ class VelocityStepper:
         self.mu = float(mu)
         self.dt = float(dt)
         self.theta = float(theta)
-        self.frame = frame_of(grid)
+        self.frame = boundary_frame(grid)
 
         self.L0, self.normal_dofs, self.aterm_idx, self.aterm_coef = grid.cached(
             "vel_op", lambda: (_polar_operator if grid.polar else _cartesian_operator)(grid))
@@ -168,7 +168,7 @@ class VelocityStepper:
             expl = (1.0 - self.theta) * self.mu * self.dt
             rhs += expl * (self.L @ z)
             coefs.insert(0, expl)
-        if self.frame is not None and a is not None:
+        if self.frame and a is not None:
             # the data, in frame order, enters as rhs += c * contrib for a
             # contrib that holds it at the aterm_idx dofs and zeros elsewhere;
             # one rhs += 0.0 off those dofs keeps that sum's bits (it turns

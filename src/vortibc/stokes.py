@@ -38,7 +38,7 @@ from .fields import (
     require_finite,
     step_count,
 )
-from .geometry import boundary_zeros, frame_of, surface_integrate
+from .geometry import boundary_frame, boundary_zeros, surface_integrate
 from .stepping import VelocityStepper
 
 STOKES_COLUMNS = ("t", "l2_w", "h1_w", "h2_w", "l2_div_w",
@@ -46,13 +46,12 @@ STOKES_COLUMNS = ("t", "l2_w", "h1_w", "h2_w", "l2_div_w",
 
 
 def normalize_boundary_data(a, frame):
-    """Return (sample(t) -> per-component list | None, static: bool).
+    """Return (sample(t) -> per-component list, static: bool).
 
     Accepts None, a per-component list (time independent) or a callable of t.
+    None, and any a on a frame without components, read as zero data.
     """
-    if frame is None:
-        return (lambda t: None), True
-    if a is None:
+    if a is None or not frame:
         zeros = boundary_zeros(frame)
         return (lambda t: zeros), True
     if callable(a):
@@ -102,7 +101,7 @@ def stokes_rows(u0: VectorField, a, mu: float, T: float, dt: float,
     if scheme not in ("backward-euler", "crank-nicolson"):
         raise ValueError(f"unknown scheme {scheme!r}")
     grid = u0.grid
-    frame = frame_of(grid)
+    frame = boundary_frame(grid)
     sample_a, static_a = normalize_boundary_data(a, frame)
     _check_initial_data(u0, frame, sample_a(0.0))
 
@@ -110,8 +109,6 @@ def stokes_rows(u0: VectorField, a, mu: float, T: float, dt: float,
     stepper = VelocityStepper(grid, mu, dt, theta=theta)
 
     def q_of(t):
-        if frame is None:
-            return ScalarField.zeros(grid)
         return solve_harmonic_q(sample_a(t), mu, frame)
 
     w, q = u0, q_of(0.0)
@@ -150,7 +147,7 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t) -> tuple:
     second partials are ever held.  Every value equals its single-purpose
     operator bit for bit."""
     g = w.grid
-    frame = frame_of(g)
+    frame = boundary_frame(g)
     partials, orders = [], []
     for comp in (w.ux, w.uy):
         values = comp[np.newaxis]
@@ -158,7 +155,7 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t) -> tuple:
         orders.append(_squared_integrals(g, values, 0, 2, partials[-1]))
     (dx0, dy0), (dx1, dy1) = partials
     div_w, curl_w = np.add(dx0, dy1, out=dx0)[0], np.subtract(dx1, dy0, out=dx1)[0]
-    vort = 0.0 if frame is None else max_trace_defect(ScalarField(g, curl_w), frame, a_t)
+    vort = max_trace_defect(ScalarField(g, curl_w), frame, a_t)
     # the per-component integrals, stacked as _sobolev_sum takes them
     orders = [[np.concatenate(pair) for pair in zip(*order)] for order in zip(*orders)]
     l2_w, h1_w, h2_w = (float(np.sqrt(_sobolev_sum(orders, 0, hi))) for hi in (0, 1, 2))
@@ -169,7 +166,7 @@ def stokes_row(t: float, w: VectorField, q: ScalarField, a_t) -> tuple:
 def stokes_diagnostics(w_hist: FieldHistory, q_hist: FieldHistory, a) -> dict:
     """{column: array} of STOKES_COLUMNS, one stokes_row per snapshot of a
     Stokes solve."""
-    sample_a, _ = normalize_boundary_data(a, frame_of(w_hist.grid))
+    sample_a, _ = normalize_boundary_data(a, boundary_frame(w_hist.grid))
     rows = [stokes_row(t, w, q, sample_a(t))
             for t, w, q in zip(w_hist.times, w_hist, q_hist)]
     return dict(zip(STOKES_COLUMNS, np.array(rows).T))
@@ -194,7 +191,7 @@ def stokes_energy_report(w_hist: FieldHistory, a, mu: float) -> dict:
     """
     if len(w_hist) < 3:
         raise ValueError("energy report needs at least 3 snapshots")
-    dt, frame = w_hist.dt, frame_of(w_hist.grid)
+    dt, frame = w_hist.dt, boundary_frame(w_hist.grid)
     sample_a, static_a = normalize_boundary_data(a, frame)
 
     g_fields = [curl2d(w) for w in w_hist]
@@ -208,15 +205,14 @@ def stokes_energy_report(w_hist: FieldHistory, a, mu: float) -> dict:
     nt = len(w_hist)
     bnd_g = np.zeros(nt)
     bnd_h = np.zeros(nt)
-    if frame is not None:
-        for k in range(nt):
-            t = k * dt
-            a_k = sample_a(t)
-            dng = normal_derivative(g_fields[k], frame)
-            bnd_g[k] = surface_integrate(frame, [av * dv for av, dv in zip(a_k, dng)])
-            if not static_a:
-                da = _a_rate(sample_a, t, dt)
-                bnd_h[k] = surface_integrate(frame, [dv * dav for dav, dv in zip(da, dng)])
+    for k in range(nt):
+        t = k * dt
+        a_k = sample_a(t)
+        dng = normal_derivative(g_fields[k], frame)
+        bnd_g[k] = surface_integrate(frame, [av * dv for av, dv in zip(a_k, dng)])
+        if not static_a:
+            da = _a_rate(sample_a, t, dt)
+            bnd_h[k] = surface_integrate(frame, [dv * dav for dav, dv in zip(da, dng)])
 
     cg, ch, bg, bh = (cumulative_trapezoid(y, dt) for y in (diss_g, diss_h, bnd_g, bnd_h))
 
@@ -251,9 +247,20 @@ def verify_prop43(u0: VectorField, a, mu_list, T: float, dt: float) -> Prop43Rep
     + ||(a, da/dt)||^2_{L2(Gamma_T)}, with the multiplier allowed to depend
     on (mu, T).
     """
-    frame = frame_of(u0.grid)
+    frame = boundary_frame(u0.grid)
     sample_a, static_a = normalize_boundary_data(a, frame)
     branch = "i" if static_a else "ii"
+    # ||a||^2_{L2(Gamma_T)} (with da/dt for a callable) and ||u0||_H2^2 do
+    # not depend on mu
+    nt = step_count(T, dt) + 1
+    vals = np.zeros(nt)
+    for k in range(nt):
+        vals[k] = surface_integrate(frame, [av * av for av in sample_a(k * dt)])
+        if not static_a:
+            da = _a_rate(sample_a, k * dt, dt)
+            vals[k] += surface_integrate(frame, [d * d for d in da])
+    a_l2_cum = float(np.trapezoid(vals, dx=dt))
+    u0_sq = h2(u0) ** 2
     mu_values, lhs_list, rhs_list = [], [], []
     for mu in mu_list:
         w_hist, _ = solve_stokes(u0, a, mu, T, dt)
@@ -264,22 +271,7 @@ def verify_prop43(u0: VectorField, a, mu_list, T: float, dt: float) -> Prop43Rep
               for g, h in zip(g_fields, h_fields)]
         cum = float(np.trapezoid(en, dx=dt))
         lhs = sup_h2 + mu * cum
-
-        a_l2_cum = 0.0
-        if frame is not None:
-            nt = len(w_hist)
-            vals = np.zeros(nt)
-            for k in range(nt):
-                a_k = sample_a(k * dt)
-                vals[k] = surface_integrate(frame, [av * av for av in a_k])
-                if not static_a:
-                    da = _a_rate(sample_a, k * dt, dt)
-                    vals[k] += surface_integrate(frame, [d * d for d in da])
-            a_l2_cum = float(np.trapezoid(vals, dx=dt))
-        if not static_a:
-            rhs = h2(u0) ** 2 + a_l2_cum
-        else:
-            rhs = h2(u0) ** 2 + mu * a_l2_cum
+        rhs = u0_sq + (mu * a_l2_cum if static_a else a_l2_cum)
         mu_values.append(mu)
         lhs_list.append(lhs)
         rhs_list.append(rhs)

@@ -15,7 +15,7 @@ import numpy as np
 from .elliptic import solonnikov_ratio
 from .fields import ScalarField, VectorField
 from .generators import random_scalar, random_vector
-from .geometry import DomainSpec, build_grid, frame_of
+from .geometry import DomainSpec, boundary_frame, build_grid
 from .identities import (
     advection_identity_residuals,
     advection_normal_trace_residual,
@@ -98,12 +98,12 @@ def run_identity_suite(spec: DomainSpec, resolutions=(32, 64, 128),
     has_boundary = True
     for n in resolutions:
         grid = build_grid(spec, n, n)
-        frame = frame_of(grid)
-        has_boundary = frame is not None
+        frame = boundary_frame(grid)
+        has_boundary = bool(frame)
         u = VectorField.from_function(grid, u_fn)
         w = VectorField.from_function(grid, w_fn)
         s = ScalarField.from_function(grid, s_fn)
-        if frame is not None:
+        if frame:
             values["advection_normal_trace"].append(
                 advection_normal_trace_residual(u, w, frame))
             fi, fii = boundary_flux_residuals(u, frame)

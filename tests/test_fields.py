@@ -98,8 +98,8 @@ def test_boundary_residual_helpers_rigid_rotation(annulus_grid, annulus_frame, t
     assert max_vorticity_defect(u, frame, None) == pytest.approx(2 * om, rel=1e-2)
     # no boundary, no residual
     t = VectorField(torus_grid, np.ones(torus_grid.shape), np.zeros(torus_grid.shape))
-    assert max_normal_trace(t, None) == 0.0
-    assert max_vorticity_defect(t, None, None) == 0.0
+    assert max_normal_trace(t, boundary_frame(torus_grid)) == 0.0
+    assert max_vorticity_defect(t, boundary_frame(torus_grid), None) == 0.0
 
 
 def test_surface_curl_examples(annulus_grid, annulus_frame):

@@ -116,7 +116,6 @@ def test_ns_residual_zero_run(annulus_grid):
     assert rep.interior_l2_max == 0.0
     assert rep.bc_perp_max == 0.0
     assert rep.bc_vorticity_max == 0.0
-    assert rep.initial_l2 == 0.0
 
 
 def test_ns_residual_refines_taylor_green(torus_spec):
@@ -139,7 +138,6 @@ def test_compare_pressures_stationary(annulus_spec):
     assert compare_pressures(sol, a) <= 50 * grid.h1**2
     rep = ns_residual(sol, a)
     assert rep.interior_l2_max <= 50 * grid.h1**2   # steady state: pure truncation
-    assert rep.initial_l2 == 0.0
 
 
 def test_compare_pressures_taylor_green(torus_spec):
@@ -171,7 +169,7 @@ def march_run(request):
         u0 = streamfunction_shear(grid, amp=0.6)
     else:
         u0 = random_absolute_bc_field(grid, np.random.default_rng(3), amplitude=1.0)
-    a = boundary_scalar_values(curl2d(u0), boundary_frame(grid)) if grid.has_boundary() else None
+    a = boundary_scalar_values(curl2d(u0), boundary_frame(grid))
     u_march = march_solve(u0, a, mu, T, dt)
     w, _ = solve_stokes(u0, a, mu, T, dt)
     floor = 1e-10 * wt_norm(u_march - w)

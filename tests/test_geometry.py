@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vortibc import (DomainKind, DomainSpec, boundary_frame, build_grid,
-                     second_fundamental_form, surface_integrate)
-from vortibc.errors import InvalidSpec, NoBoundary, ResolutionTooLow
-from vortibc.geometry import boundary_from_function
+from vortibc import (DomainKind, DomainSpec, ScalarField, VectorField, boundary_frame,
+                     build_grid, second_fundamental_form, surface_curl, surface_integrate)
+from vortibc.elliptic import check_normal_trace, solve_harmonic_q
+from vortibc.errors import InvalidSpec, ResolutionTooLow
+from vortibc.fields import (boundary_rows, boundary_scalar_values, max_normal_trace,
+                            max_vorticity_defect, normal_derivative)
+from vortibc.geometry import boundary_from_function, boundary_zeros, project
 
 
 def test_annulus_area_quadrature():
@@ -38,8 +41,28 @@ def test_resolution_too_low():
 
 
 def test_torus_has_no_boundary(torus_grid):
-    with pytest.raises(NoBoundary):
-        boundary_frame(torus_grid)
+    """The torus's frame has no components, so every boundary trace is the
+    empty list, every boundary integral and trace maximum is 0, and the
+    harmonic Stokes part of its (empty) data is +0.0 everywhere, as the
+    checkpointed torus q is."""
+    g = torus_grid
+    frame = boundary_frame(g)
+    assert len(frame) == 0 and frame.nodes.size == 0 and not frame
+    u = VectorField(g, np.sin(g.x) + 1.0, np.cos(g.y))
+    f = ScalarField(g, np.sin(g.x) * np.cos(g.y))
+    assert boundary_rows(np.stack((u.ux, u.uy)), frame) == []
+    assert project(frame, [], "nu") == []
+    assert second_fundamental_form(frame, [], []) == []
+    assert surface_curl([], frame) == []
+    assert normal_derivative(f, frame) == []
+    assert boundary_scalar_values(f, frame) == []
+    assert boundary_zeros(frame) == []
+    assert surface_integrate(frame, []) == 0.0
+    assert max_normal_trace(u, frame) == 0.0
+    assert max_vorticity_defect(u, frame, None) == 0.0
+    check_normal_trace(u, "torus field")
+    q = solve_harmonic_q(boundary_zeros(frame), 0.1, frame).values
+    assert np.all(q == 0.0) and not np.signbit(q).any()
 
 
 def test_disk_pole_hole_radius():
@@ -176,7 +199,7 @@ def test_boundary_node_layout(spec):
     grid = build_grid(spec, 12, 16)
     flat = np.arange(grid.nnodes).reshape(grid.shape)
     union = np.zeros(grid.shape, dtype=bool)
-    frame = boundary_frame(grid) if grid.has_boundary() else []
+    frame = boundary_frame(grid)
     for comp in frame:
         inner = comp.index + 1 if comp.index == 0 else comp.index - 1
         if comp.axis == 0:

@@ -139,7 +139,7 @@ def test_energy_identities_zero_and_const(annulus_grid, annulus_frame, torus_gri
     assert energy_identity_residuals(z, annulus_frame) == (0.0, 0.0)
     c = VectorField(torus_grid, np.full(torus_grid.shape, 1.5),
                     np.full(torus_grid.shape, -0.5))
-    r1, r2 = energy_identity_residuals(c, None)
+    r1, r2 = energy_identity_residuals(c, boundary_frame(torus_grid))
     assert r1 < 1e-12 and r2 < 1e-12
 
 

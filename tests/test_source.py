@@ -121,3 +121,42 @@ def test_script_calls_bind_to_package_signatures():
                 unbound.append(f"{path.relative_to(ROOT)}:{node.lineno} "
                                f"{ast.unparse(node.func)}: {exc}")
     assert not unbound, "calls that no longer bind:\n" + "\n".join(unbound)
+
+
+def _is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _is_frame(node):
+    return (isinstance(node, ast.Name) and node.id == "frame"
+            or isinstance(node, ast.Attribute) and node.attr == "frame")
+
+
+def test_no_optional_frame():
+    # the torus's boundary is the empty frame, not None: no module tests a
+    # `frame` against None or annotates a frame as `BoundaryFrame | None`.
+    # generators.make_boundary_data keeps a None frame for callers that
+    # pass one, and is exempt
+    hits = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        exempt = set()
+        if path.name == "generators.py":
+            exempt = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef)
+                      and f.name == "make_boundary_data" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot))
+                                                     for op in node.ops):
+                sides = [node.left, *node.comparators]
+                optional = any(map(_is_none, sides)) and any(map(_is_frame, sides))
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+                sides = (node.left, node.right)
+                optional = any(map(_is_none, sides)) and any(
+                    isinstance(s, ast.Name) and s.id == "BoundaryFrame" for s in sides)
+            else:
+                continue
+            if optional:
+                hits.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not hits, "frames that may be None:\n" + "\n".join(hits)
